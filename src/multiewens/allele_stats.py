@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import _params, pochhammer
+from .measure import _exact_params, _params, _product
 from .partitions import compositions_of
 
 __all__ = [
@@ -109,28 +109,21 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     compositions of prod [n_l choose-cycles p_l] / n_l!.  Requires rational
     theta; returns a Fraction.
     """
-    params = _params(theta)
-    if not params.is_exact:
-        raise ValueError("joint law needs rational theta")
+    params = _exact_params(theta, "joint law")
     ps = tuple(int(p) for p in ps)
     if len(ps) != params.k:
         raise ValueError(f"need k={params.k} counts")
     if any(p < 0 for p in ps):
         raise ValueError("counts must be nonnegative")
-    total = Fraction(0)
-    for sizes in compositions_of(n, params.k):
-        term = Fraction(1)
-        for m, p in zip(sizes, ps):
-            s = stirling_first(m, p)
-            if s == 0:
-                term = Fraction(0)
-                break
-            term *= Fraction(s, math.factorial(m))
-        total += term
-    prefactor = Fraction(math.factorial(n), 1) / pochhammer(Fraction(params.w), n)
-    for th, p in zip(params.thetas, ps):
-        prefactor *= Fraction(th) ** p
-    return prefactor * total
+    # n! times the composition sum is an integer: it counts the permutations
+    # of n with their cycles split into classes holding p_1..p_k cycles
+    colourings = sum(
+        math.factorial(n) // math.prod(map(math.factorial, sizes))
+        * math.prod(map(stirling_first, sizes, ps))
+        for sizes in compositions_of(n, params.k)
+    )
+    powers = [*zip(params.thetas, ps), (colourings, 1)]
+    return _product(True, powers, [(params.w, (n,), -1)])
 
 
 @dataclass(frozen=True)

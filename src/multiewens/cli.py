@@ -112,7 +112,17 @@ def _prob_record(value) -> dict:
     return rec
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """Reports a library ValueError as one ``Error: ...`` line, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Ewens sampling formula machinery for class-labelled alleles."""
 
@@ -136,10 +146,6 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
     if partition_text is not None:
         thetas = _parse_theta(theta)
         part = _parse_partition(partition_text)
-        if part.k != len(thetas):
-            raise click.ClickException(
-                f"partition has {part.k} components but theta has {len(thetas)}"
-            )
         value = measure.refined_esf_pmf(part, thetas)
         rec = {"partition": multipartition_to_lists(part), **_prob_record(value)}
     elif joint_text is not None:
@@ -188,7 +194,7 @@ def cmd_enumerate(n, k, count):
 @main.command("sample-urn")
 @click.option("--n", required=True, type=int)
 @click.option("--theta", required=True)
-@click.option("--reps", default=1, type=int, show_default=True)
+@click.option("--reps", default=1, type=click.IntRange(min=0), show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--set-partitions", "with_blocks", is_flag=True,
               help="also emit the labelled set partition of draw indices")
@@ -216,17 +222,13 @@ def cmd_sample_urn(n, theta, reps, seed, with_blocks):
 @click.option("--n", required=True, type=int)
 @click.option("--group", "group_name", required=True)
 @click.option("--t", "t_text", required=True, help="comma list of class weights")
-@click.option("--reps", default=1, type=int, show_default=True)
+@click.option("--reps", default=1, type=click.IntRange(min=0), show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--project", is_flag=True, help="emit cycle-type partitions instead")
 def cmd_sample_crp(n, group_name, t_text, reps, seed, project):
     """Stream wreath restaurant-process draws as JSON lines."""
     group = _group_by_name(group_name)
     ts = _parse_theta(t_text)
-    if len(ts) != group.k:
-        raise click.ClickException(
-            f"group has {group.k} conjugacy classes but --t has {len(ts)}"
-        )
     for r in range(reps):
         x = wreath.crp_wreath_sample(n, group, ts, samplers.derive_seed(seed, r))
         if project:
@@ -238,7 +240,7 @@ def cmd_sample_crp(n, group_name, t_text, reps, seed, project):
 @main.command("sample-pd")
 @click.option("--theta", required=True)
 @click.option("--eps", default=1e-8, type=float, show_default=True)
-@click.option("--reps", default=1, type=int, show_default=True)
+@click.option("--reps", default=1, type=click.IntRange(min=0), show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 def cmd_sample_pd(theta, eps, reps, seed):
     """Stream ranked-frequency draws from the multiple Poisson-Dirichlet law."""
@@ -254,7 +256,7 @@ def cmd_sample_pd(theta, eps, reps, seed):
 @main.command("stats-k")
 @click.option("--n", required=True, type=int)
 @click.option("--theta", required=True)
-@click.option("--mc-reps", default=0, type=int, show_default=True,
+@click.option("--mc-reps", default=0, type=click.IntRange(min=0), show_default=True,
               help="append Monte Carlo mean/var columns from the Bernoulli-sum simulator")
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -304,7 +306,7 @@ def cmd_poisson_tv(n, m, theta, fmt):
 @click.option("--theta", required=True)
 @click.option("--gens", required=True, type=int, help="burn-in generations")
 @click.option("--sample-size", required=True, type=int)
-@click.option("--reps", default=1, type=int, show_default=True)
+@click.option("--reps", default=1, type=click.IntRange(min=0), show_default=True)
 @click.option("--thin", default=None, type=int,
               help="generations between samples [default: N]")
 @click.option("--seed", default=0, type=int, show_default=True)
@@ -312,22 +314,11 @@ def cmd_poisson_tv(n, m, theta, fmt):
               help="write the final population snapshot as JSON")
 def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
     """Evolve a Wright-Fisher population and stream sample compositions."""
-    thetas = [float(t) for t in _parse_theta(theta)]
-    if sample_size > two_n:
-        raise click.ClickException("sample size cannot exceed the population size")
-    mus = [t / (2 * two_n) for t in thetas]
-    if sum(mus) >= 1:
-        raise click.ClickException("theta too large for this population size")
-    if thin is None:
-        thin = two_n // 2
-    rng = np.random.default_rng(seed)
+    thetas = _parse_theta(theta)
     pop = wf_sim.Population.founding(two_n, len(thetas))
-    for _ in range(gens):
-        wf_sim.wf_step(pop, mus, rng)
-    for _ in range(reps):
-        for _ in range(thin):
-            wf_sim.wf_step(pop, mus, rng)
-        part = wf_sim.sample_composition(pop, sample_size, rng)
+    rng = np.random.default_rng(seed)
+    samples = wf_sim.stationary_samples(pop, thetas, sample_size, reps, rng, gens, thin)
+    for part in samples:
         click.echo(json.dumps(multipartition_to_lists(part)))
     if dump_path:
         with open(dump_path, "w") as fh:
@@ -344,8 +335,6 @@ def cmd_verify(n, k, theta):
     Exits 0 only if every check passes; one line per check, no skips.
     """
     thetas = _parse_theta(theta)
-    if len(thetas) != k:
-        raise click.ClickException(f"--theta must list k={k} masses")
     if any(isinstance(t, float) for t in thetas):
         raise click.ClickException("verify needs exact masses (integers or p/q)")
     states = count_multipartitions(n, k)
@@ -354,64 +343,49 @@ def cmd_verify(n, k, theta):
             f"n={n}, k={k} enumerates {states} states; expect minutes of"
             " rational arithmetic. Choose n <= 12."
         )
+    n_blocks = min(n, 7)  # labelled set partitions grow like Bell numbers
+    checks = [
+        (f"normalization n={n} k={k}", lambda: _sums_to_one(
+            measure.refined_esf_pmf(p, thetas) for p in enumerate_multipartitions(n, k)
+        )),
+        ("factorization identity", lambda: (all(
+            measure.refined_esf_pmf(p, thetas)
+            == measure.refined_esf_pmf_factorized(p, thetas)
+            for p in enumerate_multipartitions(n, k)
+        ), "")),
+        (f"sub-sampling consistency n=2..{n}", lambda: (all(
+            measure.check_consistency(m, k, thetas).ok for m in range(2, n + 1)
+        ), "")),
+        ("union reduction to single-class Ewens",
+         lambda: (measure.union_marginal_check(n, k, thetas).ok, "")),
+        ("rising-factorial convolution identity",
+         lambda: (measure.vandermonde_check(n, k, thetas), "")),
+        ("conditional Poisson representation",
+         lambda: (poisson.conditional_identity_check(n, k, thetas).ok, "")),
+        (f"labelled set-partition law sums to 1 at n={n_blocks}", lambda: _sums_to_one(
+            measure.labeled_set_partition_pmf(s, thetas)
+            for s in labeled_set_partitions(n_blocks, k)
+        )),
+        ("joint allele-count law sums to 1", lambda: (sum(
+            allele_stats.joint_k_pmf(n, thetas, ps)
+            for ps in itertools.product(range(n + 1), repeat=k)
+        ) == 1, "")),
+    ]
     failures = 0
-
-    def report(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        line = f"{status} {name}"
+    for label, check in checks:
+        ok, detail = check()
+        line = f"{'PASS' if ok else 'FAIL'} {label}"
         if detail and not ok:
             line += f" ({detail})"
         click.echo(line)
-        if not ok:
-            failures += 1
-
-    total = sum(
-        measure.refined_esf_pmf(p, thetas) for p in enumerate_multipartitions(n, k)
-    )
-    report(f"normalization n={n} k={k}", total == 1, f"sum={total}")
-
-    factorized_ok = all(
-        measure.refined_esf_pmf(p, thetas)
-        == measure.refined_esf_pmf_factorized(p, thetas)
-        for p in enumerate_multipartitions(n, k)
-    )
-    report("factorization identity", factorized_ok)
-
-    consistency_ok = all(
-        measure.check_consistency(m, k, thetas).ok for m in range(2, n + 1)
-    )
-    report(f"sub-sampling consistency n=2..{n}", consistency_ok)
-
-    union_ok = measure.union_marginal_check(n, k, thetas)
-    report("union reduction to single-class Ewens", union_ok.ok)
-
-    report("rising-factorial convolution identity",
-           measure.vandermonde_check(n, k, thetas))
-
-    cond = poisson.conditional_identity_check(n, k, thetas)
-    report("conditional Poisson representation", cond.ok)
-
-    n_blocks = min(n, 7)  # labelled set partitions grow like Bell numbers
-    block_total = sum(
-        measure.labeled_set_partition_pmf(s, thetas)
-        for s in labeled_set_partitions(n_blocks, k)
-    )
-    report(f"labelled set-partition law sums to 1 at n={n_blocks}",
-           block_total == 1, f"sum={block_total}")
-
-    joint_total = sum(
-        allele_stats.joint_k_pmf(n, thetas, ps)
-        for ps in _count_vectors(n, k)
-    )
-    report("joint allele-count law sums to 1", joint_total == 1)
-
+        failures += not ok
     if failures:
         raise SystemExit(1)
 
 
-def _count_vectors(n: int, k: int):
-    return itertools.product(range(n + 1), repeat=k)
+def _sums_to_one(values) -> tuple[bool, str]:
+    total = sum(values)
+    return total == 1, f"sum={total}"
 
 
 def _emit_table(rows: list[dict], fmt: str):

@@ -5,9 +5,10 @@ sampling law of the allele-count matrix a_j^(l) of an n-sample is
 
     n! / (w)_n * prod_{l,j} (theta_l/j)^{a_j^(l)} / a_j^(l)!
 
-Two numeric backends coexist: exact rationals whenever every theta is an int
-or Fraction (the oracle path), and log-space floats otherwise, which stays
-finite far beyond the n where (w)_n would overflow.
+Each law is written once, as factors x**e and ((x)_m)**e, and evaluated by one
+backend picked from the mass types: exact Fractions when every theta is an int
+or Fraction (the oracle path), and a sum of logs otherwise, which stays finite
+far beyond the n where (w)_n would overflow.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class MutationParams:
         object.__setattr__(self, "thetas", thetas)
         if len(thetas) < 1:
             raise ValueError("need at least one mutation class")
-        if any(t <= 0 for t in thetas):
-            raise ValueError(f"all mutation masses must be positive, got {thetas}")
+        if not all(0 < t < math.inf for t in thetas):  # also rejects NaN
+            raise ValueError(f"mutation masses must be positive and finite, got {thetas}")
 
     @property
     def k(self) -> int:
@@ -82,6 +83,13 @@ def _params(theta) -> MutationParams:
     if isinstance(theta, MutationParams):
         return theta
     return MutationParams(tuple(theta))
+
+
+def _exact_params(theta, what: str) -> MutationParams:
+    params = _params(theta)
+    if not params.is_exact:
+        raise ValueError(f"{what} needs rational theta")
+    return params
 
 
 def pochhammer(x: Numeric, n: int):
@@ -112,6 +120,54 @@ def _check_k(p: MultiplePartition, params: MutationParams):
         )
 
 
+def _product(exact: bool, powers, pochs) -> Numeric:
+    """prod x**e over (x, e) in powers, times ((x)_m)**e for every m in ms of
+    each (x, ms, e) in pochs.  Exact: one integer numerator and denominator,
+    with (p/q)_m = prod_{i<m} (p + iq) / q^m, and one Fraction at the end;
+    otherwise the exp of :func:`_log_product`."""
+    if not exact:
+        return math.exp(_log_product(powers, pochs))
+    terms = [(x.numerator, x.denominator, e) for x, e in powers]
+    for x, ms, e in pochs:
+        p, q = x.numerator, x.denominator
+        rising = math.prod([math.prod(range(p, p + m * q, q)) for m in ms])
+        terms.append((rising, q ** sum(ms), e))
+    num = den = 1
+    for top, bot, e in terms:
+        if e < 0:
+            top, bot, e = bot, top, -e
+        num *= top**e
+        den *= bot**e
+    return Fraction(num, den)
+
+
+def _log_product(powers, pochs) -> float:
+    """log of :func:`_product`, with lgamma for the rising factorials."""
+    lgamma = math.lgamma
+    total = 0.0
+    for x, e in powers:
+        total += e * math.log(x)
+    for x, ms, e in pochs:
+        lx = lgamma(x)
+        for m in ms:
+            total += e * (lgamma(x + m) - lx)
+    return total
+
+
+def _esf_factors(components, thetas, w):
+    """Factors of n!/(w)_n * prod_{l,j} (theta_l/j)^{a_j^(l)} / a_j^(l)!; the
+    product of j^{a_j^(l)} over j is that of the row lengths of component l."""
+    powers, counts = [], []
+    n, lengths = 0, 1
+    for th, comp in zip(thetas, components):
+        n += comp.size
+        lengths *= math.prod(comp.rows)
+        powers.append((th, comp.n_rows))
+        counts += comp.multiplicities().values()
+    powers.append((lengths, -1))
+    return powers, [(1, counts, -1), (1, (n,), 1), (w, (n,), -1)]
+
+
 def refined_esf_pmf(p: MultiplePartition, theta) -> Numeric:
     """Probability of the multiple partition p under the k-class Ewens law.
 
@@ -119,53 +175,22 @@ def refined_esf_pmf(p: MultiplePartition, theta) -> Numeric:
     """
     params = _params(theta)
     _check_k(p, params)
-    if not params.is_exact:
-        return math.exp(refined_esf_log_pmf(p, params))
-    n = p.n
-    value = Fraction(math.factorial(n), 1) / pochhammer(Fraction(params.w), n)
-    for l, comp in enumerate(p.components):
-        th = Fraction(params.thetas[l])
-        for j, a in comp.multiplicities().items():
-            value *= (th / j) ** a / math.factorial(a)
-    return value
+    return _product(params.is_exact, *_esf_factors(p.components, params.thetas, params.w))
 
 
 def refined_esf_log_pmf(p: MultiplePartition, theta) -> float:
     params = _params(theta)
     _check_k(p, params)
-    n = p.n
-    total = math.lgamma(n + 1) - log_pochhammer(float(params.w), n)
-    for l, comp in enumerate(p.components):
-        log_th = math.log(float(params.thetas[l]))
-        for j, a in comp.multiplicities().items():
-            total += a * (log_th - math.log(j)) - math.lgamma(a + 1)
-    return total
+    return _log_product(*_esf_factors(p.components, params.thetas, params.w))
 
 
 def classical_ewens_pmf(diagram: YoungDiagram, theta: Numeric) -> Numeric:
-    """Single-class Ewens probability of a Young diagram with n boxes."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if isinstance(theta, float):
-        return math.exp(classical_ewens_log_pmf(diagram, theta))
-    n = diagram.size
-    th = Fraction(theta)
-    value = Fraction(math.factorial(n), 1) * th ** diagram.n_rows / pochhammer(th, n)
-    for j, m in diagram.multiplicities().items():
-        value /= Fraction(j) ** m * math.factorial(m)
-    return value
+    """Single-class Ewens probability of a Young diagram: the refined law at k = 1."""
+    return refined_esf_pmf(MultiplePartition((diagram,)), (theta,))
 
 
 def classical_ewens_log_pmf(diagram: YoungDiagram, theta: float) -> float:
-    n = diagram.size
-    total = (
-        math.lgamma(n + 1)
-        + diagram.n_rows * math.log(theta)
-        - log_pochhammer(float(theta), n)
-    )
-    for j, m in diagram.multiplicities().items():
-        total -= m * math.log(j) + math.lgamma(m + 1)
-    return total
+    return refined_esf_log_pmf(MultiplePartition((diagram,)), (theta,))
 
 
 def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:
@@ -178,19 +203,12 @@ def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:
     """
     params = _params(theta)
     _check_k(p, params)
-    n = p.n
-    sizes = [c.size for c in p.components]
-    if not params.is_exact:
-        total = math.lgamma(n + 1) - log_pochhammer(float(params.w), n)
-        for th, comp, m in zip(params.thetas, p.components, sizes):
-            total += log_pochhammer(float(th), m) - math.lgamma(m + 1)
-            total += classical_ewens_log_pmf(comp, float(th))
-        return math.exp(total)
-    value = Fraction(math.factorial(n), 1) / pochhammer(Fraction(params.w), n)
-    for th, comp, m in zip(params.thetas, p.components, sizes):
-        value *= pochhammer(Fraction(th), m) / math.factorial(m)
-        value *= classical_ewens_pmf(comp, Fraction(th))
-    return value
+    powers, pochs = [], [(1, (p.n,), 1), (params.w, (p.n,), -1)]
+    for th, comp in zip(params.thetas, p.components):
+        single_powers, single_pochs = _esf_factors((comp,), (th,), th)
+        powers += single_powers
+        pochs += [*single_pochs, (th, (comp.size,), 1), (1, (comp.size,), -1)]
+    return _product(params.is_exact, powers, pochs)
 
 
 def downward_transition(p: MultiplePartition) -> dict[MultiplePartition, Fraction]:
@@ -232,9 +250,7 @@ def check_consistency(n: int, k: int, theta) -> CheckReport:
     Verifies M_{n-1}(mu) == sum_p T(p -> mu) M_n(p) for every mu, in
     rational arithmetic.  Requires rational theta; desk scale n.
     """
-    params = _params(theta)
-    if not params.is_exact:
-        raise ValueError("consistency check needs rational theta")
+    params = _exact_params(theta, "consistency check")
     if n < 1:
         return CheckReport("consistency", True)
     pushed: dict[MultiplePartition, Fraction] = {}
@@ -253,18 +269,15 @@ def check_consistency(n: int, k: int, theta) -> CheckReport:
 
 def union_marginal_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that forgetting class labels gives classical Ewens at w."""
-    params = _params(theta)
-    if not params.is_exact:
-        raise ValueError("union marginal check needs rational theta")
+    params = _exact_params(theta, "union marginal check")
     grouped: dict[YoungDiagram, Fraction] = {}
     for p in enumerate_multipartitions(n, k):
         lam = union(p)
         grouped[lam] = grouped.get(lam, Fraction(0)) + refined_esf_pmf(p, params)
-    w = Fraction(params.w)
     failures = []
     for rows in partitions_of(n):
         lam = YoungDiagram(rows)
-        expected = classical_ewens_pmf(lam, w)
+        expected = classical_ewens_pmf(lam, params.w)
         got = grouped.get(lam, Fraction(0))
         if got != expected:
             failures.append(f"lambda={rows}: grouped {got} != Ewens {expected}")
@@ -273,9 +286,7 @@ def union_marginal_check(n: int, k: int, theta) -> CheckReport:
 
 def vandermonde_check(n: int, k: int, theta) -> bool:
     """n! * sum over n_1+..+n_k=n of prod (theta_l)_{n_l}/n_l! == (w)_n, exactly."""
-    params = _params(theta)
-    if not params.is_exact:
-        raise ValueError("identity check needs rational theta")
+    params = _exact_params(theta, "identity check")
     thetas = [Fraction(t) for t in params.thetas]
     total = Fraction(0)
     for sizes in compositions_of(n, k):
@@ -295,16 +306,9 @@ def labeled_set_partition_pmf(s: LabeledSetPartition, theta) -> Numeric:
     params = _params(theta)
     if any(label > params.k for label, _ in s.blocks):
         raise ValueError(f"block label out of range 1..{params.k}")
-    if not params.is_exact:
-        total = -log_pochhammer(float(params.w), s.n)
-        for label, elems in s.blocks:
-            total += math.log(float(params.thetas[label - 1]))
-            total += math.lgamma(len(elems))
-        return math.exp(total)
-    value = Fraction(1) / pochhammer(Fraction(params.w), s.n)
-    for label, elems in s.blocks:
-        value *= Fraction(params.thetas[label - 1]) * math.factorial(len(elems) - 1)
-    return value
+    powers = [(params.thetas[label - 1], 1) for label, _ in s.blocks]
+    pochs = [(1, [len(elems) - 1 for _, elems in s.blocks], 1), (params.w, (s.n,), -1)]
+    return _product(params.is_exact, powers, pochs)
 
 
 def multilists(p: MultiplePartition) -> str:

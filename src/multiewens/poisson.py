@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import CheckReport, _params, pochhammer, refined_esf_pmf
+from .measure import CheckReport, _exact_params, _params, pochhammer, refined_esf_pmf
 from .partitions import enumerate_multipartitions, multipartition_to_matrix
 
 __all__ = [
@@ -72,9 +72,7 @@ def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
       * for each matrix, the Ewens probability equals its Poisson product
         weight divided by that normalizer.
     """
-    params = _params(theta)
-    if not params.is_exact:
-        raise ValueError("conditional identity check needs rational theta")
+    params = _exact_params(theta, "conditional identity check")
     thetas = [Fraction(t) for t in params.thetas]
     normalizer = pochhammer(Fraction(params.w), n) / math.factorial(n)
     failures = []

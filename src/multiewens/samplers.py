@@ -183,15 +183,8 @@ def coalescent_rates(j: int, theta):
     if j < 1:
         raise ValueError("j must be >= 1")
     params = _params(theta)
-    w = params.w
-    denom = (j - 1) + w
-    if params.is_exact:
-        coalesce = Fraction(j - 1) / Fraction(denom)
-        mutation = tuple(Fraction(t) / Fraction(denom) for t in params.thetas)
-    else:
-        coalesce = (j - 1) / denom
-        mutation = tuple(t / denom for t in params.thetas)
-    return coalesce, mutation
+    denom = Fraction(j - 1) + params.w  # a float mass makes this a float
+    return (j - 1) / denom, tuple(t / denom for t in params.thetas)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "Population",
     "wf_step",
     "sample_composition",
+    "stationary_samples",
     "stationary_partition_counts",
     "transition_prob",
     "AncestralGenerator",
@@ -130,6 +131,28 @@ def _composition_of(ids: np.ndarray, classes: np.ndarray, k: int) -> MultiplePar
     )
 
 
+def stationary_samples(
+    pop: Population, theta, sample_size: int, reps: int, rng: np.random.Generator,
+    burn_gens: int | None = None, thin_gens: int | None = None,
+) -> Iterator[MultiplePartition]:
+    """Burn pop in for burn_gens generations (default 20N, 2N = pop.size) with
+    mu_l = theta_l/(4N), then yield `reps` sample compositions drawn every
+    thin_gens generations (default N); pop is left in its final state.
+    """
+    if sample_size > pop.size:
+        raise ValueError(f"sample size {sample_size} exceeds population size {pop.size}")
+    half_n = pop.size // 2
+    burn_gens = 20 * half_n if burn_gens is None else burn_gens
+    thin_gens = half_n if thin_gens is None else thin_gens
+    mus = [float(t) / (2 * pop.size) for t in theta]
+    for _ in range(burn_gens):
+        wf_step(pop, mus, rng)
+    for _ in range(reps):
+        for _ in range(thin_gens):
+            wf_step(pop, mus, rng)
+        yield sample_composition(pop, sample_size, rng)
+
+
 def stationary_partition_counts(
     two_n: int,
     theta,
@@ -143,26 +166,16 @@ def stationary_partition_counts(
 
     Runs a single population with mu_l = theta_l/(4N) (2N = two_n), burns in
     for 20N generations, then records `reps` sample compositions thinned by
-    N generations.  The burn-in and thinning defaults follow the O(N)
-    time-to-ancestry heuristic.
+    N generations (see :func:`stationary_samples`).  The burn-in and
+    thinning defaults follow the O(N) time-to-ancestry heuristic.
     """
     params = _params(theta)
-    half_n = two_n // 2
-    if burn_gens is None:
-        burn_gens = 20 * half_n
-    if thin_gens is None:
-        thin_gens = half_n
-    mus = [float(t) / (2 * two_n) for t in params.thetas]
-    rng = np.random.default_rng(seed)
     pop = Population.founding(two_n, params.k)
-    for _ in range(burn_gens):
-        wf_step(pop, mus, rng)
-    counts: Counter = Counter()
-    for _ in range(reps):
-        for _ in range(thin_gens):
-            wf_step(pop, mus, rng)
-        counts[sample_composition(pop, sample_size, rng)] += 1
-    return counts
+    rng = np.random.default_rng(seed)
+    samples = stationary_samples(
+        pop, params.thetas, sample_size, reps, rng, burn_gens, thin_gens
+    )
+    return Counter(samples)
 
 
 @lru_cache(maxsize=None)

@@ -10,13 +10,14 @@ projects exactly onto the k-class Ewens measure with theta_l = t_l |c_l|/|G|.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .measure import pochhammer
+from .measure import MutationParams, _product
 from .partitions import MultiplePartition, YoungDiagram
 
 __all__ = [
@@ -173,23 +174,22 @@ class WreathParams:
     def __post_init__(self):
         ts = tuple(self.ts)
         object.__setattr__(self, "ts", ts)
-        if any(t <= 0 for t in ts):
-            raise ValueError("all weights must be positive")
+        if not all(0 < t < math.inf for t in ts):  # also rejects NaN
+            raise ValueError(f"all weights must be positive and finite, got {ts}")
 
     def thetas(self, group: GroupTable) -> tuple:
         """Mutation masses of the projected law: theta_l = t_l |c_l| / |G|."""
         if len(self.ts) != group.k:
             raise ValueError("need one weight per conjugacy class")
         sizes = group.class_sizes()
-        if all(isinstance(t, (int, Fraction)) for t in self.ts):
-            return tuple(
-                Fraction(t) * sz / group.order for t, sz in zip(self.ts, sizes)
-            )
-        return tuple(t * sz / group.order for t, sz in zip(self.ts, sizes))
+        return tuple(t * Fraction(sz, group.order) for t, sz in zip(self.ts, sizes))
 
 
-def _ts(t) -> tuple:
-    return t.ts if isinstance(t, WreathParams) else tuple(t)
+def _ts(t, group: GroupTable) -> tuple:
+    ts = (t if isinstance(t, WreathParams) else WreathParams(tuple(t))).ts
+    if len(ts) != group.k:
+        raise ValueError("need one weight per conjugacy class")
+    return ts
 
 
 def _cycles(s: tuple[int, ...]) -> list[list[int]]:
@@ -234,23 +234,11 @@ def pewens_pmf(x: WreathElement, group: GroupTable, t):
     t_1^{[x]_{c_1}} ... t_k^{[x]_{c_k}} / (|G|^n (t_1/zeta_1+..+t_k/zeta_k)_n)
     with zeta_l = |G|/|c_l|.  Exact for rational t.
     """
-    ts = _ts(t)
-    if len(ts) != group.k:
-        raise ValueError("need one weight per conjugacy class")
+    ts = _ts(t, group)
+    params = MutationParams(WreathParams(ts).thetas(group))
     counts = [comp.n_rows for comp in cycle_type(x, group).components]
-    exact = all(isinstance(v, (int, Fraction)) for v in ts)
-    if exact:
-        ts = tuple(Fraction(v) for v in ts)
-    sizes = group.class_sizes()
-    w = sum(tv * sz / group.order if not exact else Fraction(tv * sz, group.order)
-            for tv, sz in zip(ts, sizes))
-    numer = 1
-    for tv, c in zip(ts, counts):
-        numer *= tv**c
-    denom = group.order ** x.n * pochhammer(w, x.n)
-    if exact:
-        return Fraction(numer) / denom
-    return numer / denom
+    powers = [*zip(ts, counts), (group.order, -x.n)]
+    return _product(params.is_exact, powers, [(params.w, (x.n,), -1)])
 
 
 def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
@@ -267,9 +255,7 @@ def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ts = [float(v) for v in _ts(t)]
-    if len(ts) != group.k:
-        raise ValueError("need one weight per conjugacy class")
+    ts = [float(v) for v in _ts(t, group)]
     rng = random.Random(seed)
     g, s = _crp_run(n, group, ts, rng)
     return WreathElement(tuple(g), tuple(s))
@@ -315,9 +301,7 @@ def crp_element_counts(
     stream; intended for desk-scale n where the number of distinct elements
     is small.
     """
-    ts = [float(v) for v in _ts(t)]
-    if len(ts) != group.k:
-        raise ValueError("need one weight per conjugacy class")
+    ts = [float(v) for v in _ts(t, group)]
     rng = random.Random(seed)
     raw: Counter = Counter()
     for _ in range(reps):

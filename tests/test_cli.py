@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from multiewens.cli import main
+from multiewens.partitions import multipartition_to_lists
+from multiewens.wf_sim import Population, stationary_samples
 
 
 @pytest.fixture
@@ -135,6 +138,19 @@ class TestSampling:
         assert len(parts) == 3
         assert all(sum(sum(rows) for rows in p) == 4 for p in parts)
 
+    def test_wf_sim_draws_from_the_stationary_generator(self, runner):
+        res = runner.invoke(main, [
+            "wf-sim", "--N", "40", "--theta", "1/2,3/2", "--gens", "120",
+            "--sample-size", "5", "--reps", "6", "--thin", "7", "--seed", "11",
+        ])
+        assert res.exit_code == 0
+        got = [json.loads(l) for l in res.stdout.strip().splitlines()]
+        samples = stationary_samples(
+            Population.founding(40, 2), (0.5, 1.5), 5, 6,
+            np.random.default_rng(11), burn_gens=120, thin_gens=7,
+        )
+        assert got == [multipartition_to_lists(p) for p in samples]
+
     def test_wf_dump_state(self, runner, tmp_path):
         path = tmp_path / "pop.json"
         res = runner.invoke(main, [
@@ -223,3 +239,25 @@ class TestGroupTableFile:
         res = runner.invoke(main, ["sample-crp", "--n", "2", "--group", str(path),
                                    "--t", "1,2"])
         assert res.exit_code != 0
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("args", [
+        ["wf-sim", "--N", "7", "--theta", "1,2", "--gens", "5", "--sample-size", "2"],
+        ["sample-urn", "--n", "0", "--theta", "1,2"],
+        ["sample-crp", "--n", "0", "--group", "z2", "--t", "1,2"],
+        ["sample-crp", "--n", "3", "--group", "z2", "--t", "1e400,1"],
+        ["stats-k", "--n", "0", "--theta", "1,2"],
+        ["poisson-tv", "--n", "2", "--m", "3", "--theta", "1,1"],
+        ["sample-pd", "--theta", "1,2", "--eps", "0"],
+        ["enumerate", "--n", "-1", "--k", "2"],
+        ["sample-urn", "--n", "3", "--theta", "1,2", "--reps", "-1"],
+        ["pmf", "--theta", "1e400,1", "--partition", "[[1],[]]"],
+    ])
+    def test_bad_input_is_one_error_line(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code != 0
+        assert isinstance(res.exception, SystemExit)
+        assert any(line.startswith("Error:") for line in res.output.splitlines())
+        assert "Traceback" not in res.output
+        assert res.stdout == ""

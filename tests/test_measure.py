@@ -26,6 +26,13 @@ from multiewens.partitions import (
     partitions_of,
     set_partition_to_multipartition,
 )
+from multiewens.wreath import (
+    crp_wreath_sample,
+    cyclic_group,
+    pewens_pmf,
+    symmetric_group_3,
+    trivial_group,
+)
 
 from oracles import classical_ewens_direct
 
@@ -64,6 +71,13 @@ class TestMutationParams:
             MutationParams((F(1), F(0)))
         with pytest.raises(ValueError):
             MutationParams(())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MutationParams((bad, 1.0))
+        with pytest.raises(ValueError):
+            refined_esf_pmf(mp([1], []), (bad, 1))
 
 
 class TestRefinedPmf:
@@ -310,3 +324,44 @@ class TestLabeledSetPartitionLaw:
         s = LabeledSetPartition(((3, frozenset({1})),), n=1)
         with pytest.raises(ValueError):
             labeled_set_partition_pmf(s, (F(1), F(2)))
+
+
+_TH = (F(1), F(2, 3), F(5, 2))
+
+
+def _law_cases(law, n):
+    """(evaluate(masses), exact masses) for every state of one law at size n
+    with k = 1..3 classes."""
+    for k in (1, 2, 3):
+        th = _TH[:k]
+        if law in ("refined", "factorized"):
+            fn = refined_esf_pmf if law == "refined" else refined_esf_pmf_factorized
+            for p in enumerate_multipartitions(n, k):
+                yield (lambda m, p=p: fn(p, m)), th
+        elif law == "classical":
+            for rows in partitions_of(n):
+                yield (lambda m, rows=rows: classical_ewens_pmf(YoungDiagram(rows), m[0])), th[-1:]
+        elif law == "set-partition":
+            for s in labeled_set_partitions(n, k):
+                yield (lambda m, s=s: labeled_set_partition_pmf(s, m)), th
+        else:  # wreath: a group with k conjugacy classes, sampled elements
+            group = (trivial_group(), cyclic_group(2), symmetric_group_3())[k - 1]
+            for seed in range(10):
+                x = crp_wreath_sample(n, group, th, seed)
+                yield (lambda m, x=x, g=group: pewens_pmf(x, g, m)), th
+
+
+class TestExactFloatAgreement:
+    """Float masses run the log backend; it must agree with the exact one."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "law", ["refined", "factorized", "classical", "set-partition", "wreath"]
+    )
+    def test_relative_1e12(self, law, n):
+        for evaluate, th in _law_cases(law, n):
+            exact = evaluate(th)
+            assert isinstance(exact, Fraction)
+            got = evaluate(tuple(float(t) for t in th))
+            assert isinstance(got, float)
+            assert abs(got - float(exact)) <= 1e-12 * float(exact)

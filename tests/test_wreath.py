@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -217,6 +218,19 @@ class TestWreathMeasure:
             agg[lam] = agg.get(lam, F(0)) + pewens_pmf(x, g, ts)
         for lam, mass in agg.items():
             assert mass == refined_esf_pmf(lam, thetas)
+
+    def test_float_weights_stay_finite_at_large_n(self):
+        # |G|^n (w)_n overflows a float at n = 400; the log backend does not
+        g = symmetric_group_3()
+        x = crp_wreath_sample(400, g, (1.0, 2.0, 1.5), 3)
+        assert math.isfinite(pewens_pmf(x, g, (1.0, 2.0, 1.5)))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_rejects_bad_weights(self, bad):
+        with pytest.raises(ValueError):
+            WreathParams((1.0, bad))
+        with pytest.raises(ValueError):
+            pewens_pmf(WreathElement((0,), (0,)), cyclic_group(2), (1.0, bad))
 
 
 class TestRestaurantProcess:
