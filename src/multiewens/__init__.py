@@ -84,4 +84,4 @@ from .wf_sim import (
     wf_step,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -260,6 +260,8 @@ def _partition_count(n: int, max_part: int) -> int:
 
 def count_multipartitions(n: int, k: int) -> int:
     """|Y_n^(k)| = sum over size compositions of the product of partition counts."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     total = 0
     for sizes in compositions_of(n, k):
         prod = 1

@@ -4,8 +4,20 @@ A population of 2N genes resamples parents uniformly each generation; a child
 inherits its parent's allele with probability 1 - sum(mu_l) or mutates to a
 brand-new allele of class l with probability mu_l (infinite-alleles: ids are
 never reused).  With mu_l = theta_l/(4N), sampled compositions approach the
-k-class Ewens law.  The ancestral line-counting process is exposed through
-its exact finite-N transition probabilities and its limiting generator.
+k-class Ewens law.
+
+The model runs in two engines with the same law.  The gene-level engine
+(:class:`Population`, :func:`wf_step`, :func:`sample_composition`) stores
+all 2N genes and redraws each one every generation; it is the reference
+model.  The count-level engine behind :func:`stationary_samples` stores one
+(class, id, count) entry per living allele.  Children are exchangeable, so a
+generation is one multinomial draw of 2N children over "copy allele a"
+(probability c_a (1 - sum mu)/2N) and "new class-l mutant" (mu_l), and a
+sample of n genes is one multivariate hypergeometric draw; a generation costs
+O(alleles alive) instead of O(2N).
+
+The ancestral line-counting process is exposed through its exact finite-N
+transition probabilities and its limiting generator.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,17 +92,22 @@ class Population:
         }
 
 
+def _mutation_probs(mus: Sequence[float], k: int) -> np.ndarray:
+    mus = np.asarray([float(m) for m in mus], dtype=float)
+    if mus.size != k:
+        raise ValueError(f"need k={k} mutation probabilities")
+    if (mus < 0).any() or mus.sum() >= 1.0:
+        raise ValueError("mutation probabilities must be nonnegative with sum < 1")
+    return mus
+
+
 def wf_step(pop: Population, mus: Sequence[float], rng: np.random.Generator) -> Population:
     """Advance one generation in place: uniform parents, then mutation.
 
     mus are the per-class mutation probabilities; their sum must be < 1.
     Fresh alleles get never-before-seen (class, serial) identifiers.
     """
-    mus = np.asarray([float(m) for m in mus], dtype=float)
-    if mus.size != pop.k:
-        raise ValueError(f"need k={pop.k} mutation probabilities")
-    if (mus < 0).any() or mus.sum() >= 1.0:
-        raise ValueError("mutation probabilities must be nonnegative with sum < 1")
+    mus = _mutation_probs(mus, pop.k)
     two_n = pop.size
     parents = rng.integers(0, two_n, size=two_n)
     pop.ids = pop.ids[parents]
@@ -118,17 +135,68 @@ def sample_composition(pop: Population, n: int, seed_or_rng) -> MultiplePartitio
         else np.random.default_rng(seed_or_rng)
     )
     picks = rng.choice(pop.size, size=n, replace=False)
-    return _composition_of(pop.ids[picks], pop.classes[picks], pop.k)
+    genes = Counter(zip(pop.classes[picks].tolist(), pop.ids[picks].tolist()))
+    return _composition_of(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
 
-def _composition_of(ids: np.ndarray, classes: np.ndarray, k: int) -> MultiplePartition:
-    counts = Counter(zip(classes.tolist(), ids.tolist()))
+def _composition_of(alleles: Iterable[tuple[int, int]], k: int) -> MultiplePartition:
+    """Multiple partition of a sample given as (class, count) per allele seen."""
     rows: list[list[int]] = [[] for _ in range(k)]
-    for (cls, _), c in counts.items():
+    for cls, c in alleles:
         rows[cls].append(c)
     return MultiplePartition(
         tuple(YoungDiagram(tuple(sorted(r, reverse=True))) for r in rows)
     )
+
+
+class _AlleleCounts:
+    """Count-level state of a population: one (class, id) key and one count
+    per living allele, in the order the alleles first appeared."""
+
+    def __init__(self, pop: Population, mus: Sequence[float]):
+        self.mus = _mutation_probs(mus, pop.k).tolist()
+        self.k, self.two_n = pop.k, pop.size
+        genes = Counter(zip(pop.classes.tolist(), pop.ids.tolist()))
+        self.keys = list(genes)
+        self.counts = list(genes.values())
+        self.next_ids = pop.next_ids.tolist()
+        self.generation = pop.generation
+
+    def advance(self, gens: int, rng: np.random.Generator) -> None:
+        """Run `gens` generations, each one multinomial draw of 2N children."""
+        two_n, mus, next_ids = self.two_n, self.mus, self.next_ids
+        keep = (1.0 - sum(mus)) / two_n
+        keys, counts = self.keys, self.counts
+        for _ in range(gens):
+            a = len(counts)
+            draws = rng.multinomial(two_n, [c * keep for c in counts] + mus).tolist()
+            counts = draws[:a]
+            if 0 in counts:
+                keys = [key for key, c in zip(keys, counts) if c]
+                counts = [c for c in counts if c]
+            for l, m in enumerate(draws[a:]):
+                if m:
+                    first = next_ids[l]
+                    keys.extend((l, first + i) for i in range(m))
+                    counts.extend([1] * m)
+                    next_ids[l] = first + m
+        self.keys, self.counts = keys, counts
+        self.generation += gens
+
+    def sample(self, n: int, rng: np.random.Generator) -> MultiplePartition:
+        """Composition of a uniform sample of n genes without replacement."""
+        picked = rng.multivariate_hypergeometric(self.counts, n).tolist()
+        return _composition_of(
+            ((cls, c) for (cls, _), c in zip(self.keys, picked) if c), self.k
+        )
+
+    def write_to(self, pop: Population) -> None:
+        """Store the state in pop as 2N genes, grouped by allele."""
+        classes, ids = zip(*self.keys)
+        pop.classes = np.repeat(np.array(classes, dtype=np.int64), self.counts)
+        pop.ids = np.repeat(np.array(ids, dtype=np.int64), self.counts)
+        pop.next_ids = np.array(self.next_ids, dtype=np.int64)
+        pop.generation = self.generation
 
 
 def stationary_samples(
@@ -137,20 +205,25 @@ def stationary_samples(
 ) -> Iterator[MultiplePartition]:
     """Burn pop in for burn_gens generations (default 20N, 2N = pop.size) with
     mu_l = theta_l/(4N), then yield `reps` sample compositions drawn every
-    thin_gens generations (default N); pop is left in its final state.
+    thin_gens generations (default N).
+
+    Runs the count-level engine; pop holds the current state as 2N genes
+    (grouped by allele) at every yield and at the end.
     """
-    if sample_size > pop.size:
-        raise ValueError(f"sample size {sample_size} exceeds population size {pop.size}")
+    if not 1 <= sample_size <= pop.size:
+        raise ValueError(f"sample size {sample_size} must be in 1..{pop.size}")
     half_n = pop.size // 2
     burn_gens = 20 * half_n if burn_gens is None else burn_gens
     thin_gens = half_n if thin_gens is None else thin_gens
-    mus = [float(t) / (2 * pop.size) for t in theta]
-    for _ in range(burn_gens):
-        wf_step(pop, mus, rng)
+    if burn_gens < 0 or thin_gens < 0:
+        raise ValueError("burn-in and thinning generations must be nonnegative")
+    alleles = _AlleleCounts(pop, [float(t) / (2 * pop.size) for t in theta])
+    alleles.advance(burn_gens, rng)
     for _ in range(reps):
-        for _ in range(thin_gens):
-            wf_step(pop, mus, rng)
-        yield sample_composition(pop, sample_size, rng)
+        alleles.advance(thin_gens, rng)
+        alleles.write_to(pop)
+        yield alleles.sample(sample_size, rng)
+    alleles.write_to(pop)
 
 
 def stationary_partition_counts(

@@ -283,7 +283,8 @@ def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
             g.append(entry)
             s.append(j)
         else:
-            pair = int(u - d_new)
+            # u can round up to d_new + j*m when random() is 1 - 2**-53
+            pair = min(int(u - d_new), j * m - 1)
             pos, entry = divmod(pair, m)
             s.append(s[pos])
             s[pos] = j

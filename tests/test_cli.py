@@ -244,6 +244,11 @@ class TestGroupTableFile:
 class TestErrorBoundary:
     @pytest.mark.parametrize("args", [
         ["wf-sim", "--N", "7", "--theta", "1,2", "--gens", "5", "--sample-size", "2"],
+        ["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "-5", "--sample-size", "2",
+         "--thin", "-3"],
+        ["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "5", "--sample-size", "2",
+         "--thin", "-3"],
+        ["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "5", "--sample-size", "0"],
         ["sample-urn", "--n", "0", "--theta", "1,2"],
         ["sample-crp", "--n", "0", "--group", "z2", "--t", "1,2"],
         ["sample-crp", "--n", "3", "--group", "z2", "--t", "1e400,1"],
@@ -251,6 +256,7 @@ class TestErrorBoundary:
         ["poisson-tv", "--n", "2", "--m", "3", "--theta", "1,1"],
         ["sample-pd", "--theta", "1,2", "--eps", "0"],
         ["enumerate", "--n", "-1", "--k", "2"],
+        ["enumerate", "--n", "-1", "--k", "2", "--count"],
         ["sample-urn", "--n", "3", "--theta", "1,2", "--reps", "-1"],
         ["pmf", "--theta", "1e400,1", "--partition", "[[1],[]]"],
     ])

@@ -1,4 +1,8 @@
+import copy
+import itertools
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +11,16 @@ import pytest
 from multiewens.samplers import coalescent_rates
 from multiewens.wf_sim import (
     Population,
+    _AlleleCounts,
     ancestral_generator,
     sample_composition,
     stationary_partition_counts,
+    stationary_samples,
     transition_prob,
     wf_step,
 )
+
+from oracles import tv_distance
 
 F = Fraction
 
@@ -204,3 +212,155 @@ class TestStationarySmoke:
             p: refined_esf_pmf(p, th) for p in enumerate_multipartitions(3, 2)
         }
         assert tv_distance(counts, exact, 1500) < 0.08
+
+
+def _copy(pop):
+    return Population(ids=pop.ids.copy(), classes=pop.classes.copy(), k=pop.k,
+                      generation=pop.generation, next_ids=pop.next_ids.copy())
+
+
+def _alleles_of(pop):
+    return list(dict.fromkeys(zip(pop.classes.tolist(), pop.ids.tolist())))
+
+
+def _multinomial_law(pop, mus, cells):
+    """Exact law of the one-generation outcome by the count-level formula:
+    multinomial(2N; c_a (1 - sum mu)/2N per allele a, mu_l per class)."""
+    two_n = pop.size
+    genes = Counter(zip(pop.classes.tolist(), pop.ids.tolist()))
+    stay = 1 - sum(mus)
+    probs = [genes[key] * stay / two_n for key in _alleles_of(pop)] + list(mus)
+    law = {}
+    for old, fresh in cells:
+        xs = old + fresh
+        if sum(xs) != two_n:
+            continue
+        coef = math.factorial(two_n)
+        prob = 1
+        for x, p in zip(xs, probs):
+            coef //= math.factorial(x)
+            prob *= p**x
+        law[(old, fresh)] = coef * prob
+    return law
+
+
+def _one_generation_draws(pop, mus, reps, rng):
+    """Outcome counts of `reps` single generations from pop by each engine.
+
+    An outcome is (copies of each starting allele, fresh mutant genes per class).
+    """
+    alleles = _alleles_of(pop)
+
+    def outcome(after):
+        old = tuple(
+            int(np.count_nonzero((after.classes == cls) & (after.ids == ident)))
+            for cls, ident in alleles
+        )
+        fresh = tuple(
+            int(np.count_nonzero((after.classes == l) & (after.ids >= pop.next_ids[l])))
+            for l in range(pop.k)
+        )
+        return old, fresh
+
+    by_genes = Counter(outcome(wf_step(_copy(pop), mus, rng)) for _ in range(reps))
+    start = _AlleleCounts(pop, mus)
+    by_counts: Counter = Counter()
+    for _ in range(reps):
+        state = copy.deepcopy(start)
+        state.advance(1, rng)
+        after = _copy(pop)
+        state.write_to(after)
+        by_counts[outcome(after)] += 1
+    return by_genes, by_counts
+
+
+class TestCountLevelEngine:
+    """The count-level engine behind stationary_samples against wf_step."""
+
+    def test_exact_one_generation_law_at_2n_4(self):
+        pop = Population(ids=np.array([0, 0, 0, 0]), classes=np.array([0, 0, 0, 1]), k=2)
+        mus = (F(1, 8), F(1, 4))
+        stay = 1 - sum(mus)
+        alleles = _alleles_of(pop)
+        genes = list(zip(pop.classes.tolist(), pop.ids.tolist()))
+        gene_law: Counter = Counter()
+        # every parent vector and every child fate (0 = copy, 1 + l = class-l mutant)
+        for parents in itertools.product(range(4), repeat=4):
+            for fates in itertools.product(range(3), repeat=4):
+                prob = F(1, 4**4)
+                old, fresh = [0, 0], [0, 0]
+                for parent, fate in zip(parents, fates):
+                    if fate:
+                        prob *= mus[fate - 1]
+                        fresh[fate - 1] += 1
+                    else:
+                        prob *= stay
+                        old[alleles.index(genes[parent])] += 1
+                gene_law[(tuple(old), tuple(fresh))] += prob
+        count_law = _multinomial_law(pop, mus, gene_law)
+        assert sum(gene_law.values()) == 1
+        assert count_law == dict(gene_law)
+
+        reps = 20_000
+        mus_f = [float(m) for m in mus]
+        by_genes, by_counts = _one_generation_draws(pop, mus_f, reps, np.random.default_rng(31))
+        assert tv_distance(by_genes, count_law, reps) < 0.03
+        assert tv_distance(by_counts, count_law, reps) < 0.03
+
+    def test_one_generation_tv_at_2n_1000(self):
+        ids = np.zeros(1000, dtype=np.int64)
+        classes = np.zeros(1000, dtype=np.int64)
+        classes[:2] = 1  # allele (1, 0) x2
+        ids[2] = 1  # allele (0, 1) x1; allele (0, 0) holds the other 997
+        pop = Population(ids=ids, classes=classes, k=2)
+        mus_f = [1e-4, 2e-4]
+        cells = [
+            ((x[0], x[1], 1000 - sum(x)), (x[2], x[3]))
+            for x in itertools.product(range(10), repeat=4)
+        ]
+        exact = _multinomial_law(pop, mus_f, cells)
+        assert 1 - sum(exact.values()) < 1e-3
+        reps = 20_000
+        by_genes, by_counts = _one_generation_draws(pop, mus_f, reps, np.random.default_rng(32))
+        assert tv_distance(by_genes, exact, reps) < 0.05
+        assert tv_distance(by_counts, exact, reps) < 0.05
+
+    def test_population_written_back(self):
+        pop = Population.founding(40, 2)
+        burn, thin, reps = 50, 7, 30
+        dead: set = set()
+        alive: set = set()
+        samples = stationary_samples(
+            pop, (1.0, 2.0), 5, reps, np.random.default_rng(33), burn_gens=burn, thin_gens=thin
+        )
+        for r, part in enumerate(samples, start=1):
+            assert part.n == 5 and part.k == 2
+            assert pop.size == 40 and pop.generation == burn + r * thin
+            now = set(zip(pop.classes.tolist(), pop.ids.tolist()))
+            assert not now & dead
+            assert all(ident < pop.next_ids[cls] for cls, ident in now)
+            dead |= alive - now
+            alive = now
+        assert r == reps and pop.generation == burn + reps * thin
+        assert json.loads(json.dumps(pop.to_json_dict()))["generation"] == burn + reps * thin
+
+    def test_no_samples_still_burns_in(self):
+        pop = Population.founding(20, 1)
+        assert list(stationary_samples(pop, (1.0,), 2, 0, np.random.default_rng(0), 15)) == []
+        assert pop.size == 20 and pop.generation == 15
+
+    @pytest.mark.parametrize("mus", [[0.1], [0.6, 0.5], [-0.1, 0.2]])
+    def test_mutation_checks_match_wf_step(self, mus):
+        with pytest.raises(ValueError) as by_genes:
+            wf_step(Population.founding(10, 2), mus, np.random.default_rng(0))
+        with pytest.raises(ValueError) as by_counts:
+            _AlleleCounts(Population.founding(10, 2), mus)
+        assert str(by_counts.value) == str(by_genes.value)
+
+    @pytest.mark.parametrize("sample_size,burn,thin", [(0, 5, 5), (11, 5, 5), (2, -1, 5), (2, 5, -1)])
+    def test_rejects_bad_input_before_burn_in(self, sample_size, burn, thin):
+        pop = Population.founding(10, 2)
+        with pytest.raises(ValueError):
+            next(stationary_samples(pop, (1.0, 2.0), sample_size, 3,
+                                    np.random.default_rng(0), burn, thin))
+        assert pop.generation == 0

@@ -11,6 +11,7 @@ from multiewens.wreath import (
     GroupTable,
     WreathElement,
     WreathParams,
+    _crp_run,
     crp_element_counts,
     crp_wreath_sample,
     cycle_type,
@@ -283,6 +284,21 @@ class TestRestaurantProcess:
         g = cyclic_group(2)
         assert crp_wreath_sample(6, g, (1.0, 2.0), 11) == \
             crp_wreath_sample(6, g, (1.0, 2.0), 11)
+
+    def test_top_draw_stays_in_range(self):
+        # at random() = 1 - 2**-53 the scaled draw rounds up to d_new + j*m
+        # for these weights at j = 3, one past the last position/entry pair
+        class TopDraw(random.Random):
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        g = cyclic_group(2)
+        ts = [4 / 7, 1 / 3]
+        d_new = sum(ts)
+        assert int((1.0 - 2.0**-53) * (d_new + 3 * g.order) - d_new) == 3 * g.order
+        gv, sv = _crp_run(4, g, ts, TopDraw())
+        assert sorted(sv) == [0, 1, 2, 3]
+        assert all(0 <= e < g.order for e in gv)
 
     def test_empirical_tv_desk_scale(self):
         g = cyclic_group(2)
