@@ -41,10 +41,28 @@ class UnsupportedRegimeError(ValueError):
     """Raised for regimes where no normal limit is available."""
 
 
-def harmonic_h(n: int, p: int, x):
-    """Generalized harmonic tail sum_{j=0}^{n-1} (x+j)^{-p} for x > 0.
+# Bernoulli numbers B_2, B_4, ..., B_16 of the Euler-Maclaurin tails
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+# estimated bits of the unreduced denominator of the largest exact harmonic
+# sum that is built: its one gcd is quadratic in the size, and sums near this
+# size take 1-2 s on a 2-core x86 box (n = 10^6 would take about an hour)
+_EXACT_BITS_CAP = 1 << 20
 
-    Exact for Fraction x; float inputs use compensated summation.
+
+def harmonic_h(n: int, p: int, x):
+    """Generalized harmonic tail H^p_n(x) = sum_{j=0}^{n-1} (x+j)^{-p} for x > 0.
+
+    int or Fraction x = a/b is exact: the terms b^p / (a+jb)^p are summed by
+    binary splitting into one integer numerator and denominator, then one
+    Fraction.  A sum whose unreduced denominator would exceed 2**20 bits
+    (n = 2*10^4 at x = 7/3 and p = 2 fits, n = 10^6 does not) raises
+    ValueError before any work; pass a float x for the float route.
+
+    Float x costs O(1): the terms below x = 10p are added directly and the
+    rest is zeta(p, x) - zeta(p, x+n) (psi(x+n) - psi(x) at p = 1,
+    psi'(x) - psi'(x+n) at p = 2) by the Euler-Maclaurin series, with each
+    term a difference x^-m - (x+n)^-m built from positive parts, so small n
+    at large x loses nothing to cancellation.  Relative error is a few ulp.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -53,9 +71,100 @@ def harmonic_h(n: int, p: int, x):
     if x <= 0:
         raise ValueError("x must be positive")
     if isinstance(x, (int, Fraction)):
-        xf = Fraction(x)
-        return sum(1 / (xf + j) ** p for j in range(n))
-    return math.fsum(1.0 / (x + j) ** p for j in range(n))
+        return _harmonic_exact(n, p, Fraction(x))
+    return _harmonic_float(n, p, float(x))
+
+
+def _harmonic_exact(n: int, p: int, x: Fraction) -> Fraction:
+    a, b = x.numerator, x.denominator
+    bits = p * n * (a + (n - 1) * b).bit_length()
+    if bits > _EXACT_BITS_CAP:
+        raise ValueError(
+            f"the exact harmonic sum at n={n}, x={x}, p={p} needs a denominator of"
+            f" about {bits} bits (limit {_EXACT_BITS_CAP}); pass decimal masses"
+            " such as 0.3333 for the float route"
+        )
+    num, den = _split_sum([(a + j * b) ** p for j in range(n)], 0, n)
+    return Fraction(num * b**p, den)
+
+
+def _split_sum(dens: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """sum of 1/dens[i] over lo <= i < hi as one unreduced (num, den) pair."""
+    if hi - lo == 1:
+        return 1, dens[lo]
+    mid = (lo + hi) // 2
+    n1, d1 = _split_sum(dens, lo, mid)
+    n2, d2 = _split_sum(dens, mid, hi)
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
+def _harmonic_float(n: int, p: int, x: float) -> float:
+    terms = []
+    j = 0
+    while j < n and x + j < 10.0 * p:
+        terms.append((x + j) ** -p)
+        j += 1
+    if j < n:
+        terms.append(_zeta_gap(n - j, p, x + j))
+    return math.fsum(terms)
+
+
+def _inverse_gaps(m: int, x: float, top: int) -> list[float]:
+    """[x^-i - y^-i for i = 0..top] with y = x + m, from the positive terms of
+    x^-i - y^-i = x^-1 (x^-(i-1) - y^-(i-1)) + y^-(i-1) (x^-1 - y^-1)."""
+    y = x + m
+    u, v = 1.0 / x, 1.0 / y
+    gaps = [0.0, m / (x * y)]
+    v_pow = 1.0
+    for _ in range(top - 1):
+        v_pow *= v
+        gaps.append(u * gaps[-1] + v_pow * gaps[1])
+    return gaps
+
+
+def _zeta_gap(m: int, p: int, x: float) -> float:
+    """zeta(p, x) - zeta(p, x+m) for x >= 10p, from the Euler-Maclaurin
+    series zeta(p, z) ~ z^(1-p)/(p-1) + z^-p/2
+    + sum_k B_2k (p)_(2k-1) / (2k)! z^(1-p-2k), with log z at p = 1."""
+    d = _inverse_gaps(m, x, p + 2 * len(_BERNOULLI) - 1)
+    total = math.log1p(m / x) if p == 1 else d[p - 1] / (p - 1)
+    total += d[p] / 2
+    for k, b in enumerate(_BERNOULLI, start=1):
+        rising = math.prod(range(p, p + 2 * k - 1))
+        total += b * rising / math.factorial(2 * k) * d[p + 2 * k - 1]
+    return total
+
+
+def _spread_float(n: int, x: float) -> float:
+    """G_n(x) = sum_{j<n} j/(x+j)^2 = H^1_n(x) - x H^2_n(x), without the
+    cancellation of that difference.
+
+    Small n is summed directly.  Otherwise the terms below x = 10 are added
+    directly and the rest, over m terms from x' >= 10 to y = x' + m, is
+    split as sum (j' + lead)/(x'+j')^2 = lead H^2_m(x') + G_m(x').  The
+    Euler-Maclaurin tails of G_m(x') combine into log1p(m/x') - s with
+    s = m/y (the positive series sum_{i>=2} s^i/i when s is small), minus
+    m/(2y^2) and Bernoulli terms that stay below 1/(m-1) of the total.
+    """
+    if n <= 40:  # the expansion below needs m > 30
+        return math.fsum(j / (x + j) ** 2 for j in range(n))
+    lead = max(0, math.ceil(10.0 - x))
+    terms = [j / (x + j) ** 2 for j in range(lead)]
+    x, m = x + lead, n - lead
+    y = x + m
+    s = m / y
+    if s < 0.1:
+        main = math.fsum(s**i / i for i in range(2, 20))
+    else:
+        main = math.log1p(m / x) - s
+    d = _inverse_gaps(m, x, 2 * len(_BERNOULLI) + 1)
+    v = 1.0 / y
+    corr = m * v * v / 2 + sum(
+        b * ((2 * k - 1) / (2 * k) * d[2 * k] + m * v ** (2 * k + 1))
+        for k, b in enumerate(_BERNOULLI, start=1)
+    )
+    terms += [lead * _harmonic_float(m, 2, x), main - corr]
+    return math.fsum(terms)
 
 
 def expected_k(n: int, theta, l: int):
@@ -68,13 +177,26 @@ def expected_k(n: int, theta, l: int):
 
 
 def var_k(n: int, theta, l: int):
-    """Var[K_n^(l)] = theta_l H_n^(1)(w) - theta_l^2 H_n^(2)(w)."""
+    """Var[K_n^(l)] = sum_{j<n} q_j (1 - q_j) with q_j = theta_l / (w + j).
+
+    That is theta_l H^1_n(w) - theta_l^2 H^2_n(w), evaluated as
+    theta_l (r H^2_n(w) + G_n(w)) with r = w - theta_l the mass of the other
+    classes and G_n(w) = sum_j j/(w+j)^2.  Both parts are sums of
+    nonnegative terms, so a float variance is never negative and is exactly
+    0 at k = 1, n = 1; rational masses give the exact Fraction.
+    """
     params = _params(theta)
     if not 1 <= l <= params.k:
         raise ValueError(f"class label must be in 1..{params.k}")
     th = params.thetas[l - 1]
+    rest = sum(params.thetas[: l - 1] + params.thetas[l:])
     w = params.w
-    return th * harmonic_h(n, 1, w) - th * th * harmonic_h(n, 2, w)
+    h2 = harmonic_h(n, 2, w)
+    if params.is_exact:
+        spread = harmonic_h(n, 1, w) - w * h2
+    else:
+        spread = _spread_float(n, float(w))
+    return th * (rest * h2 + spread)
 
 
 @lru_cache(maxsize=None)

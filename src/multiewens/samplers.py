@@ -323,7 +323,11 @@ def monomial_symmetric(rows: Sequence[int], power_sums) -> float:
 
     rows is the partition (weakly decreasing); power_sums maps m to
     sum_i x_i^m for every m up to sum(rows).  Division by the part
-    multiplicities turns the distinct-index sum into m_lambda.
+    multiplicities turns the distinct-index sum into m_lambda.  The
+    inclusion-exclusion takes factorial time in the number of parts and can
+    cancel below zero; it is kept because it vectorises over frequency draws
+    (numpy power sums) and cross-checks the positive-term kernel behind
+    :func:`paintbox_pmf`.
     """
     parts = tuple(rows)
     value = _augmented_monomial(parts, power_sums)
@@ -341,21 +345,58 @@ def power_sums_of(xs: Sequence[float], max_power: int) -> dict[int, float]:
     return {m: float(np.sum(arr**m)) for m in range(1, max_power + 1)}
 
 
+def _log_monomial(rows: Sequence[int], xs: Sequence[float]) -> float:
+    """log m_lambda(xs) by a dynamic programme over positive terms; -inf at 0.
+
+    A state counts the parts of each distinct size placed so far (mixed
+    radix).  Each variable x in turn takes no part or one part of some size
+    j, adding x^j times the value of the state one such part short; states
+    are updated in decreasing order, so a variable is used at most once.  For
+    all-ones rows this is the elementary-symmetric recursion.  The variables
+    are divided by the largest, which keeps every term in [0, 1], and the
+    scale returns as |lambda| log max(xs).
+    """
+    mult = sorted(Counter(rows).items())
+    sizes = [j for j, _ in mult]
+    steps = []  # (state, state one part of size index r short, r)
+    radix = [m + 1 for _, m in mult]
+    n_states = math.prod(radix)
+    for state in range(n_states - 1, 0, -1):
+        stride = 1
+        for r, base in enumerate(radix):
+            if state // stride % base:
+                steps.append((state, state - stride, r))
+            stride *= base
+    scale = max(xs, default=0.0)
+    if scale <= 0.0:
+        return -math.inf
+    table = [1.0] + [0.0] * (n_states - 1)
+    for x in xs:
+        t = x / scale
+        powers = [t**j for j in sizes]
+        for state, prev, r in steps:
+            table[state] += table[prev] * powers[r]
+    if table[-1] <= 0.0:
+        return -math.inf
+    return math.log(table[-1]) + sum(rows) * math.log(scale)
+
+
 def paintbox_pmf(p: MultiplePartition, f: FrequencyRanked) -> float:
     """Probability that the paintbox over f produces the multiple partition p.
 
     n! / prod_{l,j} (j!)^{m_j^(l)} times the product over classes of the
     monomial symmetric function of lambda^(l) at the class frequencies.
-    Empty components contribute a factor 1.
+    Empty components contribute a factor 1.  Every factor is combined as a
+    log, and each m_lambda is a sum of nonnegative terms
+    (:func:`_log_monomial`), so the result is never negative and stays
+    finite for n >= 171, where n! overflows a float.
     """
     if p.k != f.k:
         raise ValueError(f"partition has k={p.k} but frequencies have k={f.k}")
-    n = p.n
-    value = float(math.factorial(n))
+    total = math.lgamma(p.n + 1)
     for comp, seq in zip(p.components, f.freqs):
         for j, m in comp.multiplicities().items():
-            value /= float(math.factorial(j)) ** m
+            total -= m * math.lgamma(j + 1)
         if comp.rows:
-            ps = power_sums_of(seq, comp.size)
-            value *= monomial_symmetric(comp.rows, ps)
-    return value
+            total += _log_monomial(comp.rows, seq)
+    return math.exp(total)

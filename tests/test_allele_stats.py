@@ -56,6 +56,28 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic_h(3, 1, 0.0)
 
+    def test_float_matches_fsum_grid(self):
+        xs = [1e-3, 1e-2, 0.1, 0.5, 1.0, 7.3, 9.99, 10.0, 19.5, 1e2, 1e3, 1e4, 1e5, 1e6]
+        for x in xs:
+            for n in (1, 2, 3, 10, 41, 100, 1000, 10_000, 100_000):
+                for p in (1, 2):
+                    want = math.fsum(1.0 / (x + j) ** p for j in range(n))
+                    assert harmonic_h(n, p, x) == pytest.approx(want, rel=1e-13)
+
+    def test_exact_matches_fraction_sum(self):
+        for x in (F(1), F(7, 3), F(1, 10), 5):
+            for p in (1, 2, 3):
+                plain = F(0)
+                for n in range(1, 201):
+                    plain += 1 / (F(x) + n - 1) ** p
+                    assert harmonic_h(n, p, x) == plain
+
+    def test_exact_guard_refuses_huge_sums(self):
+        with pytest.raises(ValueError, match="float route"):
+            harmonic_h(10**6, 1, F(7, 3))
+        with pytest.raises(ValueError, match="float route"):
+            harmonic_h(10**6, 2, F(7, 3))
+
 
 class TestMoments:
     def test_single_draw(self):
@@ -75,6 +97,27 @@ class TestMoments:
             assert expected_k(n, th, 1) == 2 * harmonic_h(n, 1, F(2))
             assert var_k(n, th, 1) == \
                 2 * harmonic_h(n, 1, F(2)) - 4 * harmonic_h(n, 2, F(2))
+
+    def test_variance_nonnegative_grid(self):
+        masses = (1e-3, 0.1, 1.0, 7.3, 50.0, 1e4)
+        grid = [(t,) for t in masses] + [(a, b) for a in masses for b in masses]
+        for th in grid:
+            for n in (1, 2, 3, 10, 40, 41, 100, 1000, 10**5, 10**6):
+                for l in range(1, len(th) + 1):
+                    assert var_k(n, th, l) >= 0.0
+        assert var_k(1, (7.3,), 1) == 0.0
+        for t in masses:
+            assert var_k(1, (t,), 1) == 0.0
+
+    def test_float_variance_matches_exact(self):
+        # Fraction(t) is the float's exact value, so both routes see one input
+        for th in ((7.3,), (1e-3, 2.5), (0.5, 1e4), (3.0, 1e-3, 40.0)):
+            exact = tuple(F(t) for t in th)
+            for n in (1, 2, 5, 40, 41, 300, 1000):
+                for l in range(1, len(th) + 1):
+                    want = var_k(n, exact, l)
+                    got = var_k(n, th, l)
+                    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,35 @@ class TestTables:
         header = res.output.strip().splitlines()[0]
         assert "mc_mean" in header and "mc_var" in header
 
+    def test_stats_k_float_mode_at_a_million(self, runner):
+        from scipy.special import digamma, polygamma
+
+        res = runner.invoke(main, ["stats-k", "--n", "1000000", "--theta", "1.0,2.0",
+                                   "--format", "json"])
+        assert res.exit_code == 0
+        rows = [json.loads(line) for line in res.stdout.splitlines()]
+        assert [row["l"] for row in rows] == [1, 2]
+        w, n = 3.0, 10**6
+        h1 = digamma(w + n) - digamma(w)
+        h2 = polygamma(1, w) - polygamma(1, w + n)
+        for row, th in zip(rows, (1.0, 2.0)):
+            assert row["E"] == pytest.approx(th * h1, rel=1e-12)
+            assert row["Var"] == pytest.approx(th * h1 - th * th * h2, rel=1e-12)
+
+    def test_stats_k_exact_mode_refuses_a_million(self, runner):
+        res = runner.invoke(main, ["stats-k", "--n", "1000000", "--theta", "1/3,2"])
+        assert res.exit_code == 1
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "float route" in errors[0]
+        assert res.stdout == ""
+
+    def test_stats_k_exact_mode_at_twenty_thousand(self, runner):
+        res = runner.invoke(main, ["stats-k", "--n", "20000", "--theta", "1/3,2",
+                                   "--format", "json"])
+        assert res.exit_code == 0
+        rows = [json.loads(line) for line in res.stdout.splitlines()]
+        assert len(rows) == 2 and all(row["Var"] > 0 for row in rows)
+
     def test_poisson_tv_row(self, runner):
         res = runner.invoke(main, ["poisson-tv", "--n", "6", "--m", "2",
                                    "--theta", "1,1"])

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from multiewens.samplers import (
     derive_seed,
     hoppe_urn_partition_counts,
     hoppe_urn_sample,
+    _urn_run,
     monomial_symmetric,
     paintbox_pmf,
     paintbox_sample,
@@ -115,6 +118,37 @@ class TestHoppeUrn:
         exp = [float(p) * reps for p in exact.values()]
         _, pval = chisquare(obs, exp)
         assert pval > 0.01
+
+
+class TestUrnTopDraw:
+    TOP = 1.0 - 2.0**-53
+
+    class Scripted(random.Random):
+        def __init__(self, draws):
+            super().__init__(0)
+            self.draws = list(draws)
+
+        def random(self):
+            return self.draws.pop(0)
+
+    def test_colour_scan_clamps_to_last_colour(self):
+        # three colours after draws 0-2; at j = 3 the scaled top draw lands at
+        # w + 3 exactly, past the last count, and joins the last colour
+        ts = [0.05, 1 / 7]
+        w = sum(ts)
+        assert self.TOP * (w + 3) - w == 3.0
+        classes, counts, founder = _urn_run(4, ts, self.Scripted([self.TOP, 0.0, 0.0, self.TOP]))
+        assert classes == [2, 1, 1]
+        assert counts == [1, 1, 2]
+        assert founder == [0, 1, 2, 2]
+
+    def test_class_scan_clamps_to_last_class(self):
+        # at j = 0 the black draw left after the first two masses is not
+        # below the third mass, and the colour goes to the last class
+        ts = [0.05, 1 / 7, 2.0]
+        assert self.TOP * sum(ts) - ts[0] - ts[1] >= ts[2]
+        classes, counts, founder = _urn_run(1, ts, self.Scripted([self.TOP]))
+        assert (classes, counts, founder) == ([3], [1], [0])
 
 
 class TestCoalescentRates:
@@ -224,6 +258,77 @@ class TestPaintbox:
             prob = paintbox_pmf(p, f)
             se = math.sqrt(max(prob * (1 - prob), 1e-12) / reps)
             assert abs(hits.get(p, 0) / reps - prob) < 5 * se + 1e-3
+
+
+class TestPaintboxKernel:
+    TEN_PARTS = mp([1] * 9, [1])
+
+    def test_nonnegative_over_pd_draws(self):
+        states = [p for n in range(1, 7) for p in enumerate_multipartitions(n, 2)]
+        states.append(self.TEN_PARTS)
+        for r in range(200):
+            f = pd_sample((1.0, 2.0), 1e-8, derive_seed(31, r))
+            for p in states:
+                assert paintbox_pmf(p, f) >= 0.0
+        # inclusion-exclusion over power sums gave -7.7e-23 here
+        assert paintbox_pmf(self.TEN_PARTS, pd_sample((1, 2), 1e-8, 3)) > 0.0
+
+    def test_states_sum_to_regular_mass(self):
+        for seed in (4, 5):
+            f = pd_sample((1.0, 2.0), 1e-8, seed)
+            regular = math.fsum(math.fsum(seq) for seq in f.freqs)
+            for n in range(1, 9):
+                total = math.fsum(
+                    paintbox_pmf(p, f) for p in enumerate_multipartitions(n, 2)
+                )
+                assert total == pytest.approx(regular**n, rel=1e-12)
+
+    def test_matches_direct_and_power_sum_routes(self):
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            deltas = rng.dirichlet((1.0, 2.0))
+            freqs = tuple(
+                tuple(sorted(d * rng.dirichlet(np.ones(size)), reverse=True))
+                for d, size in zip(deltas, (5, 6))
+            )
+            f = FrequencyRanked(freqs, tuple(deltas), 1e-6)
+            for n in range(1, 6):
+                for p in enumerate_multipartitions(n, 2):
+                    direct = power = float(math.factorial(n))
+                    for comp, seq in zip(p.components, f.freqs):
+                        for j, m in comp.multiplicities().items():
+                            direct /= math.factorial(j) ** m
+                            power /= math.factorial(j) ** m
+                        direct *= monomial_symmetric_direct(comp.rows, seq)
+                        power *= monomial_symmetric(
+                            comp.rows, power_sums_of(seq, comp.size)
+                        )
+                    got = paintbox_pmf(p, f)
+                    assert got == pytest.approx(direct, rel=1e-10)
+                    assert got == pytest.approx(power, rel=1e-10)
+
+    def test_no_overflow_beyond_170(self):
+        f = pd_sample((1.0, 2.0), 1e-8, 5)
+        got = paintbox_pmf(mp([171], []), f)
+        assert got == pytest.approx(math.fsum(x**171 for x in f.freqs[0]), rel=1e-12)
+        assert 0.0 < got < 1.0
+
+    def test_twenty_singletons_fast_and_nonnegative(self):
+        p = mp([1] * 20, [])
+        # eps = 1e-14 leaves at least 20 class-1 frequencies, so e_20 > 0
+        for seed, eps in ((5, 1e-8), (6, 1e-14)):
+            f = pd_sample((1.0, 2.0), eps, seed)
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                value = paintbox_pmf(p, f)
+                best = min(best, time.perf_counter() - start)
+            assert best < 0.01
+            if len(f.freqs[0]) >= 20:
+                assert value > 0.0
+            else:
+                assert value == 0.0
+        assert len(f.freqs[0]) >= 20
 
 
 class TestMonomialSymmetric:
