@@ -61,6 +61,7 @@ from .allele_stats import (
     RegimeSpec,
     UnsupportedRegimeError,
     bernoulli_k_samples,
+    class_moments,
     clt_scaling,
     expected_k,
     harmonic_h,
@@ -84,4 +85,4 @@ from .wf_sim import (
     wf_step,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

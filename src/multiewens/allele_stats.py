@@ -4,8 +4,8 @@ K_n^(l), the number of distinct class-l alleles in an n-sample, is a sum of
 independent Bernoulli indicators with success probabilities
 theta_l / (w + j - 1), j = 1..n.  That identity yields closed-form moments,
 an exact joint law through Stirling cycle counts, growth-regime limits when
-theta_l = alpha_l n^beta, and an O(n)-per-replicate simulator for central
-limit checks.
+theta_l = alpha_l n^beta, and a simulator for central limit checks whose
+sparse tail costs O(successes) per replicate.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "harmonic_h",
     "expected_k",
     "var_k",
+    "class_moments",
     "stirling_first",
     "joint_k_pmf",
     "RegimeSpec",
@@ -47,6 +48,8 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617
 # sum that is built: its one gcd is quadratic in the size, and sums near this
 # size take 1-2 s on a 2-core x86 box (n = 10^6 would take about an hour)
 _EXACT_BITS_CAP = 1 << 20
+# uniforms per head block of bernoulli_k_samples (4 MB, cache-sized)
+_HEAD_BLOCK = 1 << 19
 
 
 def harmonic_h(n: int, p: int, x):
@@ -167,36 +170,55 @@ def _spread_float(n: int, x: float) -> float:
     return math.fsum(terms)
 
 
-def expected_k(n: int, theta, l: int):
-    """E[K_n^(l)] = theta_l * H_n^(1)(w); class label l is 1-based."""
+def _moments(n: int, params, ls, with_var: bool) -> list[tuple]:
+    """[(E, Var)] of K_n^(l) for each class label l in ls, Var None unless
+    with_var; the formulas are given at :func:`class_moments`."""
+    w = params.w
+    h1 = harmonic_h(n, 1, w)
+    if with_var:
+        h2 = harmonic_h(n, 2, w)
+        spread = h1 - w * h2 if params.is_exact else _spread_float(n, float(w))
+    out = []
+    for l in ls:
+        th = params.thetas[l - 1]
+        var = None
+        if with_var:
+            rest = sum(params.thetas[: l - 1] + params.thetas[l:])
+            var = th * (rest * h2 + spread)
+        out.append((th * h1, var))
+    return out
+
+
+def _class_params(theta, l: int):
     params = _params(theta)
     if not 1 <= l <= params.k:
         raise ValueError(f"class label must be in 1..{params.k}")
-    th = params.thetas[l - 1]
-    return th * harmonic_h(n, 1, params.w)
+    return params
+
+
+def expected_k(n: int, theta, l: int):
+    """E[K_n^(l)] = theta_l * H_n^(1)(w); class label l is 1-based."""
+    return _moments(n, _class_params(theta, l), [l], False)[0][0]
 
 
 def var_k(n: int, theta, l: int):
-    """Var[K_n^(l)] = sum_{j<n} q_j (1 - q_j) with q_j = theta_l / (w + j).
+    """Var[K_n^(l)] as in :func:`class_moments`; class label l is 1-based."""
+    return _moments(n, _class_params(theta, l), [l], True)[0][1]
 
-    That is theta_l H^1_n(w) - theta_l^2 H^2_n(w), evaluated as
-    theta_l (r H^2_n(w) + G_n(w)) with r = w - theta_l the mass of the other
-    classes and G_n(w) = sum_j j/(w+j)^2.  Both parts are sums of
-    nonnegative terms, so a float variance is never negative and is exactly
-    0 at k = 1, n = 1; rational masses give the exact Fraction.
+
+def class_moments(n: int, theta) -> list[tuple]:
+    """[(E[K_n^(l)], Var[K_n^(l)]) for l = 1..k], sharing one H^1_n(w), one
+    H^2_n(w) and one G_n(w) = sum_{j<n} j/(w+j)^2 between all classes.
+
+    E[K_n^(l)] = theta_l H^1_n(w).  Var[K_n^(l)] = sum_{j<n} q_j (1 - q_j)
+    with q_j = theta_l / (w + j), that is theta_l H^1_n(w) - theta_l^2
+    H^2_n(w), evaluated as theta_l (r H^2_n(w) + G_n(w)) with r = w - theta_l
+    the mass of the other classes.  Both parts are sums of nonnegative
+    terms, so a float variance is never negative and is exactly 0 at k = 1,
+    n = 1; rational masses give exact Fractions.
     """
     params = _params(theta)
-    if not 1 <= l <= params.k:
-        raise ValueError(f"class label must be in 1..{params.k}")
-    th = params.thetas[l - 1]
-    rest = sum(params.thetas[: l - 1] + params.thetas[l:])
-    w = params.w
-    h2 = harmonic_h(n, 2, w)
-    if params.is_exact:
-        spread = harmonic_h(n, 1, w) - w * h2
-    else:
-        spread = _spread_float(n, float(w))
-    return th * (rest * h2 + spread)
+    return _moments(n, params, range(1, params.k + 1), True)
 
 
 @lru_cache(maxsize=None)
@@ -351,22 +373,39 @@ def bernoulli_k_samples(
 ) -> np.ndarray:
     """Simulate K_n^(l) as its Bernoulli sum, vectorised across replicates.
 
-    Each replicate sums n independent Bernoulli(theta_l/(w+j-1)) draws,
-    j = 1..n; O(n) per replicate with no urn bookkeeping.  Work proceeds
-    over column blocks to bound memory.
+    Each replicate sums n independent Bernoulli(p_j) draws with
+    p_j = theta_l/(w+j), j = 0..n-1, and p_j decreases in j.  The head,
+    where p_j >= 1/16, compares one uniform per replicate and position, in
+    blocks of `block` positions (default: about 2**19 uniforms per block).
+    The tail is sampled exactly by thinning, in O(successes) per replicate:
+    from position j with bound q = p_j >= p_c for every c >= j, jump a
+    Geometric(q) number of positions to a candidate c, count it with
+    probability p_c/q, and restart at c + 1.  Every tail step is one numpy
+    call over the replicates still short of n.
     """
-    params = _params(theta)
-    if not 1 <= l <= params.k:
-        raise ValueError(f"class label must be in 1..{params.k}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reps < 0:
+        raise ValueError("reps must be >= 0")
+    params = _class_params(theta, l)
     th = float(params.thetas[l - 1])
     w = float(params.w)
-    probs = th / (w + np.arange(n, dtype=float))
     rng = np.random.default_rng(seed)
+    # p_j >= 1/16 exactly when j <= 16 theta_l - w
+    head = min(n, max(0, math.floor(16 * th - w) + 1))
+    probs = th / (w + np.arange(head, dtype=float))
     if block <= 0:
-        block = max(1, 8_000_000 // max(reps, 1))
+        block = max(1, _HEAD_BLOCK // max(reps, 1))
     out = np.zeros(reps, dtype=np.int64)
-    for start in range(0, n, block):
-        p = probs[start : start + block]
-        u = rng.random((reps, p.size))
-        out += (u < p).sum(axis=1)
+    for start in range(0, head, block):
+        p = probs[start : start + block, None]
+        out += (rng.random((p.size, reps)) < p).sum(axis=0)
+    live = np.arange(reps if head < n else 0)
+    pos = np.full(live.size, head, dtype=np.int64)
+    while live.size:
+        cand = pos + rng.geometric(th / (w + pos)) - 1
+        inside = cand < n
+        live, pos, cand = live[inside], pos[inside], cand[inside]
+        out[live] += rng.random(live.size) * (w + cand) < w + pos
+        pos = cand + 1
     return out

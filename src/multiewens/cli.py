@@ -265,13 +265,8 @@ def cmd_stats_k(n, theta, mc_reps, seed, fmt):
     """Exact mean/variance of the per-class allele counts."""
     thetas = _parse_theta(theta)
     rows = []
-    for l in range(1, len(thetas) + 1):
-        row = {
-            "n": n,
-            "l": l,
-            "E": float(allele_stats.expected_k(n, thetas, l)),
-            "Var": float(allele_stats.var_k(n, thetas, l)),
-        }
+    for l, (mean, var) in enumerate(allele_stats.class_moments(n, thetas), start=1):
+        row = {"n": n, "l": l, "E": float(mean), "Var": float(var)}
         if mc_reps > 0:
             ks = allele_stats.bernoulli_k_samples(
                 n, thetas, l, mc_reps, samplers.derive_seed(seed, l)

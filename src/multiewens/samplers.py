@@ -83,11 +83,16 @@ class UrnState:
 
 
 def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
-    """Run the urn for n draws.
+    """Run the urn for n draws, one rng.random() and O(1) work per draw.
 
     Returns (classes, counts, founder): class and count per color in
     creation order, and for each draw j the index of the color it joined
-    (or founded)."""
+    (or founded).  Step j scales its uniform to u in [0, w + j).  Below w
+    it picks a black object by scanning the k class masses.  Otherwise
+    int(u - w) is a uniform earlier draw, and the step copies that draw's
+    color, which joins each color with probability count / j.  The index
+    is clamped to j - 1, since u rounds up to w + j when random() returns
+    1 - 2**-53."""
     w = float(sum(thetas))
     k = len(thetas)
     classes: list[int] = []  # class of each color, 1-based
@@ -107,12 +112,7 @@ def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
             counts.append(1)
             founder.append(len(counts) - 1)
         else:
-            v = u - w
-            idx = 0
-            for idx, c in enumerate(counts):
-                if v < c:
-                    break
-                v -= c
+            idx = founder[min(int(u - w), j - 1)]
             counts[idx] += 1
             founder.append(idx)
     return classes, counts, founder
@@ -160,6 +160,10 @@ def hoppe_urn_partition_counts(
     Same process as :func:`hoppe_urn_sample` on a single stream, without the
     per-run set-partition bookkeeping; keys are MultiplePartition.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reps < 0:
+        raise ValueError("reps must be >= 0")
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
     k = params.k

@@ -302,6 +302,10 @@ def crp_element_counts(
     stream; intended for desk-scale n where the number of distinct elements
     is small.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reps < 0:
+        raise ValueError("reps must be >= 0")
     ts = [float(v) for v in _ts(t, group)]
     rng = random.Random(seed)
     raw: Counter = Counter()

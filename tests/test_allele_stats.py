@@ -8,6 +8,7 @@ from multiewens.allele_stats import (
     RegimeSpec,
     UnsupportedRegimeError,
     bernoulli_k_samples,
+    class_moments,
     clt_scaling,
     expected_k,
     harmonic_h,
@@ -304,6 +305,15 @@ class TestCltScaling:
                 assert all(v > 0 for v in sc.variance)
 
 
+class TestClassMoments:
+    @pytest.mark.parametrize("th", [(F(1, 3), F(2)), (F(1),), (1.5, 0.25, 3.0)])
+    def test_matches_single_class_moments(self, th):
+        for n in (1, 7, 200):
+            got = class_moments(n, th)
+            want = [(expected_k(n, th, l), var_k(n, th, l)) for l in range(1, len(th) + 1)]
+            assert got == want
+
+
 class TestBernoulliSimulator:
     def test_matches_exact_moments(self):
         n, reps = 200, 40_000
@@ -329,3 +339,38 @@ class TestBernoulliSimulator:
     def test_range(self):
         ks = bernoulli_k_samples(30, (1.0, 1.0), 1, 500, seed=1)
         assert ks.min() >= 0 and ks.max() <= 30
+
+    # theta_1 = 0.05 puts every position in the thinned tail, (1, 2) puts
+    # 14 of 30 in the direct head and (30, 60) all 30
+    @pytest.mark.parametrize("th,seed", [
+        ((F(1, 20), F(1)), 501),
+        ((F(1), F(2)), 502),
+        ((F(30), F(60)), 503),
+    ])
+    def test_law_chi_square_against_joint_law(self, th, seed):
+        from scipy.stats import chisquare
+
+        n, reps = 30, 20_000
+        exact = [
+            sum(joint_k_pmf(n, th, (p, q)) for q in range(n + 1))
+            for p in range(n + 1)
+        ]
+        ks = bernoulli_k_samples(n, tuple(float(t) for t in th), 1, reps, seed)
+        hits = np.bincount(ks, minlength=n + 1)
+        # values of exact probability <= 1e-3 are pooled into one bin
+        kept = [p for p in range(n + 1) if exact[p] > F(1, 1000)]
+        rest = [p for p in range(n + 1) if p not in kept]
+        obs = [hits[p] for p in kept] + [sum(hits[p] for p in rest)]
+        exp = [float(exact[p]) * reps for p in kept]
+        exp.append(reps - sum(exp))
+        _, pval = chisquare(obs, exp)
+        assert pval > 1e-3
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bernoulli_k_samples(n, (1.0, 2.0), 1, 10, seed=1)
+
+    def test_rejects_negative_reps(self):
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            bernoulli_k_samples(10, (1.0, 2.0), 1, -1, seed=1)

@@ -150,6 +150,45 @@ class TestUrnTopDraw:
         classes, counts, founder = _urn_run(1, ts, self.Scripted([self.TOP]))
         assert (classes, counts, founder) == ([3], [1], [0])
 
+    def test_top_draw_copies_the_previous_draw(self):
+        # draws 0 and 1 found colours 0 and 1, draw 2 copies draw 0; at j = 3
+        # the top draw lands at w + 3 and is clamped onto draw 2, so it joins
+        # colour 0, not the last colour
+        ts = [0.05, 1 / 7]
+        w = sum(ts)
+        assert self.TOP * (w + 3) - w == 3.0
+        copy_first = (w + 0.5) / (w + 2)
+        draws = [0.0, 0.0, copy_first, self.TOP]
+        classes, counts, founder = _urn_run(4, ts, self.Scripted(draws))
+        assert classes == [1, 1]
+        assert counts == [3, 1]
+        assert founder == [0, 1, 0, 0]
+
+
+class TestUrnManyColours:
+    def test_class_counts_match_digamma_moments(self):
+        from scipy.special import digamma, polygamma
+
+        n, th = 4000, (2000.0, 2000.0)
+        part, _ = hoppe_urn_sample(n, th, seed=4000)
+        w = sum(th)
+        h1 = digamma(w + n) - digamma(w)
+        h2 = polygamma(1, w) - polygamma(1, w + n)
+        for comp, t in zip(part.components, th):
+            mean, var = t * h1, t * h1 - t * t * h2
+            assert abs(len(comp.rows) - mean) <= 6 * math.sqrt(var)
+
+
+class TestCountingInputs:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_urn_counts_reject_n_below_one(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            hoppe_urn_partition_counts(n, (1.0, 2.0), 5, seed=1)
+
+    def test_urn_counts_reject_negative_reps(self):
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            hoppe_urn_partition_counts(4, (1.0, 2.0), -1, seed=1)
+
 
 class TestCoalescentRates:
     def test_no_pair_at_j1(self):

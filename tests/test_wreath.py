@@ -327,3 +327,13 @@ class TestRestaurantProcess:
         exp = [float(refined_esf_pmf(p, thetas)) * reps for p in states]
         _, pval = chisquare(obs, exp)
         assert pval > 0.01
+
+
+class TestCrpCountsInputs:
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            crp_element_counts(0, cyclic_group(2), (1.0, 2.0), 5, seed=1)
+
+    def test_rejects_negative_reps(self):
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            crp_element_counts(3, cyclic_group(2), (1.0, 2.0), -1, seed=1)
