@@ -3,7 +3,7 @@
 K_n^(l), the number of distinct class-l alleles in an n-sample, is a sum of
 independent Bernoulli indicators with success probabilities
 theta_l / (w + j - 1), j = 1..n.  That identity yields closed-form moments,
-an exact joint law through Stirling cycle counts, growth-regime limits when
+an exact joint law from one Stirling cycle count, growth-regime limits when
 theta_l = alpha_l n^beta, and a simulator for central limit checks whose
 sparse tail costs O(successes) per replicate.
 """
@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .measure import _exact_params, _params, _product
-from .partitions import compositions_of
 
 __all__ = [
     "harmonic_h",
@@ -249,24 +248,22 @@ def stirling_first(n: int, m: int) -> int:
 def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     """Exact joint probability P(K_n^(1) = p_1, ..., K_n^(k) = p_k).
 
-    n! theta_1^{p_1}...theta_k^{p_k} / (w)_n times the sum over size
-    compositions of prod [n_l choose-cycles p_l] / n_l!.  Requires rational
-    theta; returns a Fraction.
+    Each allele takes class l on its own with probability theta_l / w, and
+    P(K_n = K) = |s(n, K)| w^K / (w)_n, so with K = sum p_l this is
+    |s(n, K)| K! / prod p_l! * prod theta_l^{p_l} / (w)_n.  Requires
+    rational theta; returns a Fraction.
     """
     params = _exact_params(theta, "joint law")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     ps = tuple(int(p) for p in ps)
     if len(ps) != params.k:
         raise ValueError(f"need k={params.k} counts")
     if any(p < 0 for p in ps):
         raise ValueError("counts must be nonnegative")
-    # n! times the composition sum is an integer: it counts the permutations
-    # of n with their cycles split into classes holding p_1..p_k cycles
-    colourings = sum(
-        math.factorial(n) // math.prod(map(math.factorial, sizes))
-        * math.prod(map(stirling_first, sizes, ps))
-        for sizes in compositions_of(n, params.k)
-    )
-    powers = [*zip(params.thetas, ps), (colourings, 1)]
+    alleles = sum(ps)
+    multinomial = math.factorial(alleles) // math.prod(map(math.factorial, ps))
+    powers = [*zip(params.thetas, ps), (stirling_first(n, alleles) * multinomial, 1)]
     return _product(True, powers, [(params.w, (n,), -1)])
 
 

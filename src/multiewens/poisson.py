@@ -3,14 +3,13 @@
 Conditionally on sum_{l,j} j * eta_j(theta_l) = n, a grid of independent
 Poisson(theta_l/j) variables reproduces the k-class Ewens law of the count
 matrix exactly; unconditionally, any fixed number of leading rows converges
-to the independent Poisson grid as n grows.  Both facts are checked here at
-desk scale, the first in exact rationals, the second through truncated
-total-variation distances.
+to the independent Poisson grid as n grows.  The first fact is checked in
+exact rationals at desk scale, the second by the total variation of the
+leading rows, which costs O(n*m) at any n through the conditioning relation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,51 +98,45 @@ def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
     return CheckReport("conditional-poisson", not failures, tuple(failures))
 
 
-def _poisson_logpmf(a: int, lam: float) -> float:
-    return a * math.log(lam) - lam - math.lgamma(a + 1)
-
-
 def truncated_tv_distance(n: int, m: int, theta) -> float:
     """Total variation between the first m rows of the count matrix and
-    the independent Poisson grid, on the window of entries <= n.
+    the independent Poisson grid, in O(n*m) float operations at any n.
 
-    The Ewens-side marginal is aggregated by exact enumeration; the Poisson
-    mass outside the window (where the Ewens marginal vanishes) is added in
-    full.  Feasible for desk-scale n.
+    Class labels drop out by Poisson thinning, so this is the distance of
+    the classical Ewens(w) counts C_1..C_m from independent Poisson(w/j)
+    Z_j.  By the conditioning relation, with T_bn = sum_{b<j<=n} j Z_j,
+
+      TV = sum_{r<=n} P(T_0m = r) (P(T_mn = n-r) / P(T_0n = n) - 1)^+,
+
+    and each law of T follows r P(T=r) = w sum_{b<j<=min(r,n)} P(T=r-j), a
+    prefix sum for T_mn.  Both are carried in log space from P(T=0) = 1,
+    which cancels exp(-w H_n) from P(T_0n = n) = exp(-w H_n) (w)_n / n!.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > n:
         raise ValueError("m must not exceed n")
-    params = _params(theta)
-    k = params.k
-    marginal: dict[tuple, Fraction] = {}
-    for part in enumerate_multipartitions(n, k):
-        matrix = multipartition_to_matrix(part)
-        key = tuple(
-            tuple(matrix.count(j, l) for l in range(1, k + 1))
-            for j in range(1, m + 1)
-        )
-        marginal[key] = marginal.get(key, Fraction(0)) + refined_esf_pmf(
-            part, params
-        )
-    lam = [[float(t) / j for t in params.thetas] for j in range(1, m + 1)]
-    # row j of the marginal never exceeds n // j, so the window can be cut
-    # to the support; the Poisson mass outside is lumped in one term
-    ranges = [range(n // j + 1) for j in range(1, m + 1) for _ in range(k)]
-    tv = 0.0
-    poisson_in_window = 0.0
-    for flat in itertools.product(*ranges):
-        key = tuple(
-            tuple(flat[(j * k) : (j + 1) * k]) for j in range(m)
-        )
-        logp = 0.0
-        for j in range(m):
-            for l in range(k):
-                logp += _poisson_logpmf(key[j][l], lam[j][l])
-        p_pois = math.exp(logp)
-        poisson_in_window += p_pois
-        p_esf = float(marginal.get(key, Fraction(0)))
-        tv += abs(p_esf - p_pois)
-    tv += 1.0 - poisson_in_window  # Poisson mass where the Ewens marginal is 0
-    return 0.5 * tv
+    w = float(_params(theta).w)
+    log_w = math.log(w)
+    # head[r] = log P(T_0m = r) + w H_m
+    head = [0.0]
+    for r in range(1, n + 1):
+        head.append(log_w - math.log(r) + _log_sum(head[max(0, r - m):]))
+    # tail[s] = log P(T_mn = s) + w (H_n - H_m), prefix[s] = log sum_{t<=s} of it
+    tail, prefix = [0.0], [0.0]
+    for s in range(1, n + 1):
+        tail.append(log_w - math.log(s) + prefix[s - m - 1] if s > m else -math.inf)
+        prefix.append(_log_sum((prefix[-1], tail[s])))
+    log_norm = math.fsum(math.log((i + 1) / (w + i)) for i in range(n))  # n!/(w)_n
+    log_p0 = -w * math.fsum(1.0 / j for j in range(1, m + 1))  # log P(T_0m = 0)
+    tv = math.fsum(
+        max(0.0, math.exp(h + tail[n - r] + log_norm) - math.exp(h + log_p0))
+        for r, h in enumerate(head)
+    )
+    return min(tv, 1.0)
+
+
+def _log_sum(logs) -> float:
+    """log sum exp over a nonempty sequence with a finite largest entry."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))

@@ -6,9 +6,14 @@ instead of bounded-part recursion, direct distinct-monomial expansion
 instead of power sums) so that agreement is meaningful.
 """
 
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+
+from multiewens.measure import _params, refined_esf_pmf
+from multiewens.partitions import enumerate_multipartitions, multipartition_to_matrix
 
 
 @lru_cache(maxsize=None)
@@ -93,3 +98,54 @@ def tv_distance(counts, exact_probs, reps: int) -> float:
     extra = sum(c for s, c in counts.items() if s not in exact_probs)
     tv += extra / reps
     return tv / 2.0
+
+
+def _poisson_logpmf(a: int, lam: float) -> float:
+    return a * math.log(lam) - lam - math.lgamma(a + 1)
+
+
+def enumeration_tv_distance(n: int, m: int, theta) -> float:
+    """Total variation between the first m rows of the count matrix and
+    the independent Poisson grid, on the window of entries <= n.
+
+    The Ewens-side marginal is aggregated by exact enumeration; the Poisson
+    mass outside the window (where the Ewens marginal vanishes) is added in
+    full.  Walks all prod_j (n//j + 1)^k window cells, so only for desk
+    scale.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > n:
+        raise ValueError("m must not exceed n")
+    params = _params(theta)
+    k = params.k
+    marginal: dict[tuple, Fraction] = {}
+    for part in enumerate_multipartitions(n, k):
+        matrix = multipartition_to_matrix(part)
+        key = tuple(
+            tuple(matrix.count(j, l) for l in range(1, k + 1))
+            for j in range(1, m + 1)
+        )
+        marginal[key] = marginal.get(key, Fraction(0)) + refined_esf_pmf(
+            part, params
+        )
+    lam = [[float(t) / j for t in params.thetas] for j in range(1, m + 1)]
+    # row j of the marginal never exceeds n // j, so the window can be cut
+    # to the support; the Poisson mass outside is lumped in one term
+    ranges = [range(n // j + 1) for j in range(1, m + 1) for _ in range(k)]
+    tv = 0.0
+    poisson_in_window = 0.0
+    for flat in itertools.product(*ranges):
+        key = tuple(
+            tuple(flat[(j * k) : (j + 1) * k]) for j in range(m)
+        )
+        logp = 0.0
+        for j in range(m):
+            for l in range(k):
+                logp += _poisson_logpmf(key[j][l], lam[j][l])
+        p_pois = math.exp(logp)
+        poisson_in_window += p_pois
+        p_esf = float(marginal.get(key, Fraction(0)))
+        tv += abs(p_esf - p_pois)
+    tv += 1.0 - poisson_in_window  # Poisson mass where the Ewens marginal is 0
+    return 0.5 * tv

@@ -181,15 +181,21 @@ class TestJointLaw:
         )
         assert total == 1
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_matches_partition_law_aggregation(self, n):
-        th = (F(1), F(2))
+    @pytest.mark.parametrize("n,th", [
+        *(pytest.param(n, (F(1), F(2)), id=str(n)) for n in range(1, 9)),
+        *(pytest.param(n, (F(1, 3), F(2), F(5, 7)), id=f"k3-{n}") for n in range(1, 7)),
+    ])
+    def test_matches_partition_law_aggregation(self, n, th):
         agg = {}
-        for p in enumerate_multipartitions(n, 2):
+        for p in enumerate_multipartitions(n, len(th)):
             key = tuple(c.n_rows for c in p.components)
             agg[key] = agg.get(key, F(0)) + refined_esf_pmf(p, th)
         for key, mass in agg.items():
             assert joint_k_pmf(n, th, key) == mass
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            joint_k_pmf(-1, (F(1), F(2)), (0, 0))
 
     def test_k1_classical_form(self):
         th = (F(3, 2),)

@@ -288,6 +288,8 @@ class TestErrorBoundary:
         ["enumerate", "--n", "-1", "--k", "2", "--count"],
         ["sample-urn", "--n", "3", "--theta", "1,2", "--reps", "-1"],
         ["pmf", "--theta", "1e400,1", "--partition", "[[1],[]]"],
+        ["poisson-tv", "--n", "5", "--m", "0", "--theta", "1,1"],
+        ["pmf", "--theta", "1,2", "--joint-k", "0,0", "--n", "-1"],
     ])
     def test_bad_input_is_one_error_line(self, runner, args):
         res = runner.invoke(main, args)

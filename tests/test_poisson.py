@@ -12,6 +12,8 @@ from multiewens.poisson import (
     truncated_tv_distance,
 )
 
+from oracles import enumeration_tv_distance
+
 F = Fraction
 
 
@@ -140,3 +142,36 @@ class TestTruncatedTV:
             tv += abs(float(marg.get(a, F(0))) - pa)
         tv = 0.5 * (tv + 1.0 - pois_mass)
         assert truncated_tv_distance(n, 1, (th,)) == pytest.approx(tv, abs=1e-12)
+
+
+class TestTVByConditioning:
+    """truncated_tv_distance against the enumeration over every multiple
+    partition and Poisson window cell, and at sizes the enumeration cannot
+    reach."""
+
+    @pytest.mark.parametrize("n,m,th", [
+        (6, 2, (F(1), F(1))),
+        (9, 2, (F(1, 3), F(5, 2))),
+        (12, 2, (F(1), F(1))),
+        (8, 3, (F(7, 10), F(13, 10))),
+        (7, 1, (F(1), F(2))),
+        (5, 5, (F(1), F(2))),
+        (6, 2, (F(1), F(2), F(3))),
+        (7, 1, (F(1, 3), F(2), F(5, 7))),
+    ])
+    def test_matches_enumeration(self, n, m, th):
+        tv = truncated_tv_distance(n, m, th)
+        assert 0.0 <= tv <= 1.0
+        assert tv == pytest.approx(enumeration_tv_distance(n, m, th), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [100, 1_000, 10_000])
+    def test_rate_order_m_over_n(self, n):
+        # pre-registered: n * TV in [5.0, 5.6] at theta = (1, 2), m = 5
+        tv = truncated_tv_distance(n, 5, (F(1), F(2)))
+        assert 0.0 <= tv <= 1.0
+        assert 5.0 <= n * tv <= 5.6
+
+    def test_large_mass_stays_in_range(self):
+        # exp(-w H_m) underflows at w = 1000, m = 10
+        tv = truncated_tv_distance(10_000, 10, (500.0, 500.0))
+        assert math.isfinite(tv) and 0.0 <= tv <= 1.0
