@@ -366,14 +366,14 @@ def clt_scaling(n: int, theta, beta: float) -> ClltScaling:
 
 
 def bernoulli_k_samples(
-    n: int, theta, l: int, reps: int, seed: int, block: int = 0
+    n: int, theta, l: int, reps: int, seed: int
 ) -> np.ndarray:
     """Simulate K_n^(l) as its Bernoulli sum, vectorised across replicates.
 
     Each replicate sums n independent Bernoulli(p_j) draws with
     p_j = theta_l/(w+j), j = 0..n-1, and p_j decreases in j.  The head,
     where p_j >= 1/16, compares one uniform per replicate and position, in
-    blocks of `block` positions (default: about 2**19 uniforms per block).
+    blocks of positions holding about 2**19 uniforms each.
     The tail is sampled exactly by thinning, in O(successes) per replicate:
     from position j with bound q = p_j >= p_c for every c >= j, jump a
     Geometric(q) number of positions to a candidate c, count it with
@@ -391,8 +391,7 @@ def bernoulli_k_samples(
     # p_j >= 1/16 exactly when j <= 16 theta_l - w
     head = min(n, max(0, math.floor(16 * th - w) + 1))
     probs = th / (w + np.arange(head, dtype=float))
-    if block <= 0:
-        block = max(1, _HEAD_BLOCK // max(reps, 1))
+    block = max(1, _HEAD_BLOCK // max(reps, 1))
     out = np.zeros(reps, dtype=np.int64)
     for start in range(0, head, block):
         p = probs[start : start + block, None]

@@ -154,9 +154,9 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
         thetas = _parse_theta(theta)
         try:
             ps = tuple(int(v) for v in joint_text.split(","))
-            value = allele_stats.joint_k_pmf(n_opt, thetas, ps)
         except ValueError as exc:
             raise click.ClickException(f"bad --joint-k counts: {exc}") from exc
+        value = allele_stats.joint_k_pmf(n_opt, thetas, ps)
         rec = {"n": n_opt, "counts": list(ps), **_prob_record(value)}
     else:
         if group_name is None or t_text is None:

@@ -279,16 +279,25 @@ def union(p: MultiplePartition) -> YoungDiagram:
     return YoungDiagram(tuple(sorted(rows, reverse=True)))
 
 
+def _from_alleles(alleles: Iterable[tuple[int, int]], k: int) -> MultiplePartition:
+    """Multiple partition of a sample given as (0-based class, count) per allele.
+
+    The counts of class l, ranked, are the rows of component l; a class with
+    no allele gives an empty component.  Every sampler ends here.
+    """
+    rows: list[list[int]] = [[] for _ in range(k)]
+    for cls, c in alleles:
+        rows[cls].append(c)
+    return MultiplePartition(
+        tuple(YoungDiagram(tuple(sorted(r, reverse=True))) for r in rows)
+    )
+
+
 def set_partition_to_multipartition(s: LabeledSetPartition, k: int) -> MultiplePartition:
     """Forget element identities: block of label l and size j becomes a row."""
-    sizes = s.block_sizes_by_label()
-    if any(label > k for label in sizes):
+    if any(label > k for label, _ in s.blocks):
         raise ValueError(f"block label out of range 1..{k}")
-    comps = []
-    for l in range(1, k + 1):
-        rows = tuple(sorted(sizes.get(l, []), reverse=True))
-        comps.append(YoungDiagram(rows))
-    return MultiplePartition(tuple(comps))
+    return _from_alleles(((label - 1, len(elems)) for label, elems in s.blocks), k)
 
 
 def set_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
@@ -327,6 +336,14 @@ def multipartition_to_lists(p: MultiplePartition) -> list[list[int]]:
 
 
 def multipartition_from_lists(obj: Sequence[Iterable[int]]) -> MultiplePartition:
-    """Parse the nested-list form produced by :func:`multipartition_to_lists`."""
-    comps = tuple(YoungDiagram(tuple(rows)) for rows in obj)
-    return MultiplePartition(comps)
+    """Parse the nested-list form produced by :func:`multipartition_to_lists`.
+
+    Every row must be a plain int (not a bool, float or string), so outside
+    input is never rounded or coerced into a different partition.
+    """
+    comps = tuple(tuple(rows) for rows in obj)
+    for rows in comps:
+        for r in rows:
+            if type(r) is not int:
+                raise ValueError(f"row lengths must be integers, got {r!r}")
+    return MultiplePartition(tuple(YoungDiagram(rows) for rows in comps))

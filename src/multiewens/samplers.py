@@ -3,7 +3,9 @@
 Three routes to the same distribution: the generalized Hoppe urn (one black
 object of mass theta_l per class plus unit-mass colors), the coalescent-style
 per-step rates it realises, and the paintbox over class-weighted ranked
-frequencies drawn from the multiple Poisson-Dirichlet law.
+frequencies drawn from the multiple Poisson-Dirichlet law.  The urn and the
+paintbox end with the alleles they drew as (class, count) pairs, which
+``partitions._from_alleles`` groups into the sample's multiple partition.
 
 Seeding contract: every sampler takes a 64-bit integer seed and is bit
 deterministic for a fixed platform and library version.  Parallel workers
@@ -23,11 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .measure import _params
-from .partitions import LabeledSetPartition, MultiplePartition, YoungDiagram
+from .partitions import LabeledSetPartition, MultiplePartition, _from_alleles
 
 __all__ = [
     "derive_seed",
-    "UrnState",
     "hoppe_urn_sample",
     "hoppe_urn_partition_counts",
     "coalescent_rates",
@@ -53,39 +54,10 @@ def derive_seed(seed: int, index: int) -> int:
     return _splitmix64((_splitmix64(seed & _MASK64) + 1 + index) & _MASK64)
 
 
-@dataclass(frozen=True)
-class UrnState:
-    """Snapshot of the generalized Hoppe urn.
-
-    colors[i] = (class label 1..k, count) for the i-th color created; the
-    black objects are implicit with masses thetas.  total is the number of
-    non-black objects, i.e. the sum of all counts.
-    """
-
-    colors: tuple[tuple[int, int], ...]
-    thetas: tuple
-    total: int
-
-    def __post_init__(self):
-        if any(c < 1 for _, c in self.colors):
-            raise ValueError("every color present has at least one object")
-        if sum(c for _, c in self.colors) != self.total:
-            raise ValueError("total must count the non-black objects")
-
-    def partition(self) -> MultiplePartition:
-        """Colour counts per class, ranked: the urn's multiple partition."""
-        rows: list[list[int]] = [[] for _ in range(len(self.thetas))]
-        for cls, c in self.colors:
-            rows[cls - 1].append(c)
-        return MultiplePartition(
-            tuple(YoungDiagram(tuple(sorted(r, reverse=True))) for r in rows)
-        )
-
-
 def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
     """Run the urn for n draws, one rng.random() and O(1) work per draw.
 
-    Returns (classes, counts, founder): class and count per color in
+    Returns (classes, counts, founder): 0-based class and count per color in
     creation order, and for each draw j the index of the color it joined
     (or founded).  Step j scales its uniform to u in [0, w + j).  Below w
     it picks a black object by scanning the k class masses.  Otherwise
@@ -95,17 +67,17 @@ def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
     1 - 2**-53."""
     w = float(sum(thetas))
     k = len(thetas)
-    classes: list[int] = []  # class of each color, 1-based
+    classes: list[int] = []  # class of each color, 0-based
     counts: list[int] = []
     founder: list[int] = []
     for j in range(n):
         u = rng.random() * (w + j)
         if u < w:
             # black object: found a new color in the chosen class
-            cls = k
+            cls = k - 1
             for l in range(k - 1):
                 if u < thetas[l]:
-                    cls = l + 1
+                    cls = l
                     break
                 u -= thetas[l]
             classes.append(cls)
@@ -118,13 +90,6 @@ def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
     return classes, counts, founder
 
 
-def _rows_key(classes: list[int], counts: list[int], k: int) -> tuple:
-    rows: list[list[int]] = [[] for _ in range(k)]
-    for cls, c in zip(classes, counts):
-        rows[cls - 1].append(c)
-    return tuple(tuple(sorted(r, reverse=True)) for r in rows)
-
-
 def hoppe_urn_sample(
     n: int, theta, seed: int
 ) -> tuple[MultiplePartition, LabeledSetPartition]:
@@ -134,7 +99,9 @@ def hoppe_urn_sample(
     the class-l black object (mass theta_l) founds a new color of class l,
     an existing color (mass = its count) gains one object of its color.
     Returns both the color-count multiple partition and the labelled set
-    partition of the draw indices 1..n, whose blocks are the colors.
+    partition of the draw indices 1..n, whose blocks are the colors with
+    their 1-based class labels.  Colors are founded in draw order, so the
+    blocks come out ordered by their smallest element.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -142,14 +109,14 @@ def hoppe_urn_sample(
     thetas = [float(t) for t in params.thetas]
     rng = random.Random(seed)
     classes, counts, founder = _urn_run(n, thetas, rng)
-    state = UrnState(tuple(zip(classes, counts)), params.thetas, total=n)
-    members: dict[int, set[int]] = {}
+    members: list[list[int]] = [[] for _ in counts]
     for j, idx in enumerate(founder, start=1):
-        members.setdefault(idx, set()).add(j)
-    blocks = tuple(
-        (classes[idx], frozenset(elems)) for idx, elems in members.items()
+        members[idx].append(j)
+    blocks = tuple((cls + 1, frozenset(m)) for cls, m in zip(classes, members))
+    return (
+        _from_alleles(zip(classes, counts), params.k),
+        LabeledSetPartition(blocks, n=n),
     )
-    return state.partition(), LabeledSetPartition(blocks, n=n)
 
 
 def hoppe_urn_partition_counts(
@@ -158,7 +125,9 @@ def hoppe_urn_partition_counts(
     """Empirical counts of urn multiple partitions over `reps` runs.
 
     Same process as :func:`hoppe_urn_sample` on a single stream, without the
-    per-run set-partition bookkeeping; keys are MultiplePartition.
+    per-run set-partition bookkeeping; keys are MultiplePartition.  A run is
+    tallied under its sorted (class, count) pairs, and each distinct key is
+    built into a partition once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -166,16 +135,12 @@ def hoppe_urn_partition_counts(
         raise ValueError("reps must be >= 0")
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
-    k = params.k
     rng = random.Random(seed)
     raw: Counter = Counter()
     for _ in range(reps):
         classes, counts, _ = _urn_run(n, thetas, rng)
-        raw[_rows_key(classes, counts, k)] += 1
-    out: Counter = Counter()
-    for key, c in raw.items():
-        out[MultiplePartition(tuple(YoungDiagram(r) for r in key))] = c
-    return out
+        raw[tuple(sorted(zip(classes, counts)))] += 1
+    return Counter({_from_alleles(key, params.k): c for key, c in raw.items()})
 
 
 def coalescent_rates(j: int, theta):
@@ -293,17 +258,11 @@ def paintbox_sample(n: int, f: FrequencyRanked, seed: int) -> MultiplePartition:
     probs.extend(remainders)
     p = np.asarray(probs, dtype=float)
     p /= p.sum()
-    counts = rng.multinomial(n, p)
-    regular = counts[: len(owner)]
-    fresh = counts[len(owner):]
-    rows: list[list[int]] = [[] for _ in range(f.k)]
-    for cls, c in zip(owner, regular):
-        if c > 0:
-            rows[cls].append(int(c))
-    for l, c in enumerate(fresh):
-        rows[l].extend([1] * int(c))
-    comps = tuple(YoungDiagram(tuple(sorted(r, reverse=True))) for r in rows)
-    return MultiplePartition(comps)
+    counts = rng.multinomial(n, p).tolist()
+    alleles = [(cls, c) for cls, c in zip(owner, counts) if c > 0]
+    for l, c in enumerate(counts[len(owner):]):
+        alleles.extend([(l, 1)] * c)
+    return _from_alleles(alleles, f.k)
 
 
 def _augmented_monomial(parts: tuple[int, ...], power_sums):

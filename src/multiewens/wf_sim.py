@@ -27,12 +27,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .measure import _params
-from .partitions import MultiplePartition, YoungDiagram
+from .partitions import MultiplePartition, _from_alleles
 
 __all__ = [
     "Population",
@@ -136,17 +136,7 @@ def sample_composition(pop: Population, n: int, seed_or_rng) -> MultiplePartitio
     )
     picks = rng.choice(pop.size, size=n, replace=False)
     genes = Counter(zip(pop.classes[picks].tolist(), pop.ids[picks].tolist()))
-    return _composition_of(((cls, c) for (cls, _), c in genes.items()), pop.k)
-
-
-def _composition_of(alleles: Iterable[tuple[int, int]], k: int) -> MultiplePartition:
-    """Multiple partition of a sample given as (class, count) per allele seen."""
-    rows: list[list[int]] = [[] for _ in range(k)]
-    for cls, c in alleles:
-        rows[cls].append(c)
-    return MultiplePartition(
-        tuple(YoungDiagram(tuple(sorted(r, reverse=True))) for r in rows)
-    )
+    return _from_alleles(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
 
 class _AlleleCounts:
@@ -186,7 +176,7 @@ class _AlleleCounts:
     def sample(self, n: int, rng: np.random.Generator) -> MultiplePartition:
         """Composition of a uniform sample of n genes without replacement."""
         picked = rng.multivariate_hypergeometric(self.counts, n).tolist()
-        return _composition_of(
+        return _from_alleles(
             ((cls, c) for (cls, _), c in zip(self.keys, picked) if c), self.k
         )
 

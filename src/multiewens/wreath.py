@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .measure import MutationParams, _product
-from .partitions import MultiplePartition, YoungDiagram
+from .partitions import MultiplePartition, _from_alleles
 
 __all__ = [
     "GroupTable",
@@ -214,18 +214,18 @@ def cycle_type(x: WreathElement, group: GroupTable) -> MultiplePartition:
     Each cycle (i_1..i_r) of s contributes a row of length r to the
     component of the conjugacy class of its cycle-product
     g_{i_r} g_{i_{r-1}} ... g_{i_1}.  The per-class cycle counts [x]_{c_l}
-    are the row counts of the components.
+    are the row counts of the components.  Every entry of g must index an
+    element of the group.
     """
-    rows: list[list[int]] = [[] for _ in range(group.k)]
+    if x.g and (min(x.g) < 0 or max(x.g) >= group.order):
+        raise ValueError(f"entries of g must be in 0..{group.order - 1}")
+    alleles = []
     for cyc in _cycles(x.s):
         prod = group.identity
         for i in cyc:
             prod = group.mult(x.g[i], prod)
-        rows[group.class_of[prod]].append(len(cyc))
-    comps = tuple(
-        YoungDiagram(tuple(sorted(r, reverse=True))) for r in rows
-    )
-    return MultiplePartition(comps)
+        alleles.append((group.class_of[prod], len(cyc)))
+    return _from_alleles(alleles, group.k)
 
 
 def pewens_pmf(x: WreathElement, group: GroupTable, t):

@@ -335,13 +335,6 @@ class TestBernoulliSimulator:
         b = bernoulli_k_samples(50, (1.0, 2.0), 2, 100, seed=3)
         assert np.array_equal(a, b)
 
-    def test_blocking_invariance(self):
-        # the block size is a performance knob; it changes the draw order,
-        # not the law: moments stay within MC error
-        a = bernoulli_k_samples(100, (1.0, 2.0), 1, 20_000, seed=8, block=7)
-        b = bernoulli_k_samples(100, (1.0, 2.0), 1, 20_000, seed=9, block=100)
-        assert abs(a.mean() - b.mean()) < 0.1
-
     def test_range(self):
         ks = bernoulli_k_samples(30, (1.0, 1.0), 1, 500, seed=1)
         assert ks.min() >= 0 and ks.max() <= 30

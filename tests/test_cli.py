@@ -246,6 +246,14 @@ class TestThetaParsing:
         assert res.exit_code != 0
         assert "joint-k" in res.output or "joint-k" in res.stderr
 
+    def test_joint_law_error_is_not_blamed_on_counts(self, runner):
+        res = runner.invoke(main, ["pmf", "--theta", "0.5,1.0", "--joint-k", "1,1",
+                                   "--n", "3"])
+        assert res.exit_code == 1
+        errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1
+        assert "rational" in errors[0] and "counts" not in errors[0]
+
 
 class TestGroupTableFile:
     def test_json_group_table(self, runner, tmp_path):
@@ -290,6 +298,11 @@ class TestErrorBoundary:
         ["pmf", "--theta", "1e400,1", "--partition", "[[1],[]]"],
         ["poisson-tv", "--n", "5", "--m", "0", "--theta", "1,1"],
         ["pmf", "--theta", "1,2", "--joint-k", "0,0", "--n", "-1"],
+        ["pmf", "--theta", "1", "--element", '{"g":[5],"s":[0]}', "--group", "z2",
+         "--t", "1,2"],
+        ["pmf", "--theta", "1", "--element", '{"g":[-1],"s":[0]}', "--group", "z2",
+         "--t", "1,2"],
+        ["pmf", "--theta", "1,2", "--partition", "[[1.5],[]]"],
     ])
     def test_bad_input_is_one_error_line(self, runner, args):
         res = runner.invoke(main, args)

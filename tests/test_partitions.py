@@ -18,6 +18,7 @@ from multiewens.partitions import (
     set_partition_to_multipartition,
     set_partitions,
     union,
+    _from_alleles,
 )
 
 from oracles import multipartition_count, partition_count
@@ -186,6 +187,28 @@ class TestSetPartitions:
         assert sum(1 for _ in labeled_set_partitions(6, 2)) == expected
 
 
+class TestFromAlleles:
+    def test_groups_and_ranks_counts_by_class(self):
+        # colours (class 1, 3), (class 2, 1), (class 1, 1) in 1-based labels
+        assert _from_alleles([(0, 3), (1, 1), (0, 1)], 2) == mp([3, 1], [1])
+
+    def test_pair_order_does_not_matter(self):
+        pairs = [(0, 1), (2, 4), (0, 3), (2, 1), (0, 3)]
+        want = mp([3, 3, 1], [], [4, 1])
+        rng = random.Random(5)
+        for _ in range(20):
+            rng.shuffle(pairs)
+            assert _from_alleles(pairs, 3) == want
+
+    def test_empty_classes_stay_empty(self):
+        assert _from_alleles([(1, 2)], 3) == mp([], [2], [])
+        assert _from_alleles([], 2) == mp([], [])
+
+    def test_rows_are_validated(self):
+        with pytest.raises(ValueError):
+            _from_alleles([(0, 0)], 1)
+
+
 class TestSerialization:
     def test_round_trip(self):
         p = mp([2, 1], [1], [])
@@ -197,3 +220,7 @@ class TestSerialization:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             multipartition_from_lists([[1, 2]])
+        # rows that int() would coerce are not integers
+        for rows in ([[1.5], []], [["2"], []], [[True], []], [[2.0], []]):
+            with pytest.raises(ValueError):
+                multipartition_from_lists(rows)

@@ -60,6 +60,13 @@ class TestHoppeUrn:
         b = hoppe_urn_sample(8, (0.7, 1.3), seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("n", [6, 200])
+    def test_counting_path_matches_one_draw(self, n):
+        # both urn paths run one engine on one stream and one builder
+        for seed in (0, 1, 7, 2**40 + 3):
+            part, _ = hoppe_urn_sample(n, (0.7, 1.3), seed=seed)
+            assert hoppe_urn_partition_counts(n, (0.7, 1.3), 1, seed) == Counter({part: 1})
+
     def test_returns_consistent_pair(self):
         for seed in range(30):
             part, blocks = hoppe_urn_sample(7, (1.0, 2.0), seed=seed)
@@ -138,7 +145,7 @@ class TestUrnTopDraw:
         w = sum(ts)
         assert self.TOP * (w + 3) - w == 3.0
         classes, counts, founder = _urn_run(4, ts, self.Scripted([self.TOP, 0.0, 0.0, self.TOP]))
-        assert classes == [2, 1, 1]
+        assert classes == [1, 0, 0]  # 0-based classes
         assert counts == [1, 1, 2]
         assert founder == [0, 1, 2, 2]
 
@@ -148,7 +155,7 @@ class TestUrnTopDraw:
         ts = [0.05, 1 / 7, 2.0]
         assert self.TOP * sum(ts) - ts[0] - ts[1] >= ts[2]
         classes, counts, founder = _urn_run(1, ts, self.Scripted([self.TOP]))
-        assert (classes, counts, founder) == ([3], [1], [0])
+        assert (classes, counts, founder) == ([2], [1], [0])
 
     def test_top_draw_copies_the_previous_draw(self):
         # draws 0 and 1 found colours 0 and 1, draw 2 copies draw 0; at j = 3
@@ -160,7 +167,7 @@ class TestUrnTopDraw:
         copy_first = (w + 0.5) / (w + 2)
         draws = [0.0, 0.0, copy_first, self.TOP]
         classes, counts, founder = _urn_run(4, ts, self.Scripted(draws))
-        assert classes == [1, 1]
+        assert classes == [0, 0]
         assert counts == [3, 1]
         assert founder == [0, 1, 0, 0]
 
@@ -422,18 +429,3 @@ class TestIntegralRepresentation:
             exact = float(refined_esf_pmf(p, th_q))
             assert abs(est - exact) <= 4 * se + 1e-4
 
-
-class TestUrnState:
-    def test_partition_projection(self):
-        from multiewens.samplers import UrnState
-
-        state = UrnState(((1, 3), (2, 1), (1, 1)), (1.0, 2.0), total=5)
-        assert state.partition() == mp([3, 1], [1])
-
-    def test_validation(self):
-        from multiewens.samplers import UrnState
-
-        with pytest.raises(ValueError):
-            UrnState(((1, 0),), (1.0,), total=0)
-        with pytest.raises(ValueError):
-            UrnState(((1, 2),), (1.0,), total=3)

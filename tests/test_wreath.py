@@ -153,6 +153,16 @@ class TestCycleType:
         x = WreathElement((0, 1), (1, 0))
         assert cycle_type(x, g) == mp([], [2])
 
+    def test_entries_outside_the_group_rejected(self):
+        # -1 would otherwise index the last element, 5 past the table
+        g = cyclic_group(2)
+        for entries in ((5,), (-1,), (0, 2)):
+            x = WreathElement(entries, tuple(range(len(entries))))
+            with pytest.raises(ValueError):
+                cycle_type(x, g)
+            with pytest.raises(ValueError):
+                pewens_pmf(x, g, (1, 2))
+
     def test_total_size(self):
         g = symmetric_group_3()
         rng = random.Random(1)
