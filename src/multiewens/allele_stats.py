@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import _exact_params, _params, _product
+from .measure import CheckReport, _common, _exact_common, _exact_params, _params, _sum_report
+from .partitions import compositions_of
 
 __all__ = [
     "harmonic_h",
@@ -27,6 +28,7 @@ __all__ = [
     "class_moments",
     "stirling_first",
     "joint_k_pmf",
+    "joint_k_check",
     "RegimeSpec",
     "RegimePrediction",
     "regime_prediction",
@@ -251,7 +253,8 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     Each allele takes class l on its own with probability theta_l / w, and
     P(K_n = K) = |s(n, K)| w^K / (w)_n, so with K = sum p_l this is
     |s(n, K)| K! / prod p_l! * prod theta_l^{p_l} / (w)_n.  Requires
-    rational theta; returns a Fraction.
+    rational theta; returns a Fraction, N(ps) / D_n over the shared
+    denominator of :mod:`multiewens.measure`.
     """
     params = _exact_params(theta, "joint law")
     if n < 0:
@@ -261,10 +264,30 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
         raise ValueError(f"need k={params.k} counts")
     if any(p < 0 for p in ps):
         raise ValueError("counts must be nonnegative")
+    q, scaled, d_n = _common(params.thetas, n)
+    return Fraction(_joint_k_numerator(n, ps, q, scaled), d_n)
+
+
+def _joint_k_numerator(n: int, ps: tuple[int, ...], q: int, scaled) -> int:
+    """|s(n, K)| K! / prod p_l! * prod (Q theta_l)^{p_l} * Q^{n-K}."""
     alleles = sum(ps)
+    if alleles > n:
+        return 0
     multinomial = math.factorial(alleles) // math.prod(map(math.factorial, ps))
-    powers = [*zip(params.thetas, ps), (stirling_first(n, alleles) * multinomial, 1)]
-    return _product(True, powers, [(params.w, (n,), -1)])
+    powers = math.prod(s**p for s, p in zip(scaled, ps))
+    return stirling_first(n, alleles) * multinomial * powers * q ** (n - alleles)
+
+
+def joint_k_check(n: int, k: int, theta) -> CheckReport:
+    """Exact check that the joint law of (K_n^(1)..K_n^(k)) sums to one over
+    its support sum_l p_l <= n: the numerators sum to D_n."""
+    q, scaled, d_n = _exact_common(theta, k, n, "joint law check")
+    total = sum(
+        _joint_k_numerator(n, ps, q, scaled)
+        for alleles in range(n + 1)
+        for ps in compositions_of(alleles, k)
+    )
+    return _sum_report("joint-k", total, d_n)
 
 
 @dataclass(frozen=True)

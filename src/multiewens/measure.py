@@ -9,6 +9,16 @@ Each law is written once, as factors x**e and ((x)_m)**e, and evaluated by one
 backend picked from the mass types: exact Fractions when every theta is an int
 or Fraction (the oracle path), and a sum of logs otherwise, which stays finite
 far beyond the n where (w)_n would overflow.
+
+Exact laws of size n share one denominator: with Q the lcm of the mass
+denominators, D_n = prod_{i<n} (Qw + iQ) = Q^n (w)_n and P(p) = N(p) / D_n for
+
+    N(p) = n! / prod_{l,j} j^{a_j^(l)} a_j^(l)!  *  prod_l (Q theta_l)^{K_l}  *  Q^{n-K},
+
+with K_l rows in component l and K = sum K_l.  The first factor counts the
+permutations with these class-coloured cycles, so N(p) is an integer.  Q,
+the Q theta_l and D_n are cached per (theta, n); the exact sweep checks
+compare integer sums of numerators.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .partitions import (
@@ -24,6 +35,7 @@ from .partitions import (
     YoungDiagram,
     enumerate_multipartitions,
     compositions_of,
+    labeled_set_partitions,
     partitions_of,
     union,
 )
@@ -42,6 +54,9 @@ __all__ = [
     "union_marginal_check",
     "vandermonde_check",
     "labeled_set_partition_pmf",
+    "normalization_check",
+    "factorization_check",
+    "set_partition_check",
     "CheckReport",
 ]
 
@@ -113,24 +128,44 @@ def log_pochhammer(x: float, n: int) -> float:
     return math.lgamma(x + n) - math.lgamma(x)
 
 
-def _check_k(p: MultiplePartition, params: MutationParams):
-    if p.k != params.k:
-        raise ValueError(
-            f"partition has k={p.k} components but theta has k={params.k}"
-        )
+def _check_k(k: int, params: MutationParams):
+    if k != params.k:
+        raise ValueError(f"partition has k={k} components but theta has k={params.k}")
+
+
+@lru_cache(maxsize=256)
+def _rising(p: int, q: int, m: int) -> int:
+    """prod_{i<m} (p + iq), the numerator of (p/q)_m over q^m."""
+    return math.prod(range(p, p + m * q, q))
+
+
+@lru_cache(maxsize=256)
+def _common(thetas: tuple, n: int) -> tuple[int, tuple[int, ...], int]:
+    """(Q, the scaled masses Q theta_l, D_n) for exact masses; see the module
+    docstring.  Only exact masses may reach this cache: 1 and 1.0 hash alike."""
+    q = math.lcm(*(Fraction(t).denominator for t in thetas))
+    scaled = tuple(int(t * q) for t in thetas)
+    return q, scaled, _rising(sum(scaled), q, n)
+
+
+def _exact_common(theta, k: int, n: int, what: str):
+    """:func:`_common` for a sweep over states with k components."""
+    params = _exact_params(theta, what)
+    _check_k(k, params)
+    return _common(params.thetas, n)
 
 
 def _product(exact: bool, powers, pochs) -> Numeric:
     """prod x**e over (x, e) in powers, times ((x)_m)**e for every m in ms of
     each (x, ms, e) in pochs.  Exact: one integer numerator and denominator,
-    with (p/q)_m = prod_{i<m} (p + iq) / q^m, and one Fraction at the end;
-    otherwise the exp of :func:`_log_product`."""
+    with (p/q)_m = :func:`_rising` (p, q, m) / q^m, and one Fraction at the
+    end; otherwise the exp of :func:`_log_product`."""
     if not exact:
         return math.exp(_log_product(powers, pochs))
     terms = [(x.numerator, x.denominator, e) for x, e in powers]
     for x, ms, e in pochs:
         p, q = x.numerator, x.denominator
-        rising = math.prod([math.prod(range(p, p + m * q, q)) for m in ms])
+        rising = math.prod([_rising(p, q, m) for m in ms])
         terms.append((rising, q ** sum(ms), e))
     num = den = 1
     for top, bot, e in terms:
@@ -168,19 +203,43 @@ def _esf_factors(components, thetas, w):
     return powers, [(1, counts, -1), (1, (n,), 1), (w, (n,), -1)]
 
 
+def _esf_numerator(components, q: int, scaled) -> int:
+    """N(p) of the module docstring for the components of p, given Q and the
+    scaled masses.  The product of a_j! over the rows of a component is built
+    run by run: the i-th repeat of a row length multiplies by i."""
+    n = n_rows = 0
+    weight = den = 1
+    for s, comp in zip(scaled, components):
+        rows = comp.rows
+        if rows:
+            n += sum(rows)
+            n_rows += len(rows)
+            weight *= s ** len(rows)
+            den *= math.prod(rows)
+            run = 1
+            for prev, r in zip(rows, rows[1:]):
+                run = run + 1 if r == prev else 1
+                den *= run
+    return math.factorial(n) // den * weight * q ** (n - n_rows)
+
+
 def refined_esf_pmf(p: MultiplePartition, theta) -> Numeric:
     """Probability of the multiple partition p under the k-class Ewens law.
 
-    Exact Fraction for rational theta, float (from log space) otherwise.
+    Exact Fraction N(p) / D_n for rational theta, float (from log space)
+    otherwise.
     """
     params = _params(theta)
-    _check_k(p, params)
-    return _product(params.is_exact, *_esf_factors(p.components, params.thetas, params.w))
+    _check_k(p.k, params)
+    if not params.is_exact:
+        return _product(False, *_esf_factors(p.components, params.thetas, params.w))
+    q, scaled, d_n = _common(params.thetas, p.n)
+    return Fraction(_esf_numerator(p.components, q, scaled), d_n)
 
 
 def refined_esf_log_pmf(p: MultiplePartition, theta) -> float:
     params = _params(theta)
-    _check_k(p, params)
+    _check_k(p.k, params)
     return _log_product(*_esf_factors(p.components, params.thetas, params.w))
 
 
@@ -202,7 +261,7 @@ def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:
     Kept separate from :func:`refined_esf_pmf` as a cross-checking route.
     """
     params = _params(theta)
-    _check_k(p, params)
+    _check_k(p.k, params)
     powers, pochs = [], [(1, (p.n,), 1), (params.w, (p.n,), -1)]
     for th, comp in zip(params.thetas, p.components):
         single_powers, single_pochs = _esf_factors((comp,), (th,), th)
@@ -220,16 +279,17 @@ def downward_transition(p: MultiplePartition) -> dict[MultiplePartition, Fractio
     n = p.n
     if n == 0:
         raise ValueError("cannot sub-sample an empty multiple partition")
-    children: dict[MultiplePartition, Fraction] = {}
+    return {child: Fraction(weight, n) for child, weight in _children(p)}
+
+
+def _children(p: MultiplePartition):
+    """(child, m_L * L) for every row length L of every component; distinct
+    (component, L) pairs give distinct children."""
     for l, comp in enumerate(p.components):
         for length, mult in comp.multiplicities().items():
-            shrunk = comp.remove_box_from_row(length)
             comps = list(p.components)
-            comps[l] = shrunk
-            child = MultiplePartition(tuple(comps))
-            prob = Fraction(mult * length, n)
-            children[child] = children.get(child, Fraction(0)) + prob
-    return children
+            comps[l] = comp.remove_box_from_row(length)
+            yield MultiplePartition(tuple(comps)), mult * length
 
 
 @dataclass(frozen=True)
@@ -244,71 +304,122 @@ class CheckReport:
         return self.ok
 
 
+def _sum_report(name: str, total: int, d_n: int) -> CheckReport:
+    """Report on a law whose numerators over D_n sum to total."""
+    if total == d_n:
+        return CheckReport(name, True)
+    return CheckReport(name, False, (f"sum={Fraction(total, d_n)}",))
+
+
+def normalization_check(n: int, k: int, theta) -> CheckReport:
+    """Exact check that the refined law of size n sums to one: sum_p N(p) == D_n."""
+    q, scaled, d_n = _exact_common(theta, k, n, "normalization check")
+    total = sum(_esf_numerator(p.components, q, scaled) for p in enumerate_multipartitions(n, k))
+    return _sum_report("normalization", total, d_n)
+
+
+def factorization_check(n: int, k: int, theta) -> CheckReport:
+    """Exact check that :func:`refined_esf_pmf` equals the factorized route on
+    every multiple partition of n into k components."""
+    params = _exact_params(theta, "factorization check")
+    failures = []
+    for p in enumerate_multipartitions(n, k):
+        direct, factorized = refined_esf_pmf(p, params), refined_esf_pmf_factorized(p, params)
+        if direct != factorized:
+            failures.append(f"p={multilists(p)}: pmf {direct} != factorized {factorized}")
+    return CheckReport("factorization", not failures, tuple(failures))
+
+
 def check_consistency(n: int, k: int, theta) -> CheckReport:
     """Exact check that sub-sampling maps the size-n law onto the size-(n-1) law.
 
-    Verifies M_{n-1}(mu) == sum_p T(p -> mu) M_n(p) for every mu, in
-    rational arithmetic.  Requires rational theta; desk scale n.
+    Verifies M_{n-1}(mu) == sum_p T(p -> mu) M_n(p) for every mu, where
+    T(p -> mu) = m_L L / n.  Over the shared denominators this is the integer
+    identity sum_p m_L L N_n(p) == n (Qw + (n-1)Q) N_{n-1}(mu).  Requires
+    rational theta; desk scale n.
     """
-    params = _exact_params(theta, "consistency check")
+    q, scaled, d_n = _exact_common(theta, k, n, "consistency check")
     if n < 1:
         return CheckReport("consistency", True)
-    pushed: dict[MultiplePartition, Fraction] = {}
+    step = n * (sum(scaled) + (n - 1) * q)  # n D_n / D_{n-1}
+    pushed: dict[MultiplePartition, int] = {}
     for p in enumerate_multipartitions(n, k):
-        mass = refined_esf_pmf(p, params)
-        for child, prob in downward_transition(p).items():
-            pushed[child] = pushed.get(child, Fraction(0)) + prob * mass
+        mass = _esf_numerator(p.components, q, scaled)
+        for child, weight in _children(p):
+            pushed[child] = pushed.get(child, 0) + weight * mass
     failures = []
     for mu in enumerate_multipartitions(n - 1, k):
-        expected = refined_esf_pmf(mu, params)
-        got = pushed.get(mu, Fraction(0))
-        if got != expected:
+        expected = _esf_numerator(mu.components, q, scaled)
+        got = pushed.get(mu, 0)
+        if got != step * expected:
+            got, expected = Fraction(got, n * d_n), Fraction(expected * step, n * d_n)
             failures.append(f"mu={multilists(mu)}: pushed {got} != pmf {expected}")
     return CheckReport("consistency", not failures, tuple(failures))
 
 
 def union_marginal_check(n: int, k: int, theta) -> CheckReport:
-    """Exact check that forgetting class labels gives classical Ewens at w."""
-    params = _exact_params(theta, "union marginal check")
-    grouped: dict[YoungDiagram, Fraction] = {}
+    """Exact check that forgetting class labels gives classical Ewens at w:
+    the numerators grouped by union equal the single-class numerators at
+    mass Qw over the same D_n."""
+    q, scaled, d_n = _exact_common(theta, k, n, "union marginal check")
+    grouped: dict[YoungDiagram, int] = {}
     for p in enumerate_multipartitions(n, k):
         lam = union(p)
-        grouped[lam] = grouped.get(lam, Fraction(0)) + refined_esf_pmf(p, params)
+        grouped[lam] = grouped.get(lam, 0) + _esf_numerator(p.components, q, scaled)
     failures = []
     for rows in partitions_of(n):
         lam = YoungDiagram(rows)
-        expected = classical_ewens_pmf(lam, params.w)
-        got = grouped.get(lam, Fraction(0))
+        expected = _esf_numerator((lam,), q, (sum(scaled),))
+        got = grouped.get(lam, 0)
         if got != expected:
+            got, expected = Fraction(got, d_n), Fraction(expected, d_n)
             failures.append(f"lambda={rows}: grouped {got} != Ewens {expected}")
     return CheckReport("union-marginal", not failures, tuple(failures))
 
 
 def vandermonde_check(n: int, k: int, theta) -> bool:
     """n! * sum over n_1+..+n_k=n of prod (theta_l)_{n_l}/n_l! == (w)_n, exactly."""
-    params = _exact_params(theta, "identity check")
-    thetas = [Fraction(t) for t in params.thetas]
-    total = Fraction(0)
-    for sizes in compositions_of(n, k):
-        term = Fraction(1)
-        for th, m in zip(thetas, sizes):
-            term *= pochhammer(th, m) / math.factorial(m)
-        total += term
-    return math.factorial(n) * total == pochhammer(Fraction(params.w), n)
+    q, scaled, d_n = _exact_common(theta, k, n, "identity check")
+    total = sum(  # n!/prod n_l! * prod Q^{n_l} (theta_l)_{n_l}, against Q^n (w)_n
+        math.factorial(n) // math.prod(map(math.factorial, sizes))
+        * math.prod(map(_rising, scaled, (q,) * k, sizes))
+        for sizes in compositions_of(n, k)
+    )
+    return total == d_n
 
 
 def labeled_set_partition_pmf(s: LabeledSetPartition, theta) -> Numeric:
     """Probability of a labelled set partition of the gene labels {1..n}.
 
-    prod over blocks of theta_{label} * (|B|-1)!, divided by (w)_n.  Depends
-    on the blocks only through sizes and labels (exchangeable).
+    prod over blocks of theta_{label} * (|B|-1)!, divided by (w)_n; exact
+    as N(s) / D_n.  Depends on the blocks only through sizes and labels
+    (exchangeable).
     """
     params = _params(theta)
     if any(label > params.k for label, _ in s.blocks):
         raise ValueError(f"block label out of range 1..{params.k}")
+    if params.is_exact:
+        q, scaled, d_n = _common(params.thetas, s.n)
+        return Fraction(_set_partition_numerator(s, q, scaled), d_n)
     powers = [(params.thetas[label - 1], 1) for label, _ in s.blocks]
     pochs = [(1, [len(elems) - 1 for _, elems in s.blocks], 1), (params.w, (s.n,), -1)]
-    return _product(params.is_exact, powers, pochs)
+    return _product(False, powers, pochs)
+
+
+def _set_partition_numerator(s: LabeledSetPartition, q: int, scaled) -> int:
+    """N(s) = prod over blocks of (Q theta_label)(|B|-1)!, times Q^{n-#blocks}."""
+    num = q ** (s.n - len(s.blocks))
+    for label, elems in s.blocks:
+        num *= scaled[label - 1] * math.factorial(len(elems) - 1)
+    return num
+
+
+def set_partition_check(n: int, k: int, theta) -> CheckReport:
+    """Exact check that the labelled set-partition law of {1..n} with labels
+    1..k sums to one: sum_s N(s) == D_n."""
+    q, scaled, d_n = _exact_common(theta, k, n, "set-partition check")
+    total = sum(_set_partition_numerator(s, q, scaled) for s in labeled_set_partitions(n, k))
+    return _sum_report("set-partition", total, d_n)
 
 
 def multilists(p: MultiplePartition) -> str:

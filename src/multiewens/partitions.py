@@ -8,7 +8,9 @@ a set partition of the gene labels with a class label on every block.
 
 Everything here is immutable and hashable, and the enumeration helpers are
 deliberately simple so they can serve as exact oracles for the measure and
-sampler modules.
+sampler modules.  The public constructors validate their input; the
+enumerators and the box-removal and union maps, whose values are valid by
+construction, build their instances through :func:`_trusted` instead.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class YoungDiagram:
         rows.remove(length)
         if length > 1:
             rows.append(length - 1)
-        return YoungDiagram(tuple(sorted(rows, reverse=True)))
+        return _trusted(YoungDiagram, rows=tuple(sorted(rows, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,15 @@ class LabeledSetPartition:
         return sizes
 
 
+def _trusted(cls, **fields):
+    """Instance of one of the frozen dataclasses above from field values that
+    are valid and canonical by construction; skips ``__post_init__``, so it
+    is equal and hash-equal to the validated instance of the same values."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def matrix_to_multipartition(m: AlleleCountMatrix) -> MultiplePartition:
     """Read off the multiple partition whose component l has a_j^(l) rows of length j."""
     comps = []
@@ -243,10 +254,13 @@ def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiplePartition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    diagrams: dict[int, list[YoungDiagram]] = {}
     for sizes in compositions_of(n, k):
-        pools = [list(partitions_of(m)) for m in sizes]
-        for rows in itertools.product(*pools):
-            yield MultiplePartition(tuple(YoungDiagram(r) for r in rows))
+        for m in sizes:
+            if m not in diagrams:
+                diagrams[m] = [_trusted(YoungDiagram, rows=r) for r in partitions_of(m)]
+        for comps in itertools.product(*(diagrams[m] for m in sizes)):
+            yield _trusted(MultiplePartition, components=comps)
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +290,7 @@ def union(p: MultiplePartition) -> YoungDiagram:
     rows: list[int] = []
     for comp in p.components:
         rows.extend(comp.rows)
-    return YoungDiagram(tuple(sorted(rows, reverse=True)))
+    return _trusted(YoungDiagram, rows=tuple(sorted(rows, reverse=True)))
 
 
 def _from_alleles(alleles: Iterable[tuple[int, int]], k: int) -> MultiplePartition:
@@ -321,13 +335,24 @@ def set_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
     yield from grow([], 0)
 
 
+@lru_cache(maxsize=None)
+def _stirling_second(p: int, m: int) -> int:
+    """Partitions of a p-set into m nonempty blocks."""
+    if p == 0:
+        return 1 if m == 0 else 0
+    if m == 0 or m > p:
+        return 0
+    return m * _stirling_second(p - 1, m) + _stirling_second(p - 1, m - 1)
+
+
 def labeled_set_partitions(n: int, k: int) -> Iterator[LabeledSetPartition]:
-    """All set partitions of {1..n} with every block labelled from 1..k."""
+    """All set partitions of {1..n} with every block labelled from 1..k.
+
+    :func:`set_partitions` lists blocks by their smallest element, the
+    canonical order of :class:`LabeledSetPartition`."""
     for blocks in set_partitions(n):
         for labels in itertools.product(range(1, k + 1), repeat=len(blocks)):
-            yield LabeledSetPartition(
-                tuple(zip(labels, blocks)), n=n
-            )
+            yield _trusted(LabeledSetPartition, blocks=tuple(zip(labels, blocks)), n=n)
 
 
 def multipartition_to_lists(p: MultiplePartition) -> list[list[int]]:
@@ -341,9 +366,14 @@ def multipartition_from_lists(obj: Sequence[Iterable[int]]) -> MultiplePartition
     Every row must be a plain int (not a bool, float or string), so outside
     input is never rounded or coerced into a different partition.
     """
-    comps = tuple(tuple(rows) for rows in obj)
-    for rows in comps:
-        for r in rows:
-            if type(r) is not int:
-                raise ValueError(f"row lengths must be integers, got {r!r}")
+    comps = tuple(_plain_ints(rows, "row lengths") for rows in obj)
     return MultiplePartition(tuple(YoungDiagram(rows) for rows in comps))
+
+
+def _plain_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple; each must be a plain int, not a bool, float or string."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return values

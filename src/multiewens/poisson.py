@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import CheckReport, _exact_params, _params, pochhammer, refined_esf_pmf
-from .partitions import enumerate_multipartitions, multipartition_to_matrix
+from .measure import CheckReport, _exact_common, _exact_params, _params, refined_esf_pmf
+from .partitions import enumerate_multipartitions
 
 __all__ = [
     "PoissonMatrixLaw",
@@ -70,30 +70,33 @@ def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
       * sum over count matrices of prod (theta_l/j)^a / a!  ==  (w)_n / n!
       * for each matrix, the Ewens probability equals its Poisson product
         weight divided by that normalizer.
+
+    The weight is read from the row multiplicities as top / bottom =
+    prod (Q theta_l)^a / prod (Qj)^a a!, and both identities are compared
+    cross-multiplied as integers, using (w)_n / n! = D_n / (Q^n n!).
     """
     params = _exact_params(theta, "conditional identity check")
-    thetas = [Fraction(t) for t in params.thetas]
-    normalizer = pochhammer(Fraction(params.w), n) / math.factorial(n)
+    q, scaled, d_n = _exact_common(params, k, n, "conditional identity check")
+    scale = q**n * math.factorial(n)
     failures = []
-    total = Fraction(0)
+    total = 0
     for part in enumerate_multipartitions(n, k):
-        matrix = multipartition_to_matrix(part)
-        weight = Fraction(1)
-        for j in range(1, n + 1):
-            for l in range(1, k + 1):
-                a = matrix.count(j, l)
-                if a:
-                    weight *= (thetas[l - 1] / j) ** a / math.factorial(a)
-        total += weight
+        top = bottom = 1
+        for s, comp in zip(scaled, part.components):
+            for j, a in comp.multiplicities().items():
+                top *= s**a
+                bottom *= (q * j) ** a * math.factorial(a)
+        total += top * scale // bottom  # an integer: weight * Q^n n!
         pmf = refined_esf_pmf(part, params)
-        if pmf != weight / normalizer:
+        if pmf.numerator * bottom * d_n != top * scale * pmf.denominator:
             failures.append(
-                f"matrix of {part}: conditional weight {weight / normalizer}"
-                f" != pmf {pmf}"
+                f"matrix of {part}: conditional weight"
+                f" {Fraction(top * scale, bottom * d_n)} != pmf {pmf}"
             )
-    if total != normalizer:
+    if total != d_n:
         failures.append(
-            f"sum of Poisson weights {total} != (w)_n/n! = {normalizer}"
+            f"sum of Poisson weights {Fraction(total, scale)}"
+            f" != (w)_n/n! = {Fraction(d_n, scale)}"
         )
     return CheckReport("conditional-poisson", not failures, tuple(failures))
 

@@ -26,13 +26,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .measure import _params
-from .partitions import MultiplePartition, _from_alleles
+from .partitions import MultiplePartition, _from_alleles, _stirling_second
 
 __all__ = [
     "Population",
@@ -239,16 +238,6 @@ def stationary_partition_counts(
         pop, params.thetas, sample_size, reps, rng, burn_gens, thin_gens
     )
     return Counter(samples)
-
-
-@lru_cache(maxsize=None)
-def _stirling_second(p: int, m: int) -> int:
-    """Partitions of a p-set into m nonempty blocks."""
-    if p == 0:
-        return 1 if m == 0 else 0
-    if m == 0 or m > p:
-        return 0
-    return m * _stirling_second(p - 1, m) + _stirling_second(p - 1, m - 1)
 
 
 def transition_prob(p: int, m: int, two_n: int, mus: Sequence) -> Fraction:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .measure import MutationParams, _product
-from .partitions import MultiplePartition, _from_alleles
+from .partitions import MultiplePartition, _from_alleles, _plain_ints
 
 __all__ = [
     "GroupTable",
@@ -162,7 +162,8 @@ class WreathElement:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WreathElement":
-        return cls(tuple(obj["g"]), tuple(obj["s"]))
+        """Parse :meth:`to_json_dict` output; every entry must be a plain int."""
+        return cls(_plain_ints(obj["g"], "entries of g"), _plain_ints(obj["s"], "entries of s"))
 
 
 @dataclass(frozen=True)

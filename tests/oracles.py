@@ -149,3 +149,52 @@ def enumeration_tv_distance(n: int, m: int, theta) -> float:
         tv += abs(p_esf - p_pois)
     tv += 1.0 - poisson_in_window  # Poisson mass where the Ewens marginal is 0
     return 0.5 * tv
+
+
+def _rising_direct(x: Fraction, n: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
+
+
+def refined_esf_direct(rows_by_class, thetas) -> Fraction:
+    """n!/(w)_n * prod_{l,j} (theta_l/j)^a / a!, term by term in Fractions,
+    with the multiplicities a = a_j^(l) counted from the row lists."""
+    thetas = [Fraction(t) for t in thetas]
+    n = sum(sum(rows) for rows in rows_by_class)
+    value = Fraction(math.factorial(n)) / _rising_direct(sum(thetas), n)
+    for th, rows in zip(thetas, rows_by_class):
+        for j in set(rows):
+            a = list(rows).count(j)
+            value *= (th / j) ** a / math.factorial(a)
+    return value
+
+
+def set_partition_direct(blocks, n: int, thetas) -> Fraction:
+    """prod over (label, block) of theta_label (|B|-1)!, over (w)_n."""
+    thetas = [Fraction(t) for t in thetas]
+    value = 1 / _rising_direct(sum(thetas), n)
+    for label, elems in blocks:
+        value *= thetas[label - 1] * math.factorial(len(elems) - 1)
+    return value
+
+
+def joint_k_direct(n: int, thetas) -> dict:
+    """Joint law of the per-class row counts, by aggregating
+    :func:`refined_esf_direct` over every multiple partition of n."""
+    law: dict = {}
+    for part in enumerate_multipartitions(n, len(thetas)):
+        rows = [c.rows for c in part.components]
+        key = tuple(len(r) for r in rows)
+        law[key] = law.get(key, Fraction(0)) + refined_esf_direct(rows, thetas)
+    return law
+
+
+def pewens_direct(class_counts, n: int, ts, class_sizes, order: int) -> Fraction:
+    """prod t_l^{[x]_{c_l}} / (|G|^n (sum_l t_l |c_l| / |G|)_n)."""
+    w = sum(Fraction(t) * Fraction(size, order) for t, size in zip(ts, class_sizes))
+    value = 1 / (Fraction(order) ** n * _rising_direct(w, n))
+    for t, c in zip(ts, class_counts):
+        value *= Fraction(t) ** c
+    return value

@@ -1,11 +1,13 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from multiewens.cli import main
-from multiewens.partitions import multipartition_to_lists
+from multiewens import allele_stats, measure
+from multiewens.cli import _labelled_count, main
+from multiewens.partitions import labeled_set_partitions, multipartition_to_lists
 from multiewens.wf_sim import Population, stationary_samples
 
 
@@ -233,6 +235,49 @@ class TestVerify:
         assert res.exit_code != 0
         assert "states" in res.output
 
+    def test_labelled_count(self):
+        for m in range(6):
+            for k in (1, 2, 3):
+                assert _labelled_count(m, k) == sum(1 for _ in labeled_set_partitions(m, k))
+        assert _labelled_count(7, 2) == 14_214
+
+    @pytest.mark.parametrize("k,n_blocks", [(2, 7), (3, 6), (6, 4)])
+    def test_set_partition_sweep_is_capped(self, runner, k, n_blocks):
+        start = time.perf_counter()
+        res = runner.invoke(main, ["verify", "--n", "7", "--k", str(k), "--theta",
+                                   ",".join(str(t) for t in range(1, k + 1))])
+        elapsed = time.perf_counter() - start
+        assert res.exit_code == 0
+        assert f"PASS labelled set-partition law sums to 1 at n={n_blocks}" in res.output.splitlines()
+        assert elapsed < 30  # the uncapped sweep at k = 6 ran for more than 100 s
+
+    # one wrong numerator per integer-sum route, and the verify lines it must fail
+    _ESF_LINES = ["normalization n=4 k=2", "factorization identity",
+                  "sub-sampling consistency n=2..4", "union reduction to single-class Ewens",
+                  "conditional Poisson representation"]
+
+    @pytest.mark.parametrize("module,name,hit,failing", [
+        (measure, "_esf_numerator",
+         lambda args: [c.rows for c in args[0]] == [(2, 1), (1,)], _ESF_LINES),
+        (measure, "_set_partition_numerator",
+         lambda args: args[0].blocks[0][0] == 2 and len(args[0].blocks) == 1,
+         ["labelled set-partition law sums to 1 at n=4"]),
+        (allele_stats, "_joint_k_numerator",
+         lambda args: args[1] == (1, 1), ["joint allele-count law sums to 1"]),
+    ], ids=["refined", "set-partition", "joint-k"])
+    def test_wrong_numerator_fails(self, runner, monkeypatch, module, name, hit, failing):
+        original = getattr(module, name)
+
+        def wrong(*args):
+            return original(*args) + hit(args)
+
+        monkeypatch.setattr(module, name, wrong)
+        res = runner.invoke(main, ["verify", "--n", "4", "--k", "2", "--theta", "1,2/3"])
+        assert res.exit_code == 1
+        lines = res.stdout.splitlines()
+        assert len(lines) == 8
+        assert [l.split(" (")[0][5:] for l in lines if l.startswith("FAIL")] == failing
+
 
 class TestThetaParsing:
     def test_negative_mass_rejected(self, runner):
@@ -270,6 +315,16 @@ class TestGroupTableFile:
         recs = [json.loads(l) for l in res.stdout.strip().splitlines()]
         assert all(max(r["g"]) <= 3 for r in recs)
 
+    @pytest.mark.parametrize("table", ["[[0,1.0],[1,0]]", "[[0,true],[true,0]]",
+                                       '[[0,"1"],[1,0]]'])
+    def test_non_int_entries_rejected(self, runner, tmp_path, table):
+        path = tmp_path / "coerced.json"
+        path.write_text(table)
+        res = runner.invoke(main, ["sample-crp", "--n", "2", "--group", str(path),
+                                   "--t", "1,2"])
+        assert res.exit_code == 2
+        assert "integers" in res.output
+
     def test_bad_table_file(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[[0,1],[1,1]]")
@@ -303,6 +358,10 @@ class TestErrorBoundary:
         ["pmf", "--theta", "1", "--element", '{"g":[-1],"s":[0]}', "--group", "z2",
          "--t", "1,2"],
         ["pmf", "--theta", "1,2", "--partition", "[[1.5],[]]"],
+        ["pmf", "--theta", "1", "--element", '{"g":[1.5],"s":[0.9]}', "--group", "z2",
+         "--t", "1,2"],
+        ["pmf", "--theta", "1", "--element", '{"g":[true],"s":["0"]}', "--group", "z2",
+         "--t", "1,2"],
     ])
     def test_bad_input_is_one_error_line(self, runner, args):
         res = runner.invoke(main, args)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,11 +10,14 @@ from multiewens.measure import (
     check_consistency,
     classical_ewens_pmf,
     downward_transition,
+    factorization_check,
     labeled_set_partition_pmf,
+    normalization_check,
     pochhammer,
     refined_esf_log_pmf,
     refined_esf_pmf,
     refined_esf_pmf_factorized,
+    set_partition_check,
     union_marginal_check,
     vandermonde_check,
 )
@@ -28,13 +32,22 @@ from multiewens.partitions import (
 )
 from multiewens.wreath import (
     crp_wreath_sample,
+    cycle_type,
     cyclic_group,
     pewens_pmf,
     symmetric_group_3,
     trivial_group,
 )
 
-from oracles import classical_ewens_direct
+from multiewens.allele_stats import joint_k_pmf
+
+from oracles import (
+    classical_ewens_direct,
+    joint_k_direct,
+    pewens_direct,
+    refined_esf_direct,
+    set_partition_direct,
+)
 
 F = Fraction
 
@@ -365,3 +378,103 @@ class TestExactFloatAgreement:
             got = evaluate(tuple(float(t) for t in th))
             assert isinstance(got, float)
             assert abs(got - float(exact)) <= 1e-12 * float(exact)
+
+
+# non-integer masses with 12-bit numerators and denominators, as in the
+# benchmark, next to small ones; Q ranges from 1 to a product of 12-bit primes
+_DESK = [
+    (F(1), F(2), F(3)),
+    (F(2731, 2049), F(4093, 3071), F(3001, 2111)),
+    (F(1), F(2731, 2049), F(4093, 3071)),
+    (F(2), F(3001, 2111)),
+    (F(4093, 3071),),
+]
+
+
+class TestSharedDenominator:
+    """The exact laws are integer numerators over D_n; each must equal the
+    factorized route and the term-by-term oracles."""
+
+    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("th", _DESK, ids=lambda th: f"k{len(th)}")
+    def test_refined_equals_factorized_and_oracle(self, th, n):
+        for p in enumerate_multipartitions(n, len(th)):
+            value = refined_esf_pmf(p, th)
+            assert value == refined_esf_pmf_factorized(p, th)
+            assert value == refined_esf_direct([c.rows for c in p], th)
+
+    @pytest.mark.parametrize("th", _DESK, ids=lambda th: f"k{len(th)}")
+    def test_classical_equals_oracle(self, th):
+        w = sum(th)
+        for n in range(9):
+            for rows in partitions_of(n):
+                assert classical_ewens_pmf(YoungDiagram(rows), w) == \
+                    classical_ewens_direct(rows, w, n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("th", _DESK[:4], ids=lambda th: f"k{len(th)}")
+    def test_set_partition_equals_oracle(self, th, n):
+        for s in labeled_set_partitions(n, len(th)):
+            assert labeled_set_partition_pmf(s, th) == set_partition_direct(s.blocks, n, th)
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("th", _DESK, ids=lambda th: f"k{len(th)}")
+    def test_joint_k_equals_aggregated_oracle(self, th, n):
+        law = joint_k_direct(n, th)
+        for ps in itertools.product(range(n + 2), repeat=len(th)):
+            assert joint_k_pmf(n, th, ps) == law.get(ps, 0)
+
+    @pytest.mark.parametrize("group", [cyclic_group(2), symmetric_group_3()], ids=["z2", "s3"])
+    def test_wreath_equals_oracle(self, group):
+        th = _DESK[1][: group.k]
+        for n in range(1, 5):
+            for seed in range(20):
+                x = crp_wreath_sample(n, group, th, seed)
+                counts = [c.n_rows for c in cycle_type(x, group).components]
+                expected = pewens_direct(counts, n, th, group.class_sizes(), group.order)
+                assert pewens_pmf(x, group, th) == expected
+
+    def test_float_masses_keep_the_log_route(self):
+        th = tuple(float(t) for t in _DESK[1])
+        for p in enumerate_multipartitions(5, 3):
+            value = refined_esf_pmf(p, th)
+            assert isinstance(value, float)
+            assert value == math.exp(refined_esf_log_pmf(p, th))
+
+
+class TestSweepChecks:
+    @pytest.mark.parametrize("th", _DESK, ids=lambda th: f"k{len(th)}")
+    def test_all_pass(self, th):
+        k = len(th)
+        for n in range(6):
+            assert normalization_check(n, k, th)
+            assert factorization_check(n, k, th)
+            assert set_partition_check(n, k, th)
+            assert check_consistency(n, k, th)
+            assert union_marginal_check(n, k, th)
+
+    def test_wrong_k_rejected(self):
+        for check in (normalization_check, set_partition_check, check_consistency,
+                      union_marginal_check):
+            with pytest.raises(ValueError, match="k=2"):
+                check(3, 2, (F(1), F(2), F(3)))
+
+    def test_float_masses_rejected(self):
+        with pytest.raises(ValueError, match="rational"):
+            normalization_check(3, 2, (1.0, 2.0))
+
+    def test_wrong_numerator_fails_every_sum(self, monkeypatch):
+        import multiewens.measure as measure
+
+        original = measure._esf_numerator
+
+        def off_by_one(components, q, scaled):
+            extra = [c.rows for c in components] == [(2, 1), (1,)]
+            return original(components, q, scaled) + extra
+
+        monkeypatch.setattr(measure, "_esf_numerator", off_by_one)
+        th = (F(1), F(2))
+        for check in (normalization_check, check_consistency, union_marginal_check):
+            report = check(4, 2, th)
+            assert not report.ok and report.failures
+        assert normalization_check(3, 2, th)

@@ -21,6 +21,8 @@ from multiewens.partitions import (
     _from_alleles,
 )
 
+from multiewens.measure import downward_transition
+
 from oracles import multipartition_count, partition_count
 
 
@@ -185,6 +187,44 @@ class TestSetPartitions:
         stirling2 = {1: 1, 2: 31, 3: 90, 4: 65, 5: 15, 6: 1}
         expected = sum(s * 2**b for b, s in stirling2.items())
         assert sum(1 for _ in labeled_set_partitions(6, 2)) == expected
+
+
+def _validated(p: MultiplePartition) -> MultiplePartition:
+    return MultiplePartition(tuple(YoungDiagram(tuple(c.rows)) for c in p.components))
+
+
+class TestTrustedInstances:
+    """Enumerators and maps build instances without validation; they must be
+    equal and hash-equal to the validated ones, field by field."""
+
+    @staticmethod
+    def _same(trusted, validated):
+        assert trusted == validated and hash(trusted) == hash(validated)
+        assert repr(trusted) == repr(validated)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_enumerate_multipartitions(self, k):
+        for n in range(9):
+            for p in enumerate_multipartitions(n, k):
+                self._same(p, _validated(p))
+                assert all(type(r) is int for c in p.components for r in c.rows)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_labeled_set_partitions(self, k):
+        for n in range(6):
+            for s in labeled_set_partitions(n, k):
+                self._same(s, LabeledSetPartition(tuple(reversed(s.blocks)), n=n))
+
+    def test_box_removal_and_union(self):
+        for k in (1, 2, 3):
+            for n in range(1, 7):
+                for p in enumerate_multipartitions(n, k):
+                    self._same(union(p), YoungDiagram(tuple(sorted(
+                        (r for c in p.components for r in c.rows), reverse=True))))
+                    for child in downward_transition(p):
+                        self._same(child, _validated(child))
+                        for comp in child.components:
+                            self._same(comp, YoungDiagram(comp.rows))
 
 
 class TestFromAlleles:
