@@ -72,8 +72,8 @@ def harmonic_h(n: int, p: int, x):
         raise ValueError("n must be >= 1")
     if p < 1:
         raise ValueError("p must be >= 1")
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:  # also rejects NaN
+        raise ValueError(f"x must be positive and finite, got {x}")
     if isinstance(x, (int, Fraction)):
         return _harmonic_exact(n, p, Fraction(x))
     return _harmonic_float(n, p, float(x))
@@ -300,10 +300,10 @@ class RegimeSpec:
     def __post_init__(self):
         alphas = tuple(self.alphas)
         object.__setattr__(self, "alphas", alphas)
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if any(a <= 0 for a in alphas):
-            raise ValueError("all alphas must be positive")
+        if not self.beta >= 0:  # also rejects NaN
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not all(0 < a < math.inf for a in alphas):
+            raise ValueError(f"all alphas must be positive and finite, got {alphas}")
 
     @property
     def k(self) -> int:
@@ -366,8 +366,8 @@ def clt_scaling(n: int, theta, beta: float) -> ClltScaling:
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
     w = float(params.w)
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not beta >= 0:  # also rejects NaN
+        raise ValueError(f"beta must be >= 0, got {beta}")
     if beta == 0:
         cent = tuple(t * math.log(n) for t in thetas)
         return ClltScaling(cent, cent)

@@ -327,8 +327,6 @@ def cmd_verify(n, k, theta):
     Exits 0 only if every check passes; one line per check, no skips.
     """
     thetas = _parse_theta(theta)
-    if any(isinstance(t, float) for t in thetas):
-        raise click.ClickException("verify needs exact masses (integers or p/q)")
     states = count_multipartitions(n, k)
     if states > 200_000:
         raise click.ClickException(

@@ -36,6 +36,7 @@ from .partitions import (
     enumerate_multipartitions,
     compositions_of,
     labeled_set_partitions,
+    multipartition_to_lists,
     partitions_of,
     union,
 )
@@ -43,7 +44,6 @@ from .partitions import (
 __all__ = [
     "MutationParams",
     "pochhammer",
-    "log_pochhammer",
     "refined_esf_pmf",
     "refined_esf_log_pmf",
     "refined_esf_pmf_factorized",
@@ -91,7 +91,16 @@ class MutationParams:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(t, (int, Fraction)) for t in self.thetas)
+        return _is_exact(self.thetas)
+
+
+def _is_exact(values) -> bool:
+    """The one rule that picks the backend: exact when every value is an int
+    or a Fraction.  A plain loop, as it runs on every pmf call."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return False
+    return True
 
 
 def _params(theta) -> MutationParams:
@@ -119,13 +128,6 @@ def pochhammer(x: Numeric, n: int):
     for i in range(n):
         result = result * (x + i)
     return result
-
-
-def log_pochhammer(x: float, n: int) -> float:
-    """log of the rising factorial, for x > 0."""
-    if n == 0:
-        return 0.0
-    return math.lgamma(x + n) - math.lgamma(x)
 
 
 def _check_k(k: int, params: MutationParams):
@@ -326,7 +328,9 @@ def factorization_check(n: int, k: int, theta) -> CheckReport:
     for p in enumerate_multipartitions(n, k):
         direct, factorized = refined_esf_pmf(p, params), refined_esf_pmf_factorized(p, params)
         if direct != factorized:
-            failures.append(f"p={multilists(p)}: pmf {direct} != factorized {factorized}")
+            failures.append(
+                f"p={multipartition_to_lists(p)}: pmf {direct} != factorized {factorized}"
+            )
     return CheckReport("factorization", not failures, tuple(failures))
 
 
@@ -353,7 +357,7 @@ def check_consistency(n: int, k: int, theta) -> CheckReport:
         got = pushed.get(mu, 0)
         if got != step * expected:
             got, expected = Fraction(got, n * d_n), Fraction(expected * step, n * d_n)
-            failures.append(f"mu={multilists(mu)}: pushed {got} != pmf {expected}")
+            failures.append(f"mu={multipartition_to_lists(mu)}: pushed {got} != pmf {expected}")
     return CheckReport("consistency", not failures, tuple(failures))
 
 
@@ -421,7 +425,3 @@ def set_partition_check(n: int, k: int, theta) -> CheckReport:
     total = sum(_set_partition_numerator(s, q, scaled) for s in labeled_set_partitions(n, k))
     return _sum_report("set-partition", total, d_n)
 
-
-def multilists(p: MultiplePartition) -> str:
-    """Compact string form of a multiple partition for report messages."""
-    return str([list(c.rows) for c in p.components])

@@ -63,25 +63,12 @@ class YoungDiagram:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def multiplicity(self, j: int) -> int:
-        """Number of rows of length j."""
-        return sum(1 for r in self.rows if r == j)
-
     def multiplicities(self) -> dict[int, int]:
         """Map from row length to its multiplicity (derived, not stored)."""
         mult: dict[int, int] = {}
         for r in self.rows:
             mult[r] = mult.get(r, 0) + 1
         return mult
-
-    @classmethod
-    def from_multiplicities(cls, mult: dict[int, int]) -> "YoungDiagram":
-        rows: list[int] = []
-        for j in sorted(mult, reverse=True):
-            if mult[j] < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            rows.extend([j] * mult[j])
-        return cls(tuple(rows))
 
     def remove_box_from_row(self, length: int) -> "YoungDiagram":
         """Diagram obtained by shortening one row of the given length."""
@@ -182,12 +169,6 @@ class LabeledSetPartition:
         if seen != set(range(1, self.n + 1)):
             raise ValueError(f"blocks must cover {{1..{self.n}}} exactly")
 
-    def block_sizes_by_label(self) -> dict[int, list[int]]:
-        sizes: dict[int, list[int]] = {}
-        for label, elems in self.blocks:
-            sizes.setdefault(label, []).append(len(elems))
-        return sizes
-
 
 def _trusted(cls, **fields):
     """Instance of one of the frozen dataclasses above from field values that
@@ -200,11 +181,11 @@ def _trusted(cls, **fields):
 
 def matrix_to_multipartition(m: AlleleCountMatrix) -> MultiplePartition:
     """Read off the multiple partition whose component l has a_j^(l) rows of length j."""
-    comps = []
-    for l in range(1, m.k + 1):
-        mult = {j: m.count(j, l) for j in range(1, m.n + 1) if m.count(j, l)}
-        comps.append(YoungDiagram.from_multiplicities(mult))
-    return MultiplePartition(tuple(comps))
+    alleles = [
+        (l, j) for j, row in enumerate(m.entries, start=1) for l, a in enumerate(row)
+        for _ in range(a)
+    ]
+    return _from_alleles(alleles, m.k)
 
 
 def multipartition_to_matrix(p: MultiplePartition) -> AlleleCountMatrix:

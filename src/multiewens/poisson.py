@@ -6,12 +6,12 @@ matrix exactly; unconditionally, any fixed number of leading rows converges
 to the independent Poisson grid as n grows.  The first fact is checked in
 exact rationals at desk scale, the second by the total variation of the
 leading rows, which costs O(n*m) at any n through the conditioning relation.
+Masses are checked once, as :class:`~multiewens.measure.MutationParams`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,45 +20,25 @@ from .measure import CheckReport, _exact_common, _exact_params, _params, refined
 from .partitions import enumerate_multipartitions
 
 __all__ = [
-    "PoissonMatrixLaw",
     "poisson_matrix_sample",
     "conditional_identity_check",
     "truncated_tv_distance",
 ]
 
 
-@dataclass(frozen=True)
-class PoissonMatrixLaw:
-    """Independent Poisson grid with mean theta_l / j at row j, class l."""
-
-    m: int
-    thetas: tuple
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        thetas = tuple(self.thetas)
-        object.__setattr__(self, "thetas", thetas)
-        if any(t <= 0 for t in thetas):
-            raise ValueError("all means must be positive")
-
-    def means(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(
-            tuple(float(t) / j for t in self.thetas) for j in range(1, self.m + 1)
-        )
-
-
 def poisson_matrix_sample(m: int, theta, seed: int, reps: int | None = None):
-    """Draw the m-by-k grid of independent Poisson(theta_l/j) entries.
+    """Draw the m-by-k grid of independent Poisson(theta_l/j) entries, j = 1..m.
 
     With reps=None returns one (m, k) array; otherwise (reps, m, k).
     """
-    law = PoissonMatrixLaw(m, _params(theta).thetas)
-    lam = np.asarray(law.means(), dtype=float)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    thetas = _params(theta).thetas
+    lam = np.array([[float(t) / j for t in thetas] for j in range(1, m + 1)])
     rng = np.random.default_rng(seed)
     if reps is None:
         return rng.poisson(lam)
-    return rng.poisson(lam, size=(reps, m, len(law.thetas)))
+    return rng.poisson(lam, size=(reps, m, len(thetas)))
 
 
 def conditional_identity_check(n: int, k: int, theta) -> CheckReport:

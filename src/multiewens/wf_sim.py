@@ -16,6 +16,11 @@ generation is one multinomial draw of 2N children over "copy allele a"
 sample of n genes is one multivariate hypergeometric draw; a generation costs
 O(alleles alive) instead of O(2N).
 
+Masses theta enter as :class:`~multiewens.measure.MutationParams`.  Mutation
+probabilities mu pass one rule, on the raw values before any conversion:
+each finite and nonnegative, with sum below 1.  Both engines and
+:func:`transition_prob` apply it, with one message.
+
 The ancestral line-counting process is exposed through its exact finite-N
 transition probabilities and its limiting generator.
 """
@@ -91,12 +96,17 @@ class Population:
         }
 
 
-def _mutation_probs(mus: Sequence[float], k: int) -> np.ndarray:
-    mus = np.asarray([float(m) for m in mus], dtype=float)
-    if mus.size != k:
+def _mutation_probs(mus: Sequence, k: int | None = None) -> tuple:
+    """The mutation probabilities as given, after the one check on them: k
+    of them (when k is given), each finite and nonnegative, with sum < 1.
+    Written so that NaN fails."""
+    mus = tuple(mus)
+    if k is not None and len(mus) != k:
         raise ValueError(f"need k={k} mutation probabilities")
-    if (mus < 0).any() or mus.sum() >= 1.0:
-        raise ValueError("mutation probabilities must be nonnegative with sum < 1")
+    if not (all(0 <= m < math.inf for m in mus) and sum(mus) < 1):
+        raise ValueError(
+            f"mutation probabilities must be finite and nonnegative with sum < 1, got {mus}"
+        )
     return mus
 
 
@@ -106,7 +116,7 @@ def wf_step(pop: Population, mus: Sequence[float], rng: np.random.Generator) -> 
     mus are the per-class mutation probabilities; their sum must be < 1.
     Fresh alleles get never-before-seen (class, serial) identifiers.
     """
-    mus = _mutation_probs(mus, pop.k)
+    mus = np.array([float(m) for m in _mutation_probs(mus, pop.k)])
     two_n = pop.size
     parents = rng.integers(0, two_n, size=two_n)
     pop.ids = pop.ids[parents]
@@ -143,7 +153,7 @@ class _AlleleCounts:
     per living allele, in the order the alleles first appeared."""
 
     def __init__(self, pop: Population, mus: Sequence[float]):
-        self.mus = _mutation_probs(mus, pop.k).tolist()
+        self.mus = [float(m) for m in _mutation_probs(mus, pop.k)]
         self.k, self.two_n = pop.k, pop.size
         genes = Counter(zip(pop.classes.tolist(), pop.ids.tolist()))
         self.keys = list(genes)
@@ -206,7 +216,8 @@ def stationary_samples(
     thin_gens = half_n if thin_gens is None else thin_gens
     if burn_gens < 0 or thin_gens < 0:
         raise ValueError("burn-in and thinning generations must be nonnegative")
-    alleles = _AlleleCounts(pop, [float(t) / (2 * pop.size) for t in theta])
+    thetas = _params(theta).thetas
+    alleles = _AlleleCounts(pop, [float(t) / (2 * pop.size) for t in thetas])
     alleles.advance(burn_gens, rng)
     for _ in range(reps):
         alleles.advance(thin_gens, rng)
@@ -234,9 +245,7 @@ def stationary_partition_counts(
     params = _params(theta)
     pop = Population.founding(two_n, params.k)
     rng = np.random.default_rng(seed)
-    samples = stationary_samples(
-        pop, params.thetas, sample_size, reps, rng, burn_gens, thin_gens
-    )
+    samples = stationary_samples(pop, params, sample_size, reps, rng, burn_gens, thin_gens)
     return Counter(samples)
 
 
@@ -251,10 +260,7 @@ def transition_prob(p: int, m: int, two_n: int, mus: Sequence) -> Fraction:
     """
     if not 0 <= m <= p <= two_n:
         raise ValueError("need 0 <= m <= p <= 2N")
-    mus = [Fraction(v) if not isinstance(v, Fraction) else v for v in mus]
-    total_mu = sum(mus)
-    if total_mu >= 1:
-        raise ValueError("mutation probabilities must sum to < 1")
+    total_mu = sum(Fraction(v) for v in _mutation_probs(mus))
 
     def p0(q: int, mm: int) -> Fraction:
         if mm == 0:

@@ -5,6 +5,10 @@ cycle of the permutation carries a cycle-product whose conjugacy class in G
 labels the cycle.  Counting cycles of each class projects an element to a
 multiple partition, and the product measure with per-class weights t_l
 projects exactly onto the k-class Ewens measure with theta_l = t_l |c_l|/|G|.
+
+Weights cross one boundary: each entry point coerces t once to a
+:class:`WreathParams`, the only place weights are checked; the projected
+masses and the exact-or-float choice come from :meth:`WreathParams.thetas`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .measure import MutationParams, _product
+from .measure import _is_exact, _product
 from .partitions import MultiplePartition, _from_alleles, _plain_ints
 
 __all__ = [
@@ -180,17 +184,19 @@ class WreathParams:
 
     def thetas(self, group: GroupTable) -> tuple:
         """Mutation masses of the projected law: theta_l = t_l |c_l| / |G|."""
+        ts, sizes = self._per_class(group), group.class_sizes()
+        return tuple(t * Fraction(sz, group.order) for t, sz in zip(ts, sizes))
+
+    def _per_class(self, group: GroupTable) -> tuple:
+        """The weights, checked to number one per conjugacy class of group."""
         if len(self.ts) != group.k:
             raise ValueError("need one weight per conjugacy class")
-        sizes = group.class_sizes()
-        return tuple(t * Fraction(sz, group.order) for t, sz in zip(self.ts, sizes))
+        return self.ts
 
 
-def _ts(t, group: GroupTable) -> tuple:
-    ts = (t if isinstance(t, WreathParams) else WreathParams(tuple(t))).ts
-    if len(ts) != group.k:
-        raise ValueError("need one weight per conjugacy class")
-    return ts
+def _wreath_params(t) -> WreathParams:
+    """The class weights t as a checked :class:`WreathParams`."""
+    return t if isinstance(t, WreathParams) else WreathParams(t)
 
 
 def _cycles(s: tuple[int, ...]) -> list[list[int]]:
@@ -218,15 +224,19 @@ def cycle_type(x: WreathElement, group: GroupTable) -> MultiplePartition:
     are the row counts of the components.  Every entry of g must index an
     element of the group.
     """
+    return _from_alleles(_cycle_classes(x, group), group.k)
+
+
+def _cycle_classes(x: WreathElement, group: GroupTable) -> Iterator[tuple[int, int]]:
+    """(conjugacy class index, length) of every cycle of x, after checking
+    that every entry of g indexes an element of the group."""
     if x.g and (min(x.g) < 0 or max(x.g) >= group.order):
         raise ValueError(f"entries of g must be in 0..{group.order - 1}")
-    alleles = []
     for cyc in _cycles(x.s):
         prod = group.identity
         for i in cyc:
             prod = group.mult(x.g[i], prod)
-        alleles.append((group.class_of[prod], len(cyc)))
-    return _from_alleles(alleles, group.k)
+        yield group.class_of[prod], len(cyc)
 
 
 def pewens_pmf(x: WreathElement, group: GroupTable, t):
@@ -235,11 +245,13 @@ def pewens_pmf(x: WreathElement, group: GroupTable, t):
     t_1^{[x]_{c_1}} ... t_k^{[x]_{c_k}} / (|G|^n (t_1/zeta_1+..+t_k/zeta_k)_n)
     with zeta_l = |G|/|c_l|.  Exact for rational t.
     """
-    ts = _ts(t, group)
-    params = MutationParams(WreathParams(ts).thetas(group))
-    counts = [comp.n_rows for comp in cycle_type(x, group).components]
-    powers = [*zip(ts, counts), (group.order, -x.n)]
-    return _product(params.is_exact, powers, [(params.w, (x.n,), -1)])
+    params = _wreath_params(t)
+    thetas = params.thetas(group)
+    counts = [0] * group.k
+    for cls, _ in _cycle_classes(x, group):
+        counts[cls] += 1
+    powers = [*zip(params.ts, counts), (group.order, -x.n)]
+    return _product(_is_exact(thetas), powers, [(sum(thetas), (x.n,), -1)])
 
 
 def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
@@ -256,7 +268,7 @@ def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ts = [float(v) for v in _ts(t, group)]
+    ts = [float(v) for v in _wreath_params(t)._per_class(group)]
     rng = random.Random(seed)
     g, s = _crp_run(n, group, ts, rng)
     return WreathElement(tuple(g), tuple(s))
@@ -307,7 +319,7 @@ def crp_element_counts(
         raise ValueError("n must be >= 1")
     if reps < 0:
         raise ValueError("reps must be >= 0")
-    ts = [float(v) for v in _ts(t, group)]
+    ts = [float(v) for v in _wreath_params(t)._per_class(group)]
     rng = random.Random(seed)
     raw: Counter = Counter()
     for _ in range(reps):

@@ -57,6 +57,11 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic_h(3, 1, 0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="positive and finite"):
+            harmonic_h(3, 1, x)
+
     def test_float_matches_fsum_grid(self):
         xs = [1e-3, 1e-2, 0.1, 0.5, 1.0, 7.3, 9.99, 10.0, 19.5, 1e2, 1e3, 1e4, 1e5, 1e6]
         for x in xs:
@@ -274,6 +279,15 @@ class TestRegimes:
         with pytest.raises(ValueError):
             RegimeSpec(1.0, (0.0,))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alphas must be positive and finite"):
+            RegimeSpec(0.5, (alpha, 1.0))
+
+    def test_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            RegimeSpec(math.nan, (1.0, 2.0))
+
 
 class TestCltScaling:
     def test_beta0(self):
@@ -295,6 +309,10 @@ class TestCltScaling:
         assert sc.centering == (n * 0.25, n * 0.75)
         assert sc.variance[0] == pytest.approx(n * 0.25 * 0.75)
         assert sc.variance == (sc.variance[0], sc.variance[0])
+
+    def test_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            clt_scaling(100, (1.0, 2.0), math.nan)
 
     def test_k1_fast_growth_unsupported(self):
         with pytest.raises(UnsupportedRegimeError):

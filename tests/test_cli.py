@@ -227,7 +227,9 @@ class TestVerify:
     def test_rejects_float_theta(self, runner):
         res = runner.invoke(main, ["verify", "--n", "4", "--k", "1",
                                    "--theta", "1.5"])
-        assert res.exit_code != 0
+        assert res.exit_code == 1
+        errors = [l for l in res.output.splitlines() if l.startswith("Error:")]
+        assert errors == ["Error: normalization check needs rational theta"]
 
     def test_rejects_infeasible_scale(self, runner):
         res = runner.invoke(main, ["verify", "--n", "40", "--k", "3",

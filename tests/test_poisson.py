@@ -6,7 +6,6 @@ import pytest
 
 from multiewens.measure import pochhammer
 from multiewens.poisson import (
-    PoissonMatrixLaw,
     conditional_identity_check,
     poisson_matrix_sample,
     truncated_tv_distance,
@@ -18,10 +17,6 @@ F = Fraction
 
 
 class TestPoissonMatrixSampler:
-    def test_means_grid(self):
-        law = PoissonMatrixLaw(3, (F(1), F(2)))
-        assert law.means() == ((1.0, 2.0), (0.5, 1.0), (1 / 3, 2 / 3))
-
     def test_entry_means(self):
         reps = 100_000
         draws = poisson_matrix_sample(3, (1.0, 2.0), seed=5, reps=reps)
@@ -54,10 +49,12 @@ class TestPoissonMatrixSampler:
         assert poisson_matrix_sample(4, (1.0, 2.0), seed=0).shape == (4, 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PoissonMatrixLaw(0, (F(1),))
-        with pytest.raises(ValueError):
-            PoissonMatrixLaw(2, (F(0),))
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            poisson_matrix_sample(0, (F(1),), seed=0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            poisson_matrix_sample(2, (F(0),), seed=0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            poisson_matrix_sample(2, (math.nan, 1.0), seed=0, reps=3)
 
 
 class TestConditionalIdentity:

@@ -160,6 +160,9 @@ class TestTransitionProb:
             transition_prob(3, 4, 100, [F(0)])
         with pytest.raises(ValueError):
             transition_prob(3, 2, 100, [F(1, 2), F(1, 2)])
+        for mus in [(F(-1, 2),), (math.inf,), (math.nan,)]:
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                transition_prob(3, 2, 4, mus)
 
 
 class TestAncestralGenerator:
@@ -349,7 +352,7 @@ class TestCountLevelEngine:
         assert list(stationary_samples(pop, (1.0,), 2, 0, np.random.default_rng(0), 15)) == []
         assert pop.size == 20 and pop.generation == 15
 
-    @pytest.mark.parametrize("mus", [[0.1], [0.6, 0.5], [-0.1, 0.2]])
+    @pytest.mark.parametrize("mus", [[0.1], [0.6, 0.5], [-0.1, 0.2], [math.nan, 0.1]])
     def test_mutation_checks_match_wf_step(self, mus):
         with pytest.raises(ValueError) as by_genes:
             wf_step(Population.founding(10, 2), mus, np.random.default_rng(0))
@@ -363,4 +366,11 @@ class TestCountLevelEngine:
         with pytest.raises(ValueError):
             next(stationary_samples(pop, (1.0, 2.0), sample_size, 3,
                                     np.random.default_rng(0), burn, thin))
+        assert pop.generation == 0
+
+    @pytest.mark.parametrize("theta", [(0.0, 1.0), (math.nan, 1.0)])
+    def test_rejects_bad_masses_before_burn_in(self, theta):
+        pop = Population.founding(10, 2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            next(stationary_samples(pop, theta, 2, 3, np.random.default_rng(0)))
         assert pop.generation == 0

@@ -192,6 +192,26 @@ class TestWreathMeasure:
         total = sum(pewens_pmf(x, g, ts) for x in enumerate_wreath_elements(3, g))
         assert total == 1
 
+    def test_normalizes_z3(self):
+        g = cyclic_group(3)
+        ts = (F(1), F(1, 2), F(3))
+        total = sum(pewens_pmf(x, g, ts) for x in enumerate_wreath_elements(3, g))
+        assert total == 1
+
+    def test_float_is_exp_of_log_form(self):
+        # log t^counts - n log|G| - log (w)_n with w = sum t_l |c_l| / |G|
+        g = symmetric_group_3()
+        ts = (0.5, 2.0, 1.5)
+        w = sum(t * sz / g.order for t, sz in zip(ts, g.class_sizes()))
+        for x in list(enumerate_wreath_elements(3, g))[::7]:
+            counts = [comp.n_rows for comp in cycle_type(x, g).components]
+            log_p = (
+                sum(c * math.log(t) for t, c in zip(ts, counts))
+                - x.n * math.log(g.order)
+                - (math.lgamma(w + x.n) - math.lgamma(w))
+            )
+            assert pewens_pmf(x, g, ts) == pytest.approx(math.exp(log_p), rel=1e-12)
+
     def test_centrality(self):
         # conjugate elements carry identical probability
         for g, ts in [
@@ -240,8 +260,17 @@ class TestWreathMeasure:
     def test_rejects_bad_weights(self, bad):
         with pytest.raises(ValueError):
             WreathParams((1.0, bad))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive and finite"):
             pewens_pmf(WreathElement((0,), (0,)), cyclic_group(2), (1.0, bad))
+
+    @pytest.mark.parametrize("ts", [(F(1),), (F(1), F(2), F(3))])
+    def test_rejects_wrong_weight_count(self, ts):
+        with pytest.raises(ValueError, match="one weight per conjugacy class"):
+            pewens_pmf(WreathElement((0,), (0,)), cyclic_group(2), ts)
+        with pytest.raises(ValueError, match="one weight per conjugacy class"):
+            crp_wreath_sample(3, cyclic_group(2), ts, 0)
+        with pytest.raises(ValueError, match="one weight per conjugacy class"):
+            crp_element_counts(3, cyclic_group(2), ts, 5, 0)
 
 
 class TestRestaurantProcess:
