@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import CheckReport, _common, _exact_common, _exact_params, _params, _sum_report
-from .partitions import compositions_of
+from .partitions import _plain_ints, compositions_of
 
 __all__ = [
     "harmonic_h",
@@ -222,19 +222,13 @@ def class_moments(n: int, theta) -> list[tuple]:
     return _moments(n, params, range(1, params.k + 1), True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _stirling_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for m in range(n + 1):
-        val = 0
-        if m <= n - 1:
-            val += (n - 1) * prev[m]
-        if m >= 1:
-            val += prev[m - 1]
-        row[m] = val
+    """|s(n, m)| for m = 0..n, built bottom-up from row 0 by
+    |s(i+1, m)| = i |s(i, m)| + |s(i, m-1)|; only finished rows are cached."""
+    row = [1]
+    for i in range(n):
+        row = [i * a + b for a, b in zip(row + [0], [0] + row)]
     return tuple(row)
 
 
@@ -259,7 +253,7 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     params = _exact_params(theta, "joint law")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ps = tuple(int(p) for p in ps)
+    ps = _plain_ints(ps, "counts")
     if len(ps) != params.k:
         raise ValueError(f"need k={params.k} counts")
     if any(p < 0 for p in ps):

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import allele_stats, measure, poisson, samplers, wf_sim, wreath
 from .partitions import (
-    _plain_ints,
     _stirling_second,
     count_multipartitions,
     enumerate_multipartitions,
@@ -35,8 +34,10 @@ _ENUMERATION_CAP = 2_000_000
 _SET_PARTITION_CAP = 20_000
 
 
-def _parse_theta(text: str):
-    """Comma list of masses; p/q or integer stays exact, decimals go float."""
+def _parse_theta(text: str, params=measure.MutationParams):
+    """Comma list of masses as the library type that checks them (mutation
+    masses, or wreath.WreathParams for class weights); p/q or integer stays
+    exact, decimals go float."""
     values = []
     inexact = []
     for raw in text.split(","):
@@ -51,15 +52,14 @@ def _parse_theta(text: str):
                 values.append(Fraction(int(tok)))
         except (ValueError, ZeroDivisionError) as exc:
             raise click.BadParameter(f"bad mass {tok!r}: {exc}") from exc
-        if values[-1] <= 0:
-            raise click.BadParameter(f"masses must be positive, got {tok!r}")
+    checked = params(tuple(values))
     if inexact:
         click.echo(
             f"note: decimal masses {inexact} select the floating-point backend;"
             " use p/q for exact arithmetic",
             err=True,
         )
-    return tuple(values)
+    return checked
 
 
 def _parse_partition(text: str):
@@ -81,7 +81,7 @@ def _group_by_name(name: str) -> wreath.GroupTable:
         try:
             with open(name) as fh:
                 table = json.load(fh)
-            return wreath.GroupTable(tuple(_plain_ints(row, "table entries") for row in table))
+            return wreath.GroupTable(table)
         except (OSError, ValueError, TypeError) as exc:
             raise click.BadParameter(f"bad group table {name!r}: {exc}") from exc
     key = name.lower()
@@ -99,20 +99,16 @@ def _group_by_name(name: str) -> wreath.GroupTable:
     )
 
 
-def _prob_record(value) -> dict:
-    rec: dict = {}
+def _prob_record(value, log_prob=None) -> dict:
+    """prob and log_prob of value; a float value may bring its log_prob,
+    which its exp loses once it underflows to 0."""
     if isinstance(value, Fraction):
-        rec["rational"] = f"{value.numerator}/{value.denominator}"
-        rec["prob"] = float(value)
-        rec["log_prob"] = (
-            -math.inf
-            if value == 0
-            else math.log(value.numerator) - math.log(value.denominator)
-        )
-    else:
-        rec["prob"] = float(value)
-        rec["log_prob"] = -math.inf if value == 0 else math.log(value)
-    return rec
+        num, den = value.numerator, value.denominator
+        log_prob = -math.inf if num == 0 else math.log(num) - math.log(den)
+        return {"rational": f"{num}/{den}", "prob": float(value), "log_prob": log_prob}
+    if log_prob is None:
+        log_prob = -math.inf if value == 0 else math.log(value)
+    return {"prob": float(value), "log_prob": log_prob}
 
 
 class _ErrorBoundary(click.Group):
@@ -150,7 +146,8 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
         thetas = _parse_theta(theta)
         part = _parse_partition(partition_text)
         value = measure.refined_esf_pmf(part, thetas)
-        rec = {"partition": multipartition_to_lists(part), **_prob_record(value)}
+        log_prob = None if thetas.is_exact else measure.refined_esf_log_pmf(part, thetas)
+        rec = {"partition": multipartition_to_lists(part), **_prob_record(value, log_prob)}
     elif joint_text is not None:
         if n_opt is None:
             raise click.UsageError("--joint-k needs --n")
@@ -165,7 +162,7 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
         if group_name is None or t_text is None:
             raise click.UsageError("--element needs --group and --t")
         group = _group_by_name(group_name)
-        ts = _parse_theta(t_text)
+        ts = _parse_theta(t_text, wreath.WreathParams)
         try:
             x = wreath.WreathElement.from_json_dict(json.loads(element_text))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -231,7 +228,7 @@ def cmd_sample_urn(n, theta, reps, seed, with_blocks):
 def cmd_sample_crp(n, group_name, t_text, reps, seed, project):
     """Stream wreath restaurant-process draws as JSON lines."""
     group = _group_by_name(group_name)
-    ts = _parse_theta(t_text)
+    ts = _parse_theta(t_text, wreath.WreathParams)
     for r in range(reps):
         x = wreath.crp_wreath_sample(n, group, ts, samplers.derive_seed(seed, r))
         if project:
@@ -307,7 +304,7 @@ def cmd_poisson_tv(n, m, theta, fmt):
 def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
     """Evolve a Wright-Fisher population and stream sample compositions."""
     thetas = _parse_theta(theta)
-    pop = wf_sim.Population.founding(two_n, len(thetas))
+    pop = wf_sim.Population.founding(two_n, thetas.k)
     rng = np.random.default_rng(seed)
     samples = wf_sim.stationary_samples(pop, thetas, sample_size, reps, rng, gens, thin)
     for part in samples:

@@ -48,7 +48,6 @@ __all__ = [
     "refined_esf_log_pmf",
     "refined_esf_pmf_factorized",
     "classical_ewens_pmf",
-    "classical_ewens_log_pmf",
     "downward_transition",
     "check_consistency",
     "union_marginal_check",
@@ -79,7 +78,8 @@ class MutationParams:
         if len(thetas) < 1:
             raise ValueError("need at least one mutation class")
         if not all(0 < t < math.inf for t in thetas):  # also rejects NaN
-            raise ValueError(f"mutation masses must be positive and finite, got {thetas}")
+            shown = ", ".join(map(str, thetas))
+            raise ValueError(f"mutation masses must be positive and finite, got ({shown})")
 
     @property
     def k(self) -> int:
@@ -248,10 +248,6 @@ def refined_esf_log_pmf(p: MultiplePartition, theta) -> float:
 def classical_ewens_pmf(diagram: YoungDiagram, theta: Numeric) -> Numeric:
     """Single-class Ewens probability of a Young diagram: the refined law at k = 1."""
     return refined_esf_pmf(MultiplePartition((diagram,)), (theta,))
-
-
-def classical_ewens_log_pmf(diagram: YoungDiagram, theta: float) -> float:
-    return refined_esf_log_pmf(MultiplePartition((diagram,)), (theta,))
 
 
 def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:

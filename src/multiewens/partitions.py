@@ -8,16 +8,19 @@ a set partition of the gene labels with a class label on every block.
 
 Everything here is immutable and hashable, and the enumeration helpers are
 deliberately simple so they can serve as exact oracles for the measure and
-sampler modules.  The public constructors validate their input; the
-enumerators and the box-removal and union maps, whose values are valid by
-construction, build their instances through :func:`_trusted` instead.
+sampler modules.  The public constructors check every value from outside
+the program, and never round it: each integer field passes one rule,
+:func:`_plain_ints`.  Values the library builds from checked parts (the
+enumerators, the box-removal and union maps, the count matrix of a
+partition) skip those checks through :func:`_trusted`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -40,6 +43,19 @@ __all__ = [
 ]
 
 
+def _plain_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple of Python ints, the one rule for integer fields.
+    Python and numpy integers pass; a bool, float or string raises, so no
+    value is ever rounded."""
+    values = tuple(values)
+    if all(type(v) is int for v in values):
+        return values
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class YoungDiagram:
     """A weakly decreasing tuple of positive row lengths (possibly empty)."""
@@ -47,7 +63,7 @@ class YoungDiagram:
     rows: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = _plain_ints(self.rows, "row lengths")
         object.__setattr__(self, "rows", rows)
         for i, r in enumerate(rows):
             if r < 1:
@@ -118,7 +134,7 @@ class AlleleCountMatrix:
     k: int
 
     def __post_init__(self):
-        entries = tuple(tuple(int(a) for a in row) for row in self.entries)
+        entries = tuple(_plain_ints(row, "allele counts") for row in self.entries)
         object.__setattr__(self, "entries", entries)
         n = len(entries)
         for row in entries:
@@ -151,10 +167,10 @@ class LabeledSetPartition:
     n: int
 
     def __post_init__(self):
-        blocks = tuple(
-            (int(label), frozenset(int(e) for e in elems))
-            for label, elems in self.blocks
-        )
+        blocks = []
+        for label, elems in self.blocks:
+            (label,) = _plain_ints((label,), "block labels")
+            blocks.append((label, frozenset(_plain_ints(elems, "block elements"))))
         blocks = tuple(sorted(blocks, key=lambda b: min(b[1])))
         object.__setattr__(self, "blocks", blocks)
         seen: set[int] = set()
@@ -171,7 +187,7 @@ class LabeledSetPartition:
 
 
 def _trusted(cls, **fields):
-    """Instance of one of the frozen dataclasses above from field values that
+    """Instance of a frozen dataclass of this package from field values that
     are valid and canonical by construction; skips ``__post_init__``, so it
     is equal and hash-equal to the validated instance of the same values."""
     obj = object.__new__(cls)
@@ -195,7 +211,7 @@ def multipartition_to_matrix(p: MultiplePartition) -> AlleleCountMatrix:
     for l, comp in enumerate(p.components):
         for j, a in comp.multiplicities().items():
             grid[j - 1][l] = a
-    return AlleleCountMatrix(tuple(tuple(row) for row in grid), k=p.k)
+    return _trusted(AlleleCountMatrix, entries=tuple(map(tuple, grid)), k=p.k)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -244,26 +260,22 @@ def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiplePartition]:
             yield _trusted(MultiplePartition, components=comps)
 
 
-@lru_cache(maxsize=None)
-def _partition_count(n: int, max_part: int) -> int:
-    if n == 0:
-        return 1
-    if n < 0 or max_part == 0:
-        return 0
-    return _partition_count(n - max_part, max_part) + _partition_count(n, max_part - 1)
+def _partition_counts(n: int) -> list[int]:
+    """[p(0), ..., p(n)], the integer partitions of each size, built bottom-up
+    by admitting one part size at a time."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts
 
 
 def count_multipartitions(n: int, k: int) -> int:
     """|Y_n^(k)| = sum over size compositions of the product of partition counts."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 0
-    for sizes in compositions_of(n, k):
-        prod = 1
-        for m in sizes:
-            prod *= _partition_count(m, m)
-        total += prod
-    return total
+    counts = _partition_counts(n)
+    return sum(math.prod(counts[m] for m in sizes) for sizes in compositions_of(n, k))
 
 
 def union(p: MultiplePartition) -> YoungDiagram:
@@ -316,14 +328,11 @@ def set_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
     yield from grow([], 0)
 
 
-@lru_cache(maxsize=None)
 def _stirling_second(p: int, m: int) -> int:
-    """Partitions of a p-set into m nonempty blocks."""
-    if p == 0:
-        return 1 if m == 0 else 0
-    if m == 0 or m > p:
-        return 0
-    return m * _stirling_second(p - 1, m) + _stirling_second(p - 1, m - 1)
+    """Partitions of a p-set into m nonempty blocks: the surjections onto an
+    m-set, counted by inclusion-exclusion without recursion, over m!."""
+    onto = sum((-1) ** i * math.comb(m, i) * (m - i) ** p for i in range(m + 1))
+    return onto // math.factorial(m)
 
 
 def labeled_set_partitions(n: int, k: int) -> Iterator[LabeledSetPartition]:
@@ -342,19 +351,5 @@ def multipartition_to_lists(p: MultiplePartition) -> list[list[int]]:
 
 
 def multipartition_from_lists(obj: Sequence[Iterable[int]]) -> MultiplePartition:
-    """Parse the nested-list form produced by :func:`multipartition_to_lists`.
-
-    Every row must be a plain int (not a bool, float or string), so outside
-    input is never rounded or coerced into a different partition.
-    """
-    comps = tuple(_plain_ints(rows, "row lengths") for rows in obj)
-    return MultiplePartition(tuple(YoungDiagram(rows) for rows in comps))
-
-
-def _plain_ints(values: Iterable, what: str) -> tuple[int, ...]:
-    """The values as a tuple; each must be a plain int, not a bool, float or string."""
-    values = tuple(values)
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{what} must be integers, got {v!r}")
-    return values
+    """Parse the nested-list form produced by :func:`multipartition_to_lists`."""
+    return MultiplePartition(tuple(obj))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import CheckReport, _exact_common, _exact_params, _params, refined_esf_pmf
+from .measure import CheckReport, _check_k, _common, _exact_params, _params, refined_esf_pmf
 from .partitions import enumerate_multipartitions
 
 __all__ = [
@@ -56,7 +56,8 @@ def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
     cross-multiplied as integers, using (w)_n / n! = D_n / (Q^n n!).
     """
     params = _exact_params(theta, "conditional identity check")
-    q, scaled, d_n = _exact_common(params, k, n, "conditional identity check")
+    _check_k(k, params)
+    q, scaled, d_n = _common(params.thetas, n)
     scale = q**n * math.factorial(n)
     failures = []
     total = 0

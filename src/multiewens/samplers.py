@@ -6,6 +6,9 @@ per-step rates it realises, and the paintbox over class-weighted ranked
 frequencies drawn from the multiple Poisson-Dirichlet law.  The urn and the
 paintbox end with the alleles they drew as (class, count) pairs, which
 ``partitions._from_alleles`` groups into the sample's multiple partition.
+The urn's set partition and the Poisson-Dirichlet frequencies are valid by
+construction and skip their constructors' checks through
+``partitions._trusted``, with the field types of a validated instance.
 
 Seeding contract: every sampler takes a 64-bit integer seed and is bit
 deterministic for a fixed platform and library version.  Parallel workers
@@ -25,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import _params
-from .partitions import LabeledSetPartition, MultiplePartition, _from_alleles
+from .partitions import LabeledSetPartition, MultiplePartition, _from_alleles, _trusted
 
 __all__ = [
     "derive_seed",
@@ -115,7 +118,7 @@ def hoppe_urn_sample(
     blocks = tuple((cls + 1, frozenset(m)) for cls, m in zip(classes, members))
     return (
         _from_alleles(zip(classes, counts), params.k),
-        LabeledSetPartition(blocks, n=n),
+        _trusted(LabeledSetPartition, blocks=blocks, n=n),
     )
 
 
@@ -202,11 +205,11 @@ class FrequencyRanked:
 
 def _gem_sticks(rng: np.random.Generator, theta: float, eps: float) -> list[float]:
     """Stick-breaking GEM(theta) weights of the unit stick until the
-    residual drops below eps; returned unordered."""
+    residual drops below eps; returned unordered, as Python floats."""
     xs: list[float] = []
     remaining = 1.0
     while remaining >= eps:
-        for b in rng.beta(1.0, theta, size=16):
+        for b in rng.beta(1.0, theta, size=16).tolist():
             xs.append(remaining * b)
             remaining *= 1.0 - b
             if remaining < eps:
@@ -228,15 +231,15 @@ def pd_sample(theta, eps: float, seed: int) -> FrequencyRanked:
     thetas = [float(t) for t in params.thetas]
     rng = np.random.default_rng(seed)
     if params.k == 1:
-        deltas = np.ones(1)  # Dirichlet with one component, exactly
+        deltas = [1.0]  # Dirichlet with one component, exactly
     else:
-        deltas = rng.dirichlet(thetas)
+        deltas = rng.dirichlet(thetas).tolist()
     freqs = []
     for th, d in zip(thetas, deltas):
         sticks = _gem_sticks(rng, th, eps)
         sticks.sort(reverse=True)
         freqs.append(tuple(d * x for x in sticks))
-    return FrequencyRanked(tuple(freqs), tuple(float(d) for d in deltas), eps)
+    return _trusted(FrequencyRanked, freqs=tuple(freqs), deltas=tuple(deltas), eps=eps)
 
 
 def paintbox_sample(n: int, f: FrequencyRanked, seed: int) -> MultiplePartition:

@@ -207,7 +207,8 @@ def stationary_samples(
     thin_gens generations (default N).
 
     Runs the count-level engine; pop holds the current state as 2N genes
-    (grouped by allele) at every yield and at the end.
+    (grouped by allele) at every yield and at the end.  Every input is
+    checked at the call, before the generator is returned.
     """
     if not 1 <= sample_size <= pop.size:
         raise ValueError(f"sample size {sample_size} must be in 1..{pop.size}")
@@ -216,14 +217,20 @@ def stationary_samples(
     thin_gens = half_n if thin_gens is None else thin_gens
     if burn_gens < 0 or thin_gens < 0:
         raise ValueError("burn-in and thinning generations must be nonnegative")
-    thetas = _params(theta).thetas
-    alleles = _AlleleCounts(pop, [float(t) / (2 * pop.size) for t in thetas])
-    alleles.advance(burn_gens, rng)
-    for _ in range(reps):
-        alleles.advance(thin_gens, rng)
+    params = _params(theta)
+    if params.k != pop.k:
+        raise ValueError(f"need k={pop.k} mutation masses, got {params.k}")
+    alleles = _AlleleCounts(pop, [float(t) / (2 * pop.size) for t in params.thetas])
+
+    def run():
+        alleles.advance(burn_gens, rng)
+        for _ in range(reps):
+            alleles.advance(thin_gens, rng)
+            alleles.write_to(pop)
+            yield alleles.sample(sample_size, rng)
         alleles.write_to(pop)
-        yield alleles.sample(sample_size, rng)
-    alleles.write_to(pop)
+
+    return run()
 
 
 def stationary_partition_counts(

@@ -9,6 +9,10 @@ projects exactly onto the k-class Ewens measure with theta_l = t_l |c_l|/|G|.
 Weights cross one boundary: each entry point coerces t once to a
 :class:`WreathParams`, the only place weights are checked; the projected
 masses and the exact-or-float choice come from :meth:`WreathParams.thetas`.
+Group tables and elements from outside are checked by their constructors,
+whose integer fields pass ``partitions._plain_ints`` and are never rounded;
+the elements the restaurant process, the enumerator and the group
+operations build skip that check through ``partitions._trusted``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .measure import _is_exact, _product
-from .partitions import MultiplePartition, _from_alleles, _plain_ints
+from .partitions import MultiplePartition, _from_alleles, _plain_ints, _trusted
 
 __all__ = [
     "GroupTable",
@@ -55,7 +59,7 @@ class GroupTable:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        table = tuple(tuple(int(v) for v in row) for row in self.table)
+        table = tuple(_plain_ints(row, "table entries") for row in self.table)
         object.__setattr__(self, "table", table)
         m = len(table)
         if m < 1:
@@ -148,8 +152,8 @@ class WreathElement:
     s: tuple[int, ...]
 
     def __post_init__(self):
-        g = tuple(int(v) for v in self.g)
-        s = tuple(int(v) for v in self.s)
+        g = _plain_ints(self.g, "entries of g")
+        s = _plain_ints(self.s, "entries of s")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "s", s)
         if len(g) != len(s):
@@ -166,8 +170,8 @@ class WreathElement:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WreathElement":
-        """Parse :meth:`to_json_dict` output; every entry must be a plain int."""
-        return cls(_plain_ints(obj["g"], "entries of g"), _plain_ints(obj["s"], "entries of s"))
+        """Parse :meth:`to_json_dict` output."""
+        return cls(obj["g"], obj["s"])
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,8 @@ class WreathParams:
         ts = tuple(self.ts)
         object.__setattr__(self, "ts", ts)
         if not all(0 < t < math.inf for t in ts):  # also rejects NaN
-            raise ValueError(f"all weights must be positive and finite, got {ts}")
+            shown = ", ".join(map(str, ts))
+            raise ValueError(f"all weights must be positive and finite, got ({shown})")
 
     def thetas(self, group: GroupTable) -> tuple:
         """Mutation masses of the projected law: theta_l = t_l |c_l| / |G|."""
@@ -271,7 +276,7 @@ def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
     ts = [float(v) for v in _wreath_params(t)._per_class(group)]
     rng = random.Random(seed)
     g, s = _crp_run(n, group, ts, rng)
-    return WreathElement(tuple(g), tuple(s))
+    return _trusted(WreathElement, g=tuple(g), s=tuple(s))
 
 
 def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
@@ -325,17 +330,14 @@ def crp_element_counts(
     for _ in range(reps):
         g, s = _crp_run(n, group, ts, rng)
         raw[(tuple(g), tuple(s))] += 1
-    out: Counter = Counter()
-    for (gv, sv), c in raw.items():
-        out[WreathElement(gv, sv)] = c
-    return out
+    return Counter({_trusted(WreathElement, g=gv, s=sv): c for (gv, sv), c in raw.items()})
 
 
 def enumerate_wreath_elements(n: int, group: GroupTable) -> Iterator[WreathElement]:
     """All |G|^n n! elements of G wr S(n); desk scale only."""
     for s in itertools.permutations(range(n)):
         for g in itertools.product(range(group.order), repeat=n):
-            yield WreathElement(g, s)
+            yield _trusted(WreathElement, g=g, s=s)
 
 
 def wreath_multiply(x: WreathElement, y: WreathElement, group: GroupTable) -> WreathElement:
@@ -346,7 +348,7 @@ def wreath_multiply(x: WreathElement, y: WreathElement, group: GroupTable) -> Wr
         s_inv[v] = i
     g = tuple(group.mult(x.g[i], y.g[s_inv[i]]) for i in range(n))
     s = tuple(x.s[y.s[i]] for i in range(n))
-    return WreathElement(g, s)
+    return _trusted(WreathElement, g=g, s=s)
 
 
 def wreath_inverse(x: WreathElement, group: GroupTable) -> WreathElement:
@@ -355,7 +357,7 @@ def wreath_inverse(x: WreathElement, group: GroupTable) -> WreathElement:
     for i, v in enumerate(x.s):
         s_inv[v] = i
     g = tuple(group.inverse[x.g[x.s[i]]] for i in range(n))
-    return WreathElement(g, tuple(s_inv))
+    return _trusted(WreathElement, g=g, s=tuple(s_inv))
 
 
 def wreath_conjugate(x: WreathElement, y: WreathElement, group: GroupTable) -> WreathElement:

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles with
 algorithms different from the library's own (pentagonal-number recurrence
 instead of bounded-part recursion, direct distinct-monomial expansion
-instead of power sums) so that agreement is meaningful.
+instead of power sums) so that agreement is meaningful.  One helper,
+:func:`refuse_validation`, tells a trusted construction from a validated one.
 """
 
 import itertools
@@ -198,3 +199,11 @@ def pewens_direct(class_counts, n: int, ts, class_sizes, order: int) -> Fraction
     for t, c in zip(ts, class_counts):
         value *= Fraction(t) ** c
     return value
+
+
+def refuse_validation(monkeypatch, cls):
+    """Make every validated construction of the frozen dataclass cls fail,
+    so a builder that still succeeds built its instances without checks."""
+    def refuse(self):
+        raise AssertionError(f"{cls.__name__} was re-validated")
+    monkeypatch.setattr(cls, "__post_init__", refuse)

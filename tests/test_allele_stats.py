@@ -175,6 +175,13 @@ class TestStirlingFirst:
         with pytest.raises(ValueError):
             stirling_first(-1, 0)
 
+    def test_large_row_without_recursion(self):
+        # the row is built bottom-up, so a cold call at n = 600 does not
+        # exhaust the Python stack; its entries still count all permutations
+        assert sum(stirling_first(600, m) for m in range(601)) == math.factorial(600)
+        assert stirling_first(600, 1) == math.factorial(599)
+        assert stirling_first(600, 599) == 600 * 599 // 2
+
 
 class TestJointLaw:
     @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 4, 7, 10) for k in (1, 2, 3)])
@@ -201,6 +208,21 @@ class TestJointLaw:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             joint_k_pmf(-1, (F(1), F(2)), (0, 0))
+
+    @pytest.mark.parametrize("ps", [(1.5, 1), (True, 1), ("1", 1), (np.float64(1.0), 1)],
+                             ids=["float", "bool", "str", "numpy-float"])
+    def test_counts_must_be_integers(self, ps):
+        # int() would read (1.5, 1) as (1, 1) and return P(1, 1) = 1/5
+        with pytest.raises(ValueError, match="counts must be integers"):
+            joint_k_pmf(3, (1, 2), ps)
+
+    def test_numpy_counts_pass(self):
+        assert joint_k_pmf(3, (1, 2), (np.int64(1), np.uint8(1))) == joint_k_pmf(3, (1, 2), (1, 1))
+
+    def test_large_n(self):
+        # |s(600, 2)| 2! / (1! 1!) * 1 * 2 / (3)_600
+        want = F(2 * stirling_first(600, 2) * 2, math.factorial(602) // 2)
+        assert joint_k_pmf(600, (1, 2), (1, 1)) == want
 
     def test_k1_classical_form(self):
         th = (F(3, 2),)

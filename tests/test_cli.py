@@ -7,7 +7,11 @@ from click.testing import CliRunner
 
 from multiewens import allele_stats, measure
 from multiewens.cli import _labelled_count, main
-from multiewens.partitions import labeled_set_partitions, multipartition_to_lists
+from multiewens.partitions import (
+    labeled_set_partitions,
+    multipartition_from_lists,
+    multipartition_to_lists,
+)
 from multiewens.wf_sim import Population, stationary_samples
 
 
@@ -300,6 +304,76 @@ class TestThetaParsing:
         errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1
         assert "rational" in errors[0] and "counts" not in errors[0]
+
+
+class TestOneMassRule:
+    """Masses enter as the library's checked type, so every bad mass gives
+    the library's one message and exit 1, whether or not a draw is made."""
+
+    @pytest.mark.parametrize("args", [
+        ["pmf", "--partition", "[[1],[]]"],
+        ["sample-urn", "--n", "3", "--reps", "0"],
+        ["sample-pd", "--reps", "0"],
+        ["stats-k", "--n", "3"],
+        ["wf-sim", "--N", "10", "--gens", "5", "--sample-size", "2", "--reps", "0"],
+    ], ids=["pmf", "sample-urn", "sample-pd", "stats-k", "wf-sim"])
+    @pytest.mark.parametrize("theta,shown", [("0,1", "(0, 1)"), ("1e999,1", "(inf, 1)"),
+                                             ("-1/2,1", "(-1/2, 1)")],
+                             ids=["zero", "overflow", "negative"])
+    def test_bad_mass(self, runner, args, theta, shown):
+        res = runner.invoke(main, [*args, "--theta", theta])
+        assert res.exit_code == 1
+        errors = [l for l in res.stderr.splitlines() if l.startswith("Error:")]
+        assert errors == [f"Error: mutation masses must be positive and finite, got {shown}"]
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("cmd", [
+        ["sample-crp", "--n", "3", "--group", "z2", "--reps", "0"],
+        ["pmf", "--theta", "1", "--element", '{"g": [0], "s": [0]}', "--group", "z2"],
+    ], ids=["sample-crp", "pmf-element"])
+    def test_bad_weight_is_called_a_weight(self, runner, cmd):
+        res = runner.invoke(main, [*cmd, "--t", "0,1"])
+        assert res.exit_code == 1
+        errors = [l for l in res.stderr.splitlines() if l.startswith("Error:")]
+        assert errors == ["Error: all weights must be positive and finite, got (0, 1)"]
+
+
+class TestLargeInputs:
+    """Counting tables are built without recursion, so large sizes finish
+    or are refused with one error line, never a traceback."""
+
+    def test_enumerate_count(self, runner):
+        res = runner.invoke(main, ["enumerate", "--n", "600", "--k", "2", "--count"])
+        assert res.exit_code == 0
+        assert res.stdout == "13995220929452515665800328918498948\n"
+
+    def test_joint_k(self, runner):
+        res = runner.invoke(main, ["pmf", "--theta", "1,2", "--joint-k", "1,1", "--n", "600"])
+        assert res.exit_code == 0
+        rec = json.loads(res.stdout)
+        assert rec["counts"] == [1, 1] and rec["rational"].count("/") == 1
+
+    def test_verify_refuses_with_the_state_cap(self, runner):
+        res = runner.invoke(main, ["verify", "--n", "600", "--k", "1", "--theta", "1"])
+        assert res.exit_code == 1
+        errors = [l for l in res.stderr.splitlines() if l.startswith("Error:")]
+        assert len(errors) == 1 and "458004788008144308553622 states" in errors[0]
+        assert res.stdout == ""
+
+
+class TestFloatLogProb:
+    def test_underflowed_partition_keeps_its_log(self, runner):
+        # 300 singletons of class 1: P = 300! / (3)_300, about e^-1425.6
+        part = json.dumps([[1] * 300, []])
+        exact = runner.invoke(main, ["pmf", "--theta", "1,2", "--partition", part])
+        floats = runner.invoke(main, ["pmf", "--theta", "1.0,2.0", "--partition", part])
+        want = json.loads(exact.stdout)["log_prob"]
+        rec = json.loads(floats.stdout)
+        assert rec["prob"] == 0.0
+        assert rec["log_prob"] == pytest.approx(want, rel=1e-12)
+        assert rec["log_prob"] == pytest.approx(-1425.63, abs=0.01)
+        assert rec["log_prob"] == measure.refined_esf_log_pmf(
+            multipartition_from_lists([[1] * 300, []]), (1.0, 2.0))
 
 
 class TestGroupTableFile:

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from multiewens.measure import refined_esf_pmf
 from multiewens.partitions import (
     AlleleCountMatrix,
     LabeledSetPartition,
@@ -19,11 +21,12 @@ from multiewens.partitions import (
     set_partitions,
     union,
     _from_alleles,
+    _stirling_second,
 )
 
 from multiewens.measure import downward_transition
 
-from oracles import multipartition_count, partition_count
+from oracles import multipartition_count, partition_count, refuse_validation
 
 
 def mp(*rows_lists):
@@ -225,6 +228,82 @@ class TestTrustedInstances:
                         self._same(child, _validated(child))
                         for comp in child.components:
                             self._same(comp, YoungDiagram(comp.rows))
+
+
+    def test_count_matrix(self, monkeypatch):
+        parts = [p for k in (1, 2, 3) for n in range(7) for p in enumerate_multipartitions(n, k)]
+        want = [AlleleCountMatrix(m.entries, k=m.k) for m in map(multipartition_to_matrix, parts)]
+        refuse_validation(monkeypatch, AlleleCountMatrix)
+        built = [multipartition_to_matrix(p) for p in parts]
+        for m, validated in zip(built, want):
+            self._same(m, validated)
+            assert all(type(a) is int for row in m.entries for a in row)
+
+
+# each builder reads back the integer field it was given one value v for
+_INTEGER_FIELDS = {
+    "YoungDiagram.rows": lambda v: YoungDiagram((v,)).rows,
+    "AlleleCountMatrix.entries": lambda v: AlleleCountMatrix(((v,),), k=1).entries[0],
+    "LabeledSetPartition.labels": lambda v: tuple(
+        label for label, _ in LabeledSetPartition(((v, {1}),), n=1).blocks),
+    "LabeledSetPartition.elements": lambda v: tuple(
+        LabeledSetPartition(((1, {v}),), n=1).blocks[0][1]),
+    "multipartition_from_lists": lambda v: multipartition_from_lists([[v], []]).components[0].rows,
+}
+
+
+class TestIntegerRule:
+    """One rule for every integer field: Python and numpy integers are stored
+    as Python ints; a bool, float or string raises and is never rounded."""
+
+    @pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.uint8(1)],
+                             ids=["int", "numpy-int64", "numpy-uint8"])
+    def test_integers_pass_as_python_ints(self, field, value):
+        got = _INTEGER_FIELDS[field](value)
+        assert got == (1,) and type(got[0]) is int
+
+    @pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+    @pytest.mark.parametrize("value", [1.0, 1.5, True, "1", np.float64(1.0), np.bool_(True)],
+                             ids=["float-1.0", "float-1.5", "bool", "str", "numpy-float", "numpy-bool"])
+    def test_non_integers_raise(self, field, value):
+        with pytest.raises(ValueError, match="must be integers"):
+            _INTEGER_FIELDS[field](value)
+
+    def test_message_names_the_field(self):
+        with pytest.raises(ValueError, match="row lengths must be integers, got 2.7"):
+            YoungDiagram((2.7, 1))
+        with pytest.raises(ValueError, match="allele counts"):
+            AlleleCountMatrix(((0.5, 0.5),), k=2)
+        with pytest.raises(ValueError, match="block labels"):
+            LabeledSetPartition(((1.9, {1}),), n=1)
+
+    def test_pmf_of_a_rounded_partition_is_refused(self):
+        # int() would have read [[2.5], []] as [[2], []], of probability 1/12
+        with pytest.raises(ValueError):
+            refined_esf_pmf(MultiplePartition(([2.5], [])), (1, 2))
+
+
+class TestCountsAtLargeSize:
+    """The counting tables are built without recursion, so sizes of several
+    hundred do not exhaust the Python stack."""
+
+    def test_partition_counts_match_euler_recurrence(self):
+        # the oracle recurses; filling it in order keeps its recursion shallow
+        p = [partition_count(m) for m in range(1001)]
+        assert count_multipartitions(1000, 1) == p[1000]
+        assert count_multipartitions(600, 2) == sum(p[a] * p[600 - a] for a in range(601))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 100, 600, 1000])
+    def test_stirling_second_two_blocks(self, n):
+        assert _stirling_second(n, 2) == 2 ** (n - 1) - 1
+
+    def test_stirling_second_edges(self):
+        assert _stirling_second(0, 0) == 1
+        assert _stirling_second(5, 0) == 0 and _stirling_second(3, 5) == 0
+        assert _stirling_second(600, 600) == 1
+        assert _stirling_second(600, 599) == 600 * 599 // 2
+        assert [_stirling_second(4, m) for m in range(5)] == [0, 1, 7, 6, 1]
 
 
 class TestFromAlleles:

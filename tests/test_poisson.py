@@ -95,6 +95,21 @@ class TestConditionalIdentity:
         with pytest.raises(ValueError):
             conditional_identity_check(3, 2, (1.0, 2.0))
 
+    def test_masses_checked_once(self, monkeypatch):
+        from multiewens import measure, poisson
+
+        calls = []
+        real = measure._exact_params
+
+        def counting(theta, what):
+            calls.append(what)
+            return real(theta, what)
+
+        monkeypatch.setattr(measure, "_exact_params", counting)
+        monkeypatch.setattr(poisson, "_exact_params", counting)
+        assert conditional_identity_check(4, 2, (F(1), F(3, 7))).ok
+        assert len(calls) == 1
+
 
 class TestTruncatedTV:
     def test_bounds(self):

@@ -9,6 +9,7 @@ import pytest
 
 from multiewens.measure import refined_esf_pmf
 from multiewens.partitions import (
+    LabeledSetPartition,
     MultiplePartition,
     YoungDiagram,
     enumerate_multipartitions,
@@ -29,7 +30,7 @@ from multiewens.samplers import (
     power_sums_of,
 )
 
-from oracles import monomial_symmetric_direct, tv_distance
+from oracles import monomial_symmetric_direct, refuse_validation, tv_distance
 
 F = Fraction
 
@@ -429,3 +430,37 @@ class TestIntegralRepresentation:
             exact = float(refined_esf_pmf(p, th_q))
             assert abs(est - exact) <= 4 * se + 1e-4
 
+
+
+class TestTrustedDraws:
+    """The urn's set partition and the Poisson-Dirichlet frequencies are built
+    without validation; each must equal, hash and print like the validated
+    instance of the same values."""
+
+    @staticmethod
+    def _same(built, validated):
+        assert built == validated and hash(built) == hash(validated)
+        assert repr(built) == repr(validated)
+
+    @pytest.mark.parametrize("theta", [(0.7, 1.3), (1, Fraction(1, 3)), (50.0, 2.0, 0.1)])
+    def test_urn_set_partition(self, monkeypatch, theta):
+        refuse_validation(monkeypatch, LabeledSetPartition)
+        draws = [hoppe_urn_sample(n, theta, seed)[1] for n in (1, 6, 40) for seed in range(10)]
+        monkeypatch.undo()
+        for s in draws:
+            # elements in draw order, as the urn records them: a frozenset's
+            # display order depends on the order its elements were added
+            given = tuple((label, sorted(elems)) for label, elems in reversed(s.blocks))
+            self._same(s, LabeledSetPartition(given, n=s.n))
+            assert all(type(label) is int and all(type(e) is int for e in elems)
+                       for label, elems in s.blocks)
+
+    @pytest.mark.parametrize("theta", [(2.0,), (1, 2), (0.5, 1.5, 3.0)])
+    def test_pd_frequencies(self, monkeypatch, theta):
+        refuse_validation(monkeypatch, FrequencyRanked)
+        draws = [pd_sample(theta, 1e-6, seed) for seed in range(10)]
+        monkeypatch.undo()
+        for f in draws:
+            self._same(f, FrequencyRanked(f.freqs, f.deltas, f.eps))
+            assert all(type(x) is float for seq in f.freqs for x in seq)
+            assert all(type(d) is float for d in f.deltas)

@@ -155,6 +155,11 @@ class TestTransitionProb:
             target = p * (p - 1) + 3 * p
             assert abs(float(val) - target) / target < 0.01
 
+    def test_large_p_without_recursion(self):
+        # S(600, 2) = 2^599 - 1 ways to split the 600 genes between two parents
+        got = transition_prob(600, 2, 1000, [F(0)])
+        assert got == F((2**599 - 1) * 1000 * 999, 1000**600)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             transition_prob(3, 4, 100, [F(0)])
@@ -367,6 +372,33 @@ class TestCountLevelEngine:
             next(stationary_samples(pop, (1.0, 2.0), sample_size, 3,
                                     np.random.default_rng(0), burn, thin))
         assert pop.generation == 0
+
+    @pytest.mark.parametrize("theta,message", [
+        ((0.0, 1.0), "positive and finite"),
+        ((1.0,), "need k=2 mutation masses"),
+        ((1.0, 2.0, 3.0), "need k=2 mutation masses"),
+    ], ids=["zero-mass", "too-few", "too-many"])
+    def test_checks_at_the_call(self, theta, message):
+        # a generator would check nothing until its first next()
+        pop = Population.founding(10, 2)
+        with pytest.raises(ValueError, match=message):
+            stationary_samples(pop, theta, 2, 1, np.random.default_rng(0))
+        assert pop.generation == 0
+
+    def test_stream_follows_the_burn_in(self):
+        pop = Population.founding(20, 2)
+        rng = np.random.default_rng(5)
+        samples = stationary_samples(pop, (1.0, 2.0), 4, 3, rng, 7, 2)
+        assert pop.generation == 0  # nothing runs before the first next()
+        got = list(samples)
+        alleles = _AlleleCounts(Population.founding(20, 2), [1.0 / 40, 2.0 / 40])
+        rng = np.random.default_rng(5)
+        alleles.advance(7, rng)
+        want = []
+        for _ in range(3):
+            alleles.advance(2, rng)
+            want.append(alleles.sample(4, rng))
+        assert got == want and pop.generation == 13
 
     @pytest.mark.parametrize("theta", [(0.0, 1.0), (math.nan, 1.0)])
     def test_rejects_bad_masses_before_burn_in(self, theta):

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from multiewens.measure import refined_esf_pmf
@@ -25,7 +26,7 @@ from multiewens.wreath import (
     wreath_multiply,
 )
 
-from oracles import tv_distance
+from oracles import refuse_validation, tv_distance
 
 F = Fraction
 
@@ -376,3 +377,66 @@ class TestCrpCountsInputs:
     def test_rejects_negative_reps(self):
         with pytest.raises(ValueError, match="reps must be >= 0"):
             crp_element_counts(3, cyclic_group(2), (1.0, 2.0), -1, seed=1)
+
+
+class TestIntegerFields:
+    """Group tables and elements take Python and numpy integers, stored as
+    Python ints, and refuse a bool, float or string instead of rounding it."""
+
+    @pytest.mark.parametrize("g,s", [((1.5,), (0.9,)), ((True,), (0,)), ((0,), ("0",)),
+                                     ((np.float64(1.0),), (0,))])
+    def test_element_refuses_non_integers(self, g, s):
+        with pytest.raises(ValueError, match="must be integers"):
+            WreathElement(g, s)
+
+    @pytest.mark.parametrize("table", [((0.0,),), ((True,),), (("0",),)])
+    def test_table_refuses_non_integers(self, table):
+        with pytest.raises(ValueError, match="table entries must be integers"):
+            GroupTable(table)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        x = WreathElement(np.array([1, 0]), (np.int64(1), np.uint8(0)))
+        assert x == WreathElement((1, 0), (1, 0)) and repr(x) == repr(WreathElement((1, 0), (1, 0)))
+        g = GroupTable(np.array([[0, 1], [1, 0]]))
+        assert g == cyclic_group(2) and all(type(v) is int for row in g.table for v in row)
+
+    def test_json_element_checked_by_its_constructor(self):
+        assert WreathElement.from_json_dict({"g": [1], "s": [0]}) == WreathElement((1,), (0,))
+        with pytest.raises(ValueError, match="entries of g must be integers"):
+            WreathElement.from_json_dict({"g": [1.0], "s": [0]})
+
+
+class TestTrustedElements:
+    """The restaurant process, the enumerator and the group operations build
+    their elements without validation; each must equal, hash and print like
+    the validated element of the same values."""
+
+    @staticmethod
+    def _same(x):
+        validated = WreathElement(x.g, x.s)
+        assert x == validated and hash(x) == hash(validated)
+        assert repr(x) == repr(validated)
+        assert all(type(v) is int for v in x.g + x.s)
+
+    def test_restaurant_draws(self, monkeypatch):
+        g = symmetric_group_3()
+        refuse_validation(monkeypatch, WreathElement)
+        built = [crp_wreath_sample(5, g, (1.0, 2.0, 0.5), seed) for seed in range(30)]
+        counts = crp_element_counts(3, g, (1, 2, F(1, 2)), 200, seed=4)
+        monkeypatch.undo()
+        assert sum(counts.values()) == 200
+        for x in built + list(counts):
+            self._same(x)
+
+    def test_enumeration_and_group_operations(self, monkeypatch):
+        g = symmetric_group_3()
+        rng = random.Random(1)
+        refuse_validation(monkeypatch, WreathElement)
+        elems = list(enumerate_wreath_elements(2, g))
+        built = list(elems)
+        for _ in range(40):
+            x, y = rng.choice(elems), rng.choice(elems)
+            built += [wreath_multiply(x, y, g), wreath_inverse(x, g), wreath_conjugate(x, y, g)]
+        monkeypatch.undo()
+        for x in built:
+            self._same(x)
