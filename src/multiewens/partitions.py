@@ -231,15 +231,30 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
 
 
 def compositions_of(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of n into k parts, first part largest first."""
+    """Weak compositions of n into k parts, first part largest first.
+
+    Iterative, so any k costs no recursion: each step moves one unit out of
+    part i, the last nonzero part before the final one, into part i + 1,
+    together with all of the final part.  Tracking i costs O(1) amortized."""
     if k < 1:
         raise ValueError("need at least one part")
-    if k == 1:
-        yield (n,)
+    if n < 0:
         return
-    for first in range(n, -1, -1):
-        for rest in compositions_of(n - first, k - 1):
-            yield (first,) + rest
+    parts = [n] + [0] * (k - 1)
+    i = 0 if k > 1 and n > 0 else -1
+    while True:
+        yield tuple(parts)
+        if i < 0:
+            return
+        tail = parts[-1]
+        parts[-1] = 0
+        parts[i] -= 1
+        parts[i + 1] = tail + 1
+        if i + 1 < k - 1:
+            i += 1
+        else:
+            while i >= 0 and parts[i] == 0:
+                i -= 1
 
 
 def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiplePartition]:
@@ -270,12 +285,38 @@ def _partition_counts(n: int) -> list[int]:
     return counts
 
 
+def _series_product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two power series truncated to the length of a."""
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _series_power(a: list[int], e: int) -> list[int]:
+    """a**e, e >= 1, truncated to the length of a, by binary powering."""
+    result = None
+    while True:
+        if e & 1:
+            result = a if result is None else _series_product(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = _series_product(a, a)
+
+
 def count_multipartitions(n: int, k: int) -> int:
-    """|Y_n^(k)| = sum over size compositions of the product of partition counts."""
+    """|Y_n^(k)| = [x^n] P(x)^k, with P(x) = sum_m p(m) x^m the partition
+    series: P^k = H H' with H = P^(k//2) and H' = H or H P, truncated
+    after x^n, and only the x^n coefficient of the last product is formed,
+    so k = 2 costs O(n) products."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    counts = _partition_counts(n)
-    return sum(math.prod(counts[m] for m in sizes) for sizes in compositions_of(n, k))
+    if k < 1:
+        raise ValueError("need at least one part")
+    p = _partition_counts(n)
+    if k == 1:
+        return p[n]
+    half = _series_power(p, k // 2)
+    other = half if k % 2 == 0 else _series_product(half, p)
+    return sum(half[i] * other[n - i] for i in range(n + 1))
 
 
 def union(p: MultiplePartition) -> YoungDiagram:

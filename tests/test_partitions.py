@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from multiewens.measure import refined_esf_pmf
 from multiewens.partitions import (
     AlleleCountMatrix,
+    compositions_of,
     LabeledSetPartition,
     MultiplePartition,
     YoungDiagram,
@@ -293,6 +295,47 @@ class TestCountsAtLargeSize:
         p = [partition_count(m) for m in range(1001)]
         assert count_multipartitions(1000, 1) == p[1000]
         assert count_multipartitions(600, 2) == sum(p[a] * p[600 - a] for a in range(601))
+
+    def test_series_count_matches_the_composition_sum(self):
+        # the definition: a sum over size compositions of products of p(m)
+        for n in range(11):
+            for k in range(1, 6):
+                want = sum(math.prod(partition_count(m) for m in sizes)
+                           for sizes in compositions_of(n, k))
+                assert count_multipartitions(n, k) == want
+
+    def test_count_edges(self):
+        assert count_multipartitions(0, 7) == 1
+        assert count_multipartitions(2, 1000) == 1000 + 1000 * 999 // 2 + 1000
+        with pytest.raises(ValueError, match="at least one part"):
+            count_multipartitions(3, 0)
+
+    def test_compositions_order(self):
+        assert list(compositions_of(2, 3)) == [
+            (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        assert list(compositions_of(4, 1)) == [(4,)]
+        assert list(compositions_of(0, 2)) == [(0, 0)]
+        assert list(compositions_of(-1, 2)) == []
+
+    def test_compositions_order_matches_recursive_definition(self):
+        def recursive(n, k):
+            if k == 1:
+                yield (n,)
+                return
+            for first in range(n, -1, -1):
+                for rest in recursive(n - first, k - 1):
+                    yield (first,) + rest
+
+        for n in range(7):
+            for k in range(1, 5):
+                assert list(compositions_of(n, k)) == list(recursive(n, k))
+
+    def test_compositions_at_a_thousand_parts(self):
+        got = list(compositions_of(1, 1000))
+        assert len(got) == 1000 and got[0] == (1,) + (0,) * 999 and got[-1] == (0,) * 999 + (1,)
+        got = compositions_of(2, 1000)
+        assert [next(got) for _ in range(3)] == [
+            (2,) + (0,) * 999, (1, 1) + (0,) * 998, (1, 0, 1) + (0,) * 997]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 100, 600, 1000])
     def test_stirling_second_two_blocks(self, n):
