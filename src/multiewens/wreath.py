@@ -25,8 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .measure import _is_exact, _product
 from .partitions import MultiplePartition, _from_alleles, _plain_ints, _trusted
+from .samplers import _batched_counts
 
 __all__ = [
     "GroupTable",
@@ -311,26 +314,62 @@ def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
     return g, s
 
 
+def _crp_batch(n: int, group: GroupTable, ts: list, u: np.ndarray) -> np.ndarray:
+    """Run the restaurant process on each column of the (n, r) uniforms u.
+
+    Step j scales u[j] to [0, D + j|G|) as :func:`_crp_run` does.  Below D
+    the run opens a new cycle, and the same scaled draw picks its entry by
+    the cumulative weights of G, so each step takes one uniform.  Otherwise
+    pair min(int(u - D), j|G| - 1) gives the position and entry of an
+    insertion, the same clamp.  A run that opens a cycle takes the
+    insertion path at its own position j, where s[j] = j, which changes no
+    other entry.  Returns one row (g, s) of 2n ints per run.
+    """
+    m = group.order
+    cum = np.cumsum([ts[c] for c in group.class_of])
+    d_new = cum[-1]
+    # undo[e * m + a] is e^{-1} a, the entry left at the host position
+    undo = np.array([group.table[group.inverse[e]] for e in range(m)]).ravel()
+    r = u.shape[1]
+    runs = np.arange(r)
+    x = u * (d_new + m * np.arange(n))[:, None]
+    fresh = (x[..., None] >= cum[:-1]).sum(axis=-1)  # new-cycle entry, used below D
+    g = np.zeros((n, r), dtype=np.intp)
+    s = np.zeros((n, r), dtype=np.intp)
+    g_flat, s_flat = g.ravel(), s.ravel()
+    g[0] = fresh[0]
+    for j in range(1, n):
+        new = x[j] < d_new
+        pair = (x[j] - d_new).astype(np.intp)
+        np.clip(pair, 0, j * m - 1, out=pair)
+        pos, entry = np.divmod(pair, m)
+        entry = np.where(new, fresh[j], entry)
+        at = np.where(new, j, pos) * r + runs
+        s[j] = j
+        host = s_flat.take(at)
+        s_flat[at] = j
+        s[j] = host
+        g_flat[at] = undo.take(entry * m + g_flat.take(at))
+        g[j] = entry
+    return np.concatenate((g, s)).T
+
+
 def crp_element_counts(
     n: int, group: GroupTable, t, reps: int, seed: int
 ) -> Counter:
     """Empirical counts of restaurant-process draws, keyed by WreathElement.
 
-    Same process as :func:`crp_wreath_sample` run `reps` times off a single
-    stream; intended for desk-scale n where the number of distinct elements
-    is small.
+    The process of :func:`crp_wreath_sample`, run on many replicates at
+    once off one numpy stream (:func:`_crp_batch`), so its stream is not
+    that of the one-draw sampler; intended for desk-scale n where the
+    number of distinct elements is small.  Each distinct (g, s) is built
+    once.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if reps < 0:
-        raise ValueError("reps must be >= 0")
     ts = [float(v) for v in _wreath_params(t)._per_class(group)]
-    rng = random.Random(seed)
-    raw: Counter = Counter()
-    for _ in range(reps):
-        g, s = _crp_run(n, group, ts, rng)
-        raw[(tuple(g), tuple(s))] += 1
-    return Counter({_trusted(WreathElement, g=gv, s=sv): c for (gv, sv), c in raw.items()})
+    raw = _batched_counts(n, reps, seed, lambda u: _crp_batch(n, group, ts, u))
+    return Counter({
+        _trusted(WreathElement, g=key[:n], s=key[n:]): c for key, c in raw.items()
+    })
 
 
 def enumerate_wreath_elements(n: int, group: GroupTable) -> Iterator[WreathElement]:

@@ -101,6 +101,38 @@ def tv_distance(counts, exact_probs, reps: int) -> float:
     return tv / 2.0
 
 
+def tv_noise(exact_probs, reps: int) -> float:
+    """Expected TV of the empirical law of reps draws from the exact law, to
+    first order: each cell's |error| has mean sqrt(2 p (1 - p) / (pi reps))."""
+    return 0.5 * sum(
+        math.sqrt(2 * float(p) * (1 - float(p)) / (math.pi * reps)) for p in exact_probs.values()
+    )
+
+
+def chi_square_p(counts, exact_probs, reps: int) -> float:
+    """Pearson chi-square p-value of counts against the exact law, with the
+    cells expected fewer than 5 times pooled into one; 0 if any count falls
+    outside the support."""
+    from scipy.stats import chisquare
+
+    if any(s not in exact_probs for s in counts):
+        return 0.0
+    obs, exp, pooled_obs, pooled_exp = [], [], 0, 0.0
+    for state, prob in exact_probs.items():
+        e = float(prob) * reps
+        if e < 5:
+            pooled_obs += counts.get(state, 0)
+            pooled_exp += e
+        else:
+            obs.append(counts.get(state, 0))
+            exp.append(e)
+    if pooled_exp > 0:
+        obs.append(pooled_obs)
+        exp.append(pooled_exp)
+    exp = [e * sum(obs) / sum(exp) for e in exp]  # rounding in the float probabilities
+    return float(chisquare(obs, exp).pvalue)
+
+
 def _poisson_logpmf(a: int, lam: float) -> float:
     return a * math.log(lam) - lam - math.lgamma(a + 1)
 

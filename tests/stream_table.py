@@ -95,13 +95,13 @@ def _composition(seed):
 SAMPLERS = {
     "hoppe_urn_sample": (lambda s: samplers.hoppe_urn_sample(8, THETA, s), False),
     "hoppe_urn_partition_counts": (
-        lambda s: samplers.hoppe_urn_partition_counts(6, THETA, 5000, s), False),
+        lambda s: samplers.hoppe_urn_partition_counts(6, THETA, 5000, s), True),
     "crp_wreath_sample": (
         lambda s: wreath.crp_wreath_sample(6, wreath.symmetric_group_3(), (1.0, 2.0, 0.5), s),
         False),
     "crp_element_counts": (
         lambda s: wreath.crp_element_counts(3, wreath.cyclic_group(2), (1.0, 2.0), 5000, s),
-        False),
+        True),
     "pd_sample": (lambda s: samplers.pd_sample((1, 2), 1e-6, s), True),
     "paintbox_sample": (
         lambda s: samplers.paintbox_sample(10, samplers.pd_sample((1, 2), 1e-6, s), s), True),

@@ -13,11 +13,14 @@ from multiewens.partitions import (
     MultiplePartition,
     YoungDiagram,
     enumerate_multipartitions,
+    _from_alleles,
     labeled_set_partitions,
     set_partition_to_multipartition,
 )
 from multiewens.samplers import (
+    _CHUNK_RUNS,
     FrequencyRanked,
+    _urn_batch,
     coalescent_rates,
     derive_seed,
     hoppe_urn_partition_counts,
@@ -30,7 +33,13 @@ from multiewens.samplers import (
     power_sums_of,
 )
 
-from oracles import monomial_symmetric_direct, refuse_validation, tv_distance
+from oracles import (
+    chi_square_p,
+    monomial_symmetric_direct,
+    refuse_validation,
+    tv_distance,
+    tv_noise,
+)
 
 F = Fraction
 
@@ -61,12 +70,11 @@ class TestHoppeUrn:
         b = hoppe_urn_sample(8, (0.7, 1.3), seed=5)
         assert a == b
 
-    @pytest.mark.parametrize("n", [6, 200])
-    def test_counting_path_matches_one_draw(self, n):
-        # both urn paths run one engine on one stream and one builder
+    def test_partition_without_blocks(self):
+        # the same draw, without building the set partition
         for seed in (0, 1, 7, 2**40 + 3):
-            part, _ = hoppe_urn_sample(n, (0.7, 1.3), seed=seed)
-            assert hoppe_urn_partition_counts(n, (0.7, 1.3), 1, seed) == Counter({part: 1})
+            part, _ = hoppe_urn_sample(200, (0.7, 1.3), seed=seed)
+            assert hoppe_urn_sample(200, (0.7, 1.3), seed, blocks=False) == (part, None)
 
     def test_returns_consistent_pair(self):
         for seed in range(30):
@@ -171,6 +179,73 @@ class TestUrnTopDraw:
         assert classes == [0, 0]
         assert counts == [3, 1]
         assert founder == [0, 1, 0, 0]
+
+    def test_batched_step_takes_the_same_clamps(self):
+        # the scripted runs above, one per column: keys are the sorted codes
+        # class * (n + 1) + count, padded with zeros to n entries
+        ts = [0.05, 1 / 7]
+        copy_first = (sum(ts) + 0.5) / (sum(ts) + 2)
+        u = np.array([[self.TOP, 0.0, 0.0, self.TOP], [0.0, 0.0, copy_first, self.TOP]]).T
+        assert _urn_batch(4, ts, u).tolist() == [[0, 1, 2, 6], [0, 0, 1, 3]]
+        # the top draw at j = 0 goes to the last of three classes
+        assert _urn_batch(1, [0.05, 1 / 7, 2.0], np.array([[self.TOP]])).tolist() == [[5]]
+
+
+class TestUrnEnginesAgainstExactLaw:
+    """The one-draw engine (_urn_run, one random.Random stream) and the
+    batched engine (hoppe_urn_partition_counts) against the exact law.
+    Seeds and thresholds are fixed in advance: TV below twice its expected
+    sampling noise, and a chi-square p-value above 1e-3."""
+
+    CASES = [((F(7, 10), F(13, 10)), 6), ((F(1), F(2), F(3)), 5)]
+
+    @staticmethod
+    def _check(counts, n, th, reps):
+        exact = {p: refined_esf_pmf(p, th) for p in enumerate_multipartitions(n, len(th))}
+        assert sum(counts.values()) == reps
+        assert tv_distance(counts, exact, reps) < 2 * tv_noise(exact, reps)
+        assert chi_square_p(counts, exact, reps) > 1e-3
+
+    @pytest.mark.parametrize("th,n", CASES)
+    def test_one_draw_engine(self, th, n):
+        reps, rng = 40_000, random.Random(8101)
+        ts = [float(t) for t in th]
+        raw = Counter()
+        for _ in range(reps):
+            classes, counts, _ = _urn_run(n, ts, rng)
+            raw[tuple(sorted(zip(classes, counts)))] += 1
+        counts = Counter({_from_alleles(key, len(th)): c for key, c in raw.items()})
+        self._check(counts, n, th, reps)
+
+    @pytest.mark.parametrize("th,n", CASES)
+    def test_batched_engine(self, th, n):
+        reps = 400_000
+        self._check(hoppe_urn_partition_counts(n, th, reps, seed=8102), n, th, reps)
+
+    def test_batched_equals_one_draw_on_the_same_uniforms(self):
+        # one run per column: the batched step makes the same choices
+        ts, n = [0.4, 1.1, 2.5], 9
+        u = np.random.default_rng(5).random((n, 300))
+        for draws, key in zip(u.T.tolist(), _urn_batch(n, ts, u).tolist()):
+            classes, counts, _ = _urn_run(n, ts, TestUrnTopDraw.Scripted(draws))
+            codes = [cls * (n + 1) + c for cls, c in zip(classes, counts)]
+            assert key == sorted(codes + [0] * (n - len(codes)))
+
+
+class TestUrnCountingEdges:
+    def test_no_reps_gives_empty_counter(self):
+        assert hoppe_urn_partition_counts(6, (1.0, 2.0), 0, seed=3) == Counter()
+
+    @pytest.mark.parametrize("reps", [1, _CHUNK_RUNS + 1])
+    def test_totals(self, reps):
+        counts = hoppe_urn_partition_counts(6, (1.0, 2.0), reps, seed=3)
+        assert sum(counts.values()) == reps
+        assert all(p.n == 6 and p.k == 2 for p in counts)
+
+    def test_single_step(self):
+        counts = hoppe_urn_partition_counts(1, (1.0, 3.0), 4000, seed=3)
+        assert set(counts) <= {mp([1], []), mp([], [1])} and sum(counts.values()) == 4000
+        assert abs(counts[mp([1], [])] / 4000 - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 4000)
 
 
 class TestUrnManyColours:

@@ -12,6 +12,7 @@ from multiewens.wreath import (
     GroupTable,
     WreathElement,
     WreathParams,
+    _crp_batch,
     _crp_run,
     crp_element_counts,
     crp_wreath_sample,
@@ -26,7 +27,9 @@ from multiewens.wreath import (
     wreath_multiply,
 )
 
-from oracles import refuse_validation, tv_distance
+from multiewens.samplers import _CHUNK_RUNS
+
+from oracles import chi_square_p, refuse_validation, tv_distance, tv_noise
 
 F = Fraction
 
@@ -367,6 +370,71 @@ class TestRestaurantProcess:
         exp = [float(refined_esf_pmf(p, thetas)) * reps for p in states]
         _, pval = chisquare(obs, exp)
         assert pval > 0.01
+
+
+class TestRestaurantEnginesAgainstExactLaw:
+    """The one-draw engine (_crp_run, one random.Random stream) and the
+    batched engine (crp_element_counts) against the exact wreath law at
+    n = 3.  Seeds and thresholds are fixed in advance: TV below twice its
+    expected sampling noise, and a chi-square p-value above 1e-3."""
+
+    CASES = [
+        (cyclic_group(2), (F(1), F(2)), 40_000),
+        (symmetric_group_3(), (F(1), F(2), F(3)), 100_000),
+    ]
+
+    @staticmethod
+    def _check(counts, group, ts, reps):
+        exact = {x: pewens_pmf(x, group, ts) for x in enumerate_wreath_elements(3, group)}
+        assert sum(counts.values()) == reps
+        assert tv_distance(counts, exact, reps) < 2 * tv_noise(exact, reps)
+        assert chi_square_p(counts, exact, reps) > 1e-3
+
+    @pytest.mark.parametrize("group,ts,reps", CASES)
+    def test_one_draw_engine(self, group, ts, reps):
+        rng = random.Random(8201)
+        raw = Counter(tuple(map(tuple, _crp_run(3, group, [float(t) for t in ts], rng)))
+                      for _ in range(reps))
+        counts = Counter({WreathElement(gv, sv): c for (gv, sv), c in raw.items()})
+        self._check(counts, group, ts, reps)
+
+    @pytest.mark.parametrize("group,ts,reps", CASES)
+    def test_batched_engine(self, group, ts, reps):
+        reps *= 10
+        self._check(crp_element_counts(3, group, ts, reps, seed=8202), group, ts, reps)
+
+    def test_batched_step_clamps_the_top_draw(self):
+        # every uniform 1 - 2**-53: after the first entry each step inserts
+        # with the clamped pair, as the one-draw engine does on the same draws
+        class TopDraw(random.Random):
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        for group, ts in ((cyclic_group(2), [4 / 7, 1 / 3]), (symmetric_group_3(), [0.2, 0.5, 3.0])):
+            (row,) = _crp_batch(4, group, ts, np.full((4, 1), 1.0 - 2.0**-53)).tolist()
+            gv, sv = _crp_run(4, group, ts, TopDraw())
+            assert row == gv + sv
+            assert sorted(sv) == [0, 1, 2, 3]
+
+
+class TestCrpCountingEdges:
+    def test_no_reps_gives_empty_counter(self):
+        assert crp_element_counts(3, cyclic_group(2), (1.0, 2.0), 0, seed=3) == Counter()
+
+    @pytest.mark.parametrize("reps", [1, _CHUNK_RUNS + 1])
+    def test_totals(self, reps):
+        counts = crp_element_counts(3, symmetric_group_3(), (1.0, 2.0, 0.5), reps, seed=3)
+        assert sum(counts.values()) == reps
+        for x in counts:
+            assert x == WreathElement(x.g, x.s) and x.n == 3
+
+    def test_single_step(self):
+        # one element: (g, (0)) with g in c_l has probability t_l / sum |c_m| t_m
+        g, reps = cyclic_group(2), 4000
+        counts = crp_element_counts(1, g, (1.0, 3.0), reps, seed=3)
+        assert set(counts) <= {WreathElement((0,), (0,)), WreathElement((1,), (0,))}
+        p1 = counts[WreathElement((1,), (0,))] / reps
+        assert abs(p1 - 0.75) < 4 * math.sqrt(0.25 * 0.75 / reps)
 
 
 class TestCrpCountsInputs:
