@@ -29,6 +29,7 @@ from .partitions import (
 )
 
 _ENUMERATION_CAP = 2_000_000
+_VERIFY_CAP = 200_000  # states; past it the exact sweeps take minutes
 # labelled set partitions that verify sums over: sum_b S(m, b) k^b at the
 # largest m <= min(n, 7) under this cap; (m, k) = (7, 2) gives 14,214
 _SET_PARTITION_CAP = 20_000
@@ -127,7 +128,8 @@ def main():
 
 
 @main.command("pmf")
-@click.option("--theta", required=True, help="comma list of masses (p/q exact)")
+@click.option("--theta", default=None,
+              help="comma list of masses (p/q exact); for --partition and --joint-k")
 @click.option("--partition", "partition_text", default=None,
               help='multiple partition as nested lists, e.g. "[[2,1],[1]]"')
 @click.option("--joint-k", "joint_text", default=None,
@@ -142,6 +144,8 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
     modes = sum(x is not None for x in (partition_text, joint_text, element_text))
     if modes != 1:
         raise click.UsageError("give exactly one of --partition, --joint-k, --element")
+    if element_text is None and theta is None:
+        raise click.UsageError("--partition and --joint-k need --theta")
     if partition_text is not None:
         thetas = _parse_theta(theta)
         part = _parse_partition(partition_text)
@@ -203,7 +207,7 @@ def cmd_sample_urn(n, theta, reps, seed, with_blocks):
     thetas = _parse_theta(theta)
     for r in range(reps):
         part, blocks = samplers.hoppe_urn_sample(
-            n, thetas, samplers.derive_seed(seed, r)
+            n, thetas, samplers.derive_seed(seed, r), blocks=with_blocks
         )
         if with_blocks:
             rec = {
@@ -325,10 +329,10 @@ def cmd_verify(n, k, theta):
     """
     thetas = _parse_theta(theta)
     states = count_multipartitions(n, k)
-    if states > 200_000:
+    if states > _VERIFY_CAP:
         raise click.ClickException(
-            f"n={n}, k={k} enumerates {states} states; expect minutes of"
-            " rational arithmetic. Choose n <= 12."
+            f"n={n}, k={k} enumerates {states} states, over the cap of {_VERIFY_CAP};"
+            " choose a smaller n or k"
         )
     n_blocks = max(m for m in range(min(n, 7) + 1) if _labelled_count(m, k) <= _SET_PARTITION_CAP)
     checks = [  # (label, check(size, k, theta), sizes)

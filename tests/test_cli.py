@@ -65,11 +65,23 @@ class TestPmf:
 
     def test_wreath_element(self, runner):
         res = runner.invoke(main, [
-            "pmf", "--theta", "1", "--element", '{"g": [0], "s": [0]}',
+            "pmf", "--element", '{"g": [0], "s": [0]}',
             "--group", "z2", "--t", "1,2",
         ])
         rec = json.loads(res.output.strip().splitlines()[-1])
         assert rec["rational"] == "1/3"
+
+    def test_element_needs_no_theta(self, runner):
+        res = runner.invoke(main, ["pmf", "--element", '{"g": [1], "s": [0]}',
+                                   "--group", "z2", "--t", "1,2"])
+        assert res.exit_code == 0 and res.stderr == ""
+        assert json.loads(res.stdout)["rational"] == "2/3"
+
+    @pytest.mark.parametrize("mode", [["--partition", "[[1],[]]"], ["--joint-k", "1,1", "--n", "3"]])
+    def test_theta_required_by_the_other_modes(self, runner, mode):
+        res = runner.invoke(main, ["pmf", *mode])
+        assert res.exit_code == 2
+        assert "Error: --partition and --joint-k need --theta" in res.stderr
 
 
 class TestEnumerate:
@@ -109,6 +121,18 @@ class TestSampling:
             rec = json.loads(line)
             elements = sorted(e for b in rec["blocks"] for e in b["elements"])
             assert elements == [1, 2, 3, 4]
+
+    def test_urn_builds_the_set_partition_only_when_asked(self, runner, monkeypatch):
+        from multiewens import samplers
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("set partition built")
+
+        args = ["sample-urn", "--n", "5", "--theta", "1,2", "--reps", "3"]
+        plain = runner.invoke(main, args).stdout
+        monkeypatch.setattr(samplers, "_trusted", refuse)
+        assert runner.invoke(main, args).stdout == plain
+        assert runner.invoke(main, [*args, "--set-partitions"]).exit_code != 0
 
     def test_crp_stream_and_project(self, runner):
         args = ["sample-crp", "--n", "3", "--group", "z2", "--t", "1,2",
@@ -329,7 +353,7 @@ class TestOneMassRule:
 
     @pytest.mark.parametrize("cmd", [
         ["sample-crp", "--n", "3", "--group", "z2", "--reps", "0"],
-        ["pmf", "--theta", "1", "--element", '{"g": [0], "s": [0]}', "--group", "z2"],
+        ["pmf", "--element", '{"g": [0], "s": [0]}', "--group", "z2"],
     ], ids=["sample-crp", "pmf-element"])
     def test_bad_weight_is_called_a_weight(self, runner, cmd):
         res = runner.invoke(main, [*cmd, "--t", "0,1"])
@@ -352,6 +376,21 @@ class TestLargeInputs:
         assert res.exit_code == 0
         rec = json.loads(res.stdout)
         assert rec["counts"] == [1, 1] and rec["rational"].count("/") == 1
+
+    def test_enumerate_count_at_many_classes(self, runner):
+        # C(1001, 2) size compositions of 2 into 1000 parts, counted without recursion
+        res = runner.invoke(main, ["enumerate", "--n", "2", "--k", "1000", "--count"])
+        assert res.exit_code == 0 and res.stdout == "501500\n"
+
+    def test_verify_refuses_before_working(self, runner):
+        start = time.perf_counter()
+        res = runner.invoke(main, ["verify", "--n", "12", "--k", "12",
+                                   "--theta", ",".join(map(str, range(1, 13)))])
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 1
+        errors = [l for l in res.stderr.splitlines() if l.startswith("Error:")]
+        assert errors == ["Error: n=12, k=12 enumerates 42124380 states, over the cap of"
+                          " 200000; choose a smaller n or k"]
 
     def test_verify_refuses_with_the_state_cap(self, runner):
         res = runner.invoke(main, ["verify", "--n", "600", "--k", "1", "--theta", "1"])
@@ -429,14 +468,14 @@ class TestErrorBoundary:
         ["pmf", "--theta", "1e400,1", "--partition", "[[1],[]]"],
         ["poisson-tv", "--n", "5", "--m", "0", "--theta", "1,1"],
         ["pmf", "--theta", "1,2", "--joint-k", "0,0", "--n", "-1"],
-        ["pmf", "--theta", "1", "--element", '{"g":[5],"s":[0]}', "--group", "z2",
+        ["pmf", "--element", '{"g":[5],"s":[0]}', "--group", "z2",
          "--t", "1,2"],
-        ["pmf", "--theta", "1", "--element", '{"g":[-1],"s":[0]}', "--group", "z2",
+        ["pmf", "--element", '{"g":[-1],"s":[0]}', "--group", "z2",
          "--t", "1,2"],
         ["pmf", "--theta", "1,2", "--partition", "[[1.5],[]]"],
-        ["pmf", "--theta", "1", "--element", '{"g":[1.5],"s":[0.9]}', "--group", "z2",
+        ["pmf", "--element", '{"g":[1.5],"s":[0.9]}', "--group", "z2",
          "--t", "1,2"],
-        ["pmf", "--theta", "1", "--element", '{"g":[true],"s":["0"]}', "--group", "z2",
+        ["pmf", "--element", '{"g":[true],"s":["0"]}', "--group", "z2",
          "--t", "1,2"],
     ])
     def test_bad_input_is_one_error_line(self, runner, args):
