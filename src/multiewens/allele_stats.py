@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import CheckReport, _common, _exact_common, _exact_params, _params, _sum_report
-from .partitions import _plain_ints, compositions_of
+from .measure import CheckReport, _check_k, _common, _exact_params, _params, _sum_report
+from .partitions import _exact_work_guard, _plain_ints, compositions_of
+from .samplers import _numpy_rng
 
 __all__ = [
     "harmonic_h",
@@ -232,12 +233,19 @@ def _stirling_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _stirling_guard(what: str, n: int, terms: int = 0):
+    """The size guard for the Stirling row of n, n^2/2 steps on integers of up
+    to log2 n! bits, and `terms` numerators of about 50 steps each on top."""
+    _exact_work_guard(what, n * n // 2 + 50 * terms, math.lgamma(n + 1) / math.log(2))
+
+
 def stirling_first(n: int, m: int) -> int:
     """Unsigned Stirling number of the first kind: permutations of n with m cycles."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     if m > n:
         return 0
+    _stirling_guard(f"the Stirling row at n={n}", n)
     return _stirling_row(n)[m]
 
 
@@ -258,6 +266,7 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
         raise ValueError(f"need k={params.k} counts")
     if any(p < 0 for p in ps):
         raise ValueError("counts must be nonnegative")
+    _stirling_guard(f"the joint law at n={n}", n)
     q, scaled, d_n = _common(params.thetas, n)
     return Fraction(_joint_k_numerator(n, ps, q, scaled), d_n)
 
@@ -269,13 +278,16 @@ def _joint_k_numerator(n: int, ps: tuple[int, ...], q: int, scaled) -> int:
         return 0
     multinomial = math.factorial(alleles) // math.prod(map(math.factorial, ps))
     powers = math.prod(s**p for s, p in zip(scaled, ps))
-    return stirling_first(n, alleles) * multinomial * powers * q ** (n - alleles)
+    return _stirling_row(n)[alleles] * multinomial * powers * q ** (n - alleles)
 
 
 def joint_k_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that the joint law of (K_n^(1)..K_n^(k)) sums to one over
     its support sum_l p_l <= n: the numerators sum to D_n."""
-    q, scaled, d_n = _exact_common(theta, k, n, "joint law check")
+    params = _exact_params(theta, "joint law check")
+    _check_k(k, params)
+    _stirling_guard(f"the joint law check at n={n}, k={k}", n, math.comb(max(n, 0) + k, k))
+    q, scaled, d_n = _common(params.thetas, n)
     total = sum(
         _joint_k_numerator(n, ps, q, scaled)
         for alleles in range(n + 1)
@@ -404,7 +416,7 @@ def bernoulli_k_samples(
     params = _class_params(theta, l)
     th = float(params.thetas[l - 1])
     w = float(params.w)
-    rng = np.random.default_rng(seed)
+    rng = _numpy_rng(seed)
     # p_j >= 1/16 exactly when j <= 16 theta_l - w
     head = min(n, max(0, math.floor(16 * th - w) + 1))
     probs = th / (w + np.arange(head, dtype=float))

@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import allele_stats, measure, poisson, samplers, wf_sim, wreath
 from .partitions import (
@@ -309,7 +308,7 @@ def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
     """Evolve a Wright-Fisher population and stream sample compositions."""
     thetas = _parse_theta(theta)
     pop = wf_sim.Population.founding(two_n, thetas.k)
-    rng = np.random.default_rng(seed)
+    rng = samplers._numpy_rng(seed)
     samples = wf_sim.stationary_samples(pop, thetas, sample_size, reps, rng, gens, thin)
     for part in samples:
         click.echo(json.dumps(multipartition_to_lists(part)))

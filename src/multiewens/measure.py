@@ -5,9 +5,10 @@ sampling law of the allele-count matrix a_j^(l) of an n-sample is
 
     n! / (w)_n * prod_{l,j} (theta_l/j)^{a_j^(l)} / a_j^(l)!
 
-Each law is written once, as factors x**e and ((x)_m)**e, and evaluated by one
-backend picked from the mass types: exact Fractions when every theta is an int
-or Fraction (the oracle path), and a sum of logs otherwise, which stays finite
+The backend is picked from the mass types.  When every theta is an int or a
+Fraction (the oracle path), each law is an integer numerator over a cached
+integer denominator, built into one Fraction.  Otherwise the law is written as
+factors x**e and ((x)_m)**e and evaluated as a sum of logs, which stays finite
 far beyond the n where (w)_n would overflow.
 
 Exact laws of size n share one denominator: with Q the lcm of the mass
@@ -157,25 +158,11 @@ def _exact_common(theta, k: int, n: int, what: str):
     return _common(params.thetas, n)
 
 
-def _product(exact: bool, powers, pochs) -> Numeric:
+def _product(powers, pochs) -> float:
     """prod x**e over (x, e) in powers, times ((x)_m)**e for every m in ms of
-    each (x, ms, e) in pochs.  Exact: one integer numerator and denominator,
-    with (p/q)_m = :func:`_rising` (p, q, m) / q^m, and one Fraction at the
-    end; otherwise the exp of :func:`_log_product`."""
-    if not exact:
-        return math.exp(_log_product(powers, pochs))
-    terms = [(x.numerator, x.denominator, e) for x, e in powers]
-    for x, ms, e in pochs:
-        p, q = x.numerator, x.denominator
-        rising = math.prod([_rising(p, q, m) for m in ms])
-        terms.append((rising, q ** sum(ms), e))
-    num = den = 1
-    for top, bot, e in terms:
-        if e < 0:
-            top, bot, e = bot, top, -e
-        num *= top**e
-        den *= bot**e
-    return Fraction(num, den)
+    each (x, ms, e) in pochs, as the exp of :func:`_log_product`.  The float
+    backend only: exact laws build their integer numerators directly."""
+    return math.exp(_log_product(powers, pochs))
 
 
 def _log_product(powers, pochs) -> float:
@@ -234,7 +221,7 @@ def refined_esf_pmf(p: MultiplePartition, theta) -> Numeric:
     params = _params(theta)
     _check_k(p.k, params)
     if not params.is_exact:
-        return _product(False, *_esf_factors(p.components, params.thetas, params.w))
+        return _product(*_esf_factors(p.components, params.thetas, params.w))
     q, scaled, d_n = _common(params.thetas, p.n)
     return Fraction(_esf_numerator(p.components, q, scaled), d_n)
 
@@ -256,16 +243,37 @@ def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:
     Component sizes follow a Dirichlet-multinomial-type weight
     (theta_1)_{n_1}...(theta_k)_{n_k}/(w)_n * n!/(n_1!...n_k!), and each
     component is an independent single-class Ewens diagram given its size.
-    Kept separate from :func:`refined_esf_pmf` as a cross-checking route.
+    Exact: the size law is n!/prod n_l! * prod R_l over D_n, with
+    R_l = Q^{n_l} (theta_l)_{n_l}, and component l adds N_l / R_l from
+    :func:`_single_class_numerator`.  Kept separate from
+    :func:`refined_esf_pmf` as a cross-checking route.
     """
     params = _params(theta)
     _check_k(p.k, params)
+    if params.is_exact:
+        q, scaled, d_n = _common(params.thetas, p.n)
+        sizes = [comp.size for comp in p.components]
+        risings = math.prod(map(_rising, scaled, (q,) * p.k, sizes))
+        size_law = math.factorial(p.n) // math.prod(map(math.factorial, sizes)) * risings
+        singles = math.prod(map(_single_class_numerator, p.components, (q,) * p.k, scaled))
+        return Fraction(size_law * singles, d_n * risings)
     powers, pochs = [], [(1, (p.n,), 1), (params.w, (p.n,), -1)]
     for th, comp in zip(params.thetas, p.components):
         single_powers, single_pochs = _esf_factors((comp,), (th,), th)
         powers += single_powers
         pochs += [*single_pochs, (th, (comp.size,), 1), (1, (comp.size,), -1)]
-    return _product(params.is_exact, powers, pochs)
+    return _product(powers, pochs)
+
+
+def _single_class_numerator(comp: YoungDiagram, q: int, s: int) -> int:
+    """N_l = m! / prod_j j^{a_j} a_j! * s^{K_l} * Q^{m-K_l} for one component
+    of size m and scaled mass s, so that the single-class law at size m is
+    N_l / R_l.  Read from the row multiplicities a_j, not from the runs of
+    :func:`_esf_numerator`, so the factorized route checks a second kernel."""
+    den = 1
+    for j, a in comp.multiplicities().items():
+        den *= j**a * math.factorial(a)
+    return math.factorial(comp.size) // den * s**comp.n_rows * q ** (comp.size - comp.n_rows)
 
 
 def downward_transition(p: MultiplePartition) -> dict[MultiplePartition, Fraction]:
@@ -403,7 +411,7 @@ def labeled_set_partition_pmf(s: LabeledSetPartition, theta) -> Numeric:
         return Fraction(_set_partition_numerator(s, q, scaled), d_n)
     powers = [(params.thetas[label - 1], 1) for label, _ in s.blocks]
     pochs = [(1, [len(elems) - 1 for _, elems in s.blocks], 1), (params.w, (s.n,), -1)]
-    return _product(False, powers, pochs)
+    return _product(powers, pochs)
 
 
 def _set_partition_numerator(s: LabeledSetPartition, q: int, scaled) -> int:

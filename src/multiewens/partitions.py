@@ -13,6 +13,11 @@ the program, and never round it: each integer field passes one rule,
 :func:`_plain_ints`.  Values the library builds from checked parts (the
 enumerators, the box-removal and union maps, the count matrix of a
 partition) skip those checks through :func:`_trusted`.
+
+The exact counting kernels (here the partition series, in
+:mod:`multiewens.allele_stats` the Stirling row) build tables of O(n^2) big
+integers; :func:`_exact_work_guard` refuses one that would not finish in
+about a second, before any work.
 """
 
 from __future__ import annotations
@@ -275,6 +280,23 @@ def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiplePartition]:
             yield _trusted(MultiplePartition, components=comps)
 
 
+# estimated big-integer work (see _exact_work_guard) past which exact counting
+# refuses to start; the largest accepted inputs take 0.2-0.7 s on a 2-core x86 box
+_EXACT_WORK_CAP = 50_000_000
+
+
+def _exact_work_guard(what: str, steps: int, bits: float):
+    """Refuse, before any work, an exact table of about `steps` big-integer
+    steps on integers of up to `bits` bits.  A step costs about as much as 8
+    limb operations of interpreter overhead, plus one per 64 bits."""
+    work = steps * (8 + int(bits) // 64)
+    if work > _EXACT_WORK_CAP:
+        raise ValueError(
+            f"{what} is too large to compute exactly: about {work:.1e} units of"
+            f" big-integer work, over the limit of {_EXACT_WORK_CAP:.0e}; choose a smaller n"
+        )
+
+
 def _partition_counts(n: int) -> list[int]:
     """[p(0), ..., p(n)], the integer partitions of each size, built bottom-up
     by admitting one part size at a time."""
@@ -311,6 +333,15 @@ def count_multipartitions(n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     if k < 1:
         raise ValueError("need at least one part")
+    e = k // 2  # series products: the squarings and multiplies of P^e, one more at odd k
+    products = (e.bit_length() - 1) + (e.bit_count() - 1) + k % 2 if k > 1 else 0
+    # |Y_n^(k)| is at most C(n+k-1, n) p(n), and p(n) < exp(pi sqrt(2n/3))
+    log_bound = (math.lgamma(n + k) - math.lgamma(n + 1) - math.lgamma(k)
+                 + math.pi * math.sqrt(2 * n / 3))
+    _exact_work_guard(
+        f"counting multiple partitions of n={n} into k={k}",
+        (n + 1) ** 2 // 2 * (1 + products), log_bound / math.log(2),
+    )
     p = _partition_counts(n)
     if k == 1:
         return p[n]

@@ -16,8 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import CheckReport, _check_k, _common, _exact_params, _params, refined_esf_pmf
+from . import measure
+from .measure import CheckReport, _check_k, _common, _exact_params, _params
 from .partitions import enumerate_multipartitions
+from .samplers import _numpy_rng
 
 __all__ = [
     "poisson_matrix_sample",
@@ -35,7 +37,7 @@ def poisson_matrix_sample(m: int, theta, seed: int, reps: int | None = None):
         raise ValueError("m must be >= 1")
     thetas = _params(theta).thetas
     lam = np.array([[float(t) / j for t in thetas] for j in range(1, m + 1)])
-    rng = np.random.default_rng(seed)
+    rng = _numpy_rng(seed)
     if reps is None:
         return rng.poisson(lam)
     return rng.poisson(lam, size=(reps, m, len(thetas)))
@@ -53,7 +55,9 @@ def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
 
     The weight is read from the row multiplicities as top / bottom =
     prod (Q theta_l)^a / prod (Qj)^a a!, and both identities are compared
-    cross-multiplied as integers, using (w)_n / n! = D_n / (Q^n n!).
+    cross-multiplied as integers, using (w)_n / n! = D_n / (Q^n n!): the
+    second is N(p) * bottom == top * Q^n n!, with N(p) the numerator of the
+    Ewens law over D_n.
     """
     params = _exact_params(theta, "conditional identity check")
     _check_k(k, params)
@@ -68,11 +72,11 @@ def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
                 top *= s**a
                 bottom *= (q * j) ** a * math.factorial(a)
         total += top * scale // bottom  # an integer: weight * Q^n n!
-        pmf = refined_esf_pmf(part, params)
-        if pmf.numerator * bottom * d_n != top * scale * pmf.denominator:
+        numerator = measure._esf_numerator(part.components, q, scaled)
+        if numerator * bottom != top * scale:
             failures.append(
                 f"matrix of {part}: conditional weight"
-                f" {Fraction(top * scale, bottom * d_n)} != pmf {pmf}"
+                f" {Fraction(top * scale, bottom * d_n)} != pmf {Fraction(numerator, d_n)}"
             )
     if total != d_n:
         failures.append(

@@ -16,6 +16,8 @@ Seeding contract: every sampler takes a 64-bit integer seed and is bit
 deterministic for a fixed platform and library version.  Parallel workers
 should derive child seeds with :func:`derive_seed`, which applies the
 SplitMix64 mixer to (seed, worker index): child = mix(mix(seed) + 1 + index).
+The samplers that draw from numpy take their generator from
+:func:`_numpy_rng`, which refuses a seed that is not an integer >= 0.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +60,14 @@ def _splitmix64(z: int) -> int:
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for worker `index`: SplitMix64(SplitMix64(seed) + 1 + index)."""
     return _splitmix64((_splitmix64(seed & _MASK64) + 1 + index) & _MASK64)
+
+
+def _numpy_rng(seed) -> np.random.Generator:
+    """numpy's generator for seed, after the one check that every
+    numpy-seeded entry point shares: the seed is an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
@@ -145,7 +156,7 @@ def _batched_counts(n: int, reps: int, seed: int, keys_of) -> Counter:
         raise ValueError("n must be >= 1")
     if reps < 0:
         raise ValueError("reps must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = _numpy_rng(seed)
     size = max(1, min(_CHUNK_RUNS, _CHUNK_CELLS // n))
     raw: Counter = Counter()
     for start in range(0, reps, size):
@@ -291,7 +302,7 @@ def pd_sample(theta, eps: float, seed: int) -> FrequencyRanked:
         raise ValueError("eps must be in (0, 1)")
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
-    rng = np.random.default_rng(seed)
+    rng = _numpy_rng(seed)
     if params.k == 1:
         deltas = [1.0]  # Dirichlet with one component, exactly
     else:
@@ -313,7 +324,7 @@ def paintbox_sample(n: int, f: FrequencyRanked, seed: int) -> MultiplePartition:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _numpy_rng(seed)
     probs: list[float] = []
     owner: list[int] = []  # class index per regular type
     for l, seq in enumerate(f.freqs):

@@ -37,6 +37,7 @@ import numpy as np
 
 from .measure import _params
 from .partitions import MultiplePartition, _from_alleles, _stirling_second
+from .samplers import _numpy_rng
 
 __all__ = [
     "Population",
@@ -141,7 +142,7 @@ def sample_composition(pop: Population, n: int, seed_or_rng) -> MultiplePartitio
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
+        else _numpy_rng(seed_or_rng)
     )
     picks = rng.choice(pop.size, size=n, replace=False)
     genes = Counter(zip(pop.classes[picks].tolist(), pop.ids[picks].tolist()))
@@ -251,7 +252,7 @@ def stationary_partition_counts(
     """
     params = _params(theta)
     pop = Population.founding(two_n, params.k)
-    rng = np.random.default_rng(seed)
+    rng = _numpy_rng(seed)
     samples = stationary_samples(pop, params, sample_size, reps, rng, burn_gens, thin_gens)
     return Counter(samples)
 

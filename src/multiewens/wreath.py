@@ -23,11 +23,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .measure import _is_exact, _product
+from .measure import _is_exact, _product, _rising
 from .partitions import MultiplePartition, _from_alleles, _plain_ints, _trusted
 from .samplers import _batched_counts
 
@@ -251,15 +252,35 @@ def pewens_pmf(x: WreathElement, group: GroupTable, t):
     """Probability of x under the wreath measure with class weights t.
 
     t_1^{[x]_{c_1}} ... t_k^{[x]_{c_k}} / (|G|^n (t_1/zeta_1+..+t_k/zeta_k)_n)
-    with zeta_l = |G|/|c_l|.  Exact for rational t.
+    with zeta_l = |G|/|c_l|.  Rational t gives the Fraction
+    prod_l (B t_l)^{[x]_{c_l}} * B^{n-C} / D over the denominator of
+    :func:`_wreath_common`, with C the number of cycles; other t give a
+    float from a sum of logs.
     """
     params = _wreath_params(t)
-    thetas = params.thetas(group)
+    ts = params._per_class(group)
     counts = [0] * group.k
     for cls, _ in _cycle_classes(x, group):
         counts[cls] += 1
-    powers = [*zip(params.ts, counts), (group.order, -x.n)]
-    return _product(_is_exact(thetas), powers, [(sum(thetas), (x.n,), -1)])
+    if not _is_exact(ts):
+        powers = [*zip(ts, counts), (group.order, -x.n)]
+        return _product(powers, [(sum(params.thetas(group)), (x.n,), -1)])
+    b, scaled, d = _wreath_common(ts, group.class_sizes(), x.n)
+    num = b ** (x.n - sum(counts))
+    for s, c in zip(scaled, counts):
+        num *= s**c
+    return Fraction(num, d)
+
+
+@lru_cache(maxsize=256)
+def _wreath_common(ts: tuple, sizes: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...], int]:
+    """(B, the scaled weights B t_l, D) for exact weights t_l on classes of
+    the given sizes: B is the lcm of the weight denominators and
+    D = prod_{i<n} (B sum_l t_l |c_l| + i B |G|) = (B|G|)^n (sum theta)_n.
+    Only exact weights may reach this cache: 1 and 1.0 hash alike."""
+    b = math.lcm(*(Fraction(v).denominator for v in ts))
+    scaled = tuple(int(v * b) for v in ts)
+    return b, scaled, _rising(sum(map(math.prod, zip(scaled, sizes))), b * sum(sizes), n)
 
 
 def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:

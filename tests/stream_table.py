@@ -6,6 +6,10 @@ of the README sampling commands is kept verbatim.  ``stream_table.json``
 holds the result for one library version, with the numpy version it was made
 under; ``test_stream_table.py`` recomputes every entry against it.
 
+The exact laws on a desk grid (:func:`exact_values`) are hashed too, as one
+SHA-256 under ``exact``.  Exact values belong to no version: regenerating the
+table must leave that entry as it is, and a change there is a changed law.
+
 A change to any stream is made in three steps: bump ``__version__``,
 regenerate the table with
 
@@ -23,15 +27,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import itertools
 import os
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from click.testing import CliRunner
 
 import multiewens
-from multiewens import allele_stats, poisson, samplers, wf_sim, wreath
+from multiewens import allele_stats, measure, partitions, poisson, samplers, wf_sim, wreath
 from multiewens.cli import main as cli_main
 from multiewens.partitions import LabeledSetPartition, MultiplePartition, multipartition_to_lists
 
@@ -42,6 +48,8 @@ THETA = (0.7, 1.3)
 
 def _plain(x):
     """x as JSON-ready data in one canonical form."""
+    if isinstance(x, Fraction):
+        return [x.numerator, x.denominator]
     if isinstance(x, MultiplePartition):
         return multipartition_to_lists(x)
     if isinstance(x, LabeledSetPartition):
@@ -57,6 +65,8 @@ def _plain(x):
     if isinstance(x, Counter):
         items = [[_plain(key), count] for key, count in x.items()]
         return sorted(items, key=lambda item: json.dumps(item[0]))
+    if isinstance(x, dict):
+        return {key: _plain(v) for key, v in x.items()}
     if isinstance(x, (tuple, list)):
         return [_plain(v) for v in x]
     return x
@@ -123,6 +133,57 @@ COMMANDS = {
 NUMPY = {name for name, (_, uses) in {**SAMPLERS, **COMMANDS}.items() if uses}
 
 
+# exact masses per number of classes, and the wreath groups with their weights
+EXACT_THETAS = {
+    1: (Fraction(3, 2),),
+    2: (1, Fraction(2, 3)),
+    3: (1, Fraction(2, 3), Fraction(5, 2)),
+}
+WREATH = (
+    (wreath.cyclic_group(2), (1, Fraction(3, 2)), 4),
+    (wreath.symmetric_group_3(), (1, 2, Fraction(1, 3)), 3),
+)
+
+
+def exact_values() -> dict:
+    """Every exact law on the desk grid, as lists in enumeration order."""
+    laws = {name: [] for name in (
+        "refined", "factorized", "downward", "set-partition", "joint-k", "wreath",
+        "transition", "stirling", "count",
+    )}
+    for k, theta in EXACT_THETAS.items():
+        for n in range(6):
+            for p in partitions.enumerate_multipartitions(n, k):
+                laws["refined"].append(measure.refined_esf_pmf(p, theta))
+                laws["factorized"].append(measure.refined_esf_pmf_factorized(p, theta))
+                if n:
+                    children = measure.downward_transition(p).items()
+                    laws["downward"].append(sorted(_plain(list(children))))
+            for s in partitions.labeled_set_partitions(min(n, 4), k):
+                laws["set-partition"].append(measure.labeled_set_partition_pmf(s, theta))
+        for n in range(7):
+            for ps in itertools.product(range(n + 1), repeat=k):
+                laws["joint-k"].append(allele_stats.joint_k_pmf(n, theta, ps))
+    for group, t, top in WREATH:
+        for n in range(top + 1):
+            for x in wreath.enumerate_wreath_elements(n, group):
+                laws["wreath"].append(wreath.pewens_pmf(x, group, t))
+    for two_n in (4, 10):
+        for p in range(min(two_n, 5) + 1):
+            for m in range(p + 1):
+                laws["transition"].append(
+                    wf_sim.transition_prob(p, m, two_n, (Fraction(1, 10), Fraction(1, 20))))
+    laws["stirling"] = [allele_stats.stirling_first(n, m) for n in range(13) for m in range(n + 1)]
+    laws["count"] = [
+        partitions.count_multipartitions(n, k) for n in range(13) for k in range(1, 5)
+    ]
+    return laws
+
+
+def exact_hash() -> str:
+    return _sha(exact_values())
+
+
 def sampler_hash(name: str, seed: int) -> str:
     return _sha(SAMPLERS[name][0](seed))
 
@@ -142,6 +203,7 @@ def build() -> dict:
             name: {str(seed): sampler_hash(name, seed) for seed in SEEDS} for name in SAMPLERS
         },
         "commands": {name: command_stdout(name) for name in COMMANDS},
+        "exact": exact_hash(),
     }
 
 

@@ -12,6 +12,7 @@ from multiewens.allele_stats import (
     clt_scaling,
     expected_k,
     harmonic_h,
+    joint_k_check,
     joint_k_pmf,
     regime_prediction,
     stirling_first,
@@ -223,6 +224,21 @@ class TestJointLaw:
         # |s(600, 2)| 2! / (1! 1!) * 1 * 2 / (3)_600
         want = F(2 * stirling_first(600, 2) * 2, math.factorial(602) // 2)
         assert joint_k_pmf(600, (1, 2), (1, 1)) == want
+
+    def test_size_guard_refuses_before_any_work(self, monkeypatch):
+        import multiewens.allele_stats as allele_stats
+
+        def fail(*args):
+            pytest.fail("worked")
+
+        monkeypatch.setattr(allele_stats, "_stirling_row", fail)
+        monkeypatch.setattr(allele_stats, "_common", fail)
+        with pytest.raises(ValueError, match="joint law at n=100000 is too large"):
+            joint_k_pmf(100_000, (1, 2), (1, 1))
+        with pytest.raises(ValueError, match="joint law check at n=600, k=2 is too large"):
+            joint_k_check(600, 2, (1, 2))
+        with pytest.raises(ValueError, match="Stirling row at n=5000 is too large"):
+            stirling_first(5000, 3)
 
     def test_k1_classical_form(self):
         th = (F(3, 2),)

@@ -294,7 +294,9 @@ class TestVerify:
          ["labelled set-partition law sums to 1 at n=4"]),
         (allele_stats, "_joint_k_numerator",
          lambda args: args[1] == (1, 1), ["joint allele-count law sums to 1"]),
-    ], ids=["refined", "set-partition", "joint-k"])
+        (measure, "_single_class_numerator",
+         lambda args: args[0].rows == (2, 1), ["factorization identity"]),
+    ], ids=["refined", "set-partition", "joint-k", "factorized"])
     def test_wrong_numerator_fails(self, runner, monkeypatch, module, name, hit, failing):
         original = getattr(module, name)
 
@@ -456,6 +458,10 @@ class TestErrorBoundary:
         ["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "5", "--sample-size", "2",
          "--thin", "-3"],
         ["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "5", "--sample-size", "0"],
+        ["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "1", "--sample-size", "2",
+         "--seed", "-1"],
+        ["pmf", "--theta", "1,2", "--joint-k", "1,1", "--n", "100000"],
+        ["enumerate", "--n", "100000", "--k", "2", "--count"],
         ["sample-urn", "--n", "0", "--theta", "1,2"],
         ["sample-crp", "--n", "0", "--group", "z2", "--t", "1,2"],
         ["sample-crp", "--n", "3", "--group", "z2", "--t", "1e400,1"],

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -336,6 +337,47 @@ class TestCountsAtLargeSize:
         got = compositions_of(2, 1000)
         assert [next(got) for _ in range(3)] == [
             (2,) + (0,) * 999, (1, 1) + (0,) * 998, (1, 0, 1) + (0,) * 997]
+
+    def test_size_guard_refuses_before_any_work(self, monkeypatch):
+        import multiewens.partitions as partitions
+
+        monkeypatch.setattr(partitions, "_partition_counts", lambda n: pytest.fail("counted"))
+        for n, k in [(100_000, 2), (5000, 2), (1000, 1000), (300, 10**6)]:
+            with pytest.raises(ValueError, match=f"n={n} into k={k} is too large"):
+                count_multipartitions(n, k)
+
+    @pytest.mark.parametrize("k", [2, 1000])
+    def test_largest_accepted_count_is_prompt(self, monkeypatch, k):
+        import multiewens.partitions as partitions
+
+        class Accepted(Exception):
+            pass
+
+        def stop(n):
+            raise Accepted
+
+        def accepted(n):
+            with monkeypatch.context() as m:
+                m.setattr(partitions, "_partition_counts", stop)
+                try:
+                    count_multipartitions(n, k)
+                except Accepted:
+                    return True
+                except ValueError:
+                    return False
+
+        n = 1
+        while accepted(2 * n):
+            n *= 2
+        lo, hi = n, 2 * n  # accepted(lo), not accepted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        start = time.perf_counter()
+        count_multipartitions(lo, k)
+        assert time.perf_counter() - start < 3  # about 0.4 s on a 2-core x86 box
+        with pytest.raises(ValueError, match="too large"):
+            count_multipartitions(hi, k)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 100, 600, 1000])
     def test_stirling_second_two_blocks(self, n):

@@ -64,6 +64,41 @@ class TestSeedDerivation:
             assert 0 <= derive_seed(123456789, i) < 2**64
 
 
+class TestNumpySeedDomain:
+    """Every numpy-seeded entry point refuses a seed outside the integers
+    >= 0 with one message that names the seed and its value."""
+
+    @staticmethod
+    def _entry_points():
+        from multiewens import allele_stats, poisson, wf_sim, wreath
+
+        pop = wf_sim.Population.founding(10, 2)
+        f = pd_sample((1, 2), 1e-6, 1)
+        return {
+            "hoppe_urn_partition_counts": lambda s: hoppe_urn_partition_counts(3, (1.0,), 5, s),
+            "crp_element_counts": lambda s: wreath.crp_element_counts(
+                2, wreath.cyclic_group(2), (1.0, 2.0), 5, s),
+            "pd_sample": lambda s: pd_sample((1, 2), 1e-6, s),
+            "paintbox_sample": lambda s: paintbox_sample(3, f, s),
+            "bernoulli_k_samples": lambda s: allele_stats.bernoulli_k_samples(5, (1, 2), 1, 3, s),
+            "poisson_matrix_sample": lambda s: poisson.poisson_matrix_sample(2, (1, 2), s),
+            "sample_composition": lambda s: wf_sim.sample_composition(pop, 2, s),
+            "stationary_partition_counts": lambda s: wf_sim.stationary_partition_counts(
+                10, (0.5, 1.0), 2, 1, s, 2, 1),
+        }
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, True, "3"])
+    def test_bad_seed_named(self, seed):
+        for name, draw in self._entry_points().items():
+            with pytest.raises(ValueError, match=f"nonnegative integer, got {seed!r}"):
+                draw(seed)
+
+    def test_numpy_and_large_seeds_accepted(self):
+        for draw in self._entry_points().values():
+            draw(np.int64(7))
+            draw(2**70)
+
+
 class TestHoppeUrn:
     def test_determinism(self):
         a = hoppe_urn_sample(8, (0.7, 1.3), seed=5)

@@ -1,5 +1,6 @@
 """Every sampler stream and README sampling command against the committed
-table of its library version (see stream_table.py)."""
+table of its library version, and the exact laws on a desk grid against
+their one hash, which no version changes (see stream_table.py)."""
 
 import numpy as np
 import pytest
@@ -39,3 +40,7 @@ def test_sampler_stream(name, seed):
 def test_readme_command_stdout(name):
     _check_versions(name)
     assert stream_table.command_stdout(name) == TABLE["commands"][name]
+
+
+def test_exact_laws_unchanged():
+    assert stream_table.exact_hash() == TABLE["exact"]
