@@ -26,8 +26,8 @@ numpy version they are skipped with both versions in the reason.
 from __future__ import annotations
 
 import hashlib
-import json
 import itertools
+import json
 import os
 import sys
 from collections import Counter
