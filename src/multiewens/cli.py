@@ -105,7 +105,15 @@ def _prob_record(value, log_prob=None) -> dict:
     if isinstance(value, Fraction):
         num, den = value.numerator, value.denominator
         log_prob = -math.inf if num == 0 else math.log(num) - math.log(den)
-        return {"rational": f"{num}/{den}", "prob": float(value), "log_prob": log_prob}
+        # the size guard on exact laws bounds this conversion, which Python
+        # refuses past 4,300 digits by default
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            rational = f"{num}/{den}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        return {"rational": rational, "prob": float(value), "log_prob": log_prob}
     if log_prob is None:
         log_prob = -math.inf if value == 0 else math.log(value)
     return {"prob": float(value), "log_prob": log_prob}

@@ -40,6 +40,7 @@ from .partitions import (
     multipartition_to_lists,
     partitions_of,
     union,
+    _exact_work_guard,
 )
 
 __all__ = [
@@ -138,8 +139,23 @@ def _check_k(k: int, params: MutationParams):
 
 @lru_cache(maxsize=256)
 def _rising(p: int, q: int, m: int) -> int:
-    """prod_{i<m} (p + iq), the numerator of (p/q)_m over q^m."""
-    return math.prod(range(p, p + m * q, q))
+    """prod_{i<m} (p + iq), the numerator of (p/q)_m over q^m.  A law over
+    this denominator is reduced to lowest terms and may be printed in full,
+    both quadratic in its limbs, so one too large to finish in about a
+    second is refused before any work."""
+    bits = m * math.log2(p + m * q)  # at least log2 of the product
+    _exact_work_guard(f"an exact law at n={m}", int(bits) // 64, bits)
+    return _product_tree(p, q, m)
+
+
+def _product_tree(p: int, q: int, m: int) -> int:
+    """prod_{i<m} (p + iq), halves first: each big multiplication then has
+    factors of about the same size, which is far cheaper than growing one
+    product a factor at a time."""
+    if m <= 64:
+        return math.prod(range(p, p + m * q, q))
+    h = m // 2
+    return _product_tree(p, q, h) * _product_tree(p + h * q, q, m - h)
 
 
 @lru_cache(maxsize=256)

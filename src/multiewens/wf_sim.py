@@ -10,11 +10,13 @@ The model runs in two engines with the same law.  The gene-level engine
 (:class:`Population`, :func:`wf_step`, :func:`sample_composition`) stores
 all 2N genes and redraws each one every generation; it is the reference
 model.  The count-level engine behind :func:`stationary_samples` stores one
-(class, id, count) entry per living allele.  Children are exchangeable, so a
-generation is one multinomial draw of 2N children over "copy allele a"
-(probability c_a (1 - sum mu)/2N) and "new class-l mutant" (mu_l), and a
-sample of n genes is one multivariate hypergeometric draw; a generation costs
-O(alleles alive) instead of O(2N).
+(class, id, count) entry per living allele, and builds each window of
+generations backward from the genes alive at its end: their lineages merge
+when they share a parent and stop at their first mutation, which founds a
+new allele.  Generations in which no lineage does either are skipped, so a
+window costs about as much as its genealogy has merges and mutations, and
+once every lineage has mutated the older generations cost nothing.  A
+sample of n genes is one multivariate hypergeometric draw.
 
 Masses theta enter as :class:`~multiewens.measure.MutationParams`.  Mutation
 probabilities mu pass one rule, on the raw values before any conversion:
@@ -27,6 +29,8 @@ transition probabilities and its limiting generator.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -149,39 +153,119 @@ def sample_composition(pop: Population, n: int, seed_or_rng) -> MultiplePartitio
     return _from_alleles(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
 
+# lineages alive at or below which advance() stops drawing every generation
+# and skips straight to the next one in which a lineage mutates or merges
+_EVENT_LINEAGES = 64
+
+
 class _AlleleCounts:
     """Count-level state of a population: one (class, id) key and one count
     per living allele, in the order the alleles first appeared."""
 
     def __init__(self, pop: Population, mus: Sequence[float]):
-        self.mus = [float(m) for m in _mutation_probs(mus, pop.k)]
+        mus = [float(m) for m in _mutation_probs(mus, pop.k)]
         self.k, self.two_n = pop.k, pop.size
         genes = Counter(zip(pop.classes.tolist(), pop.ids.tolist()))
         self.keys = list(genes)
         self.counts = list(genes.values())
         self.next_ids = pop.next_ids.tolist()
         self.generation = pop.generation
+        # class l takes the mutation draws in [edges[l-1], edges[l]); the last
+        # edge is the total mutation probability M
+        self.edges = list(itertools.accumulate(mus))
+        # a lineage is "fine" when it neither mutates nor meets the parent of
+        # an earlier lineage; with o parents taken that has probability
+        # (1 - M)(1 - o/2N), and cum[i] = -log of i lineages in a row being
+        # fine from none taken, so a generation of j lineages is null with
+        # probability exp(-cum[j])
+        log_stay = math.log1p(-self.edges[-1])
+        self.cum = [0.0, *itertools.accumulate(
+            -log_stay - math.log1p(-o / self.two_n)
+            for o in range(min(_EVENT_LINEAGES, self.two_n))
+        )]
 
     def advance(self, gens: int, rng: np.random.Generator) -> None:
-        """Run `gens` generations, each one multinomial draw of 2N children."""
-        two_n, mus, next_ids = self.two_n, self.mus, self.next_ids
-        keep = (1.0 - sum(mus)) / two_n
-        keys, counts = self.keys, self.counts
-        for _ in range(gens):
-            a = len(counts)
-            draws = rng.multinomial(two_n, [c * keep for c in counts] + mus).tolist()
-            counts = draws[:a]
-            if 0 in counts:
-                keys = [key for key, c in zip(keys, counts) if c]
-                counts = [c for c in counts if c]
-            for l, m in enumerate(draws[a:]):
-                if m:
-                    first = next_ids[l]
-                    keys.extend((l, first + i) for i in range(m))
-                    counts.extend([1] * m)
-                    next_ids[l] = first + m
-        self.keys, self.counts = keys, counts
+        """Run `gens` generations, built backward from the 2N genes alive at
+        the end.
+
+        Each gene is a lineage of weight 1.  Going back one generation, a
+        lineage mutates with probability M = sum mu (a new class-l allele,
+        chosen with odds mu_l, whose count is the lineage's weight), and the
+        others pick uniform parents, merging when they pick the same one.
+        While many lineages live, every generation is drawn; once few do,
+        the generations in which nothing happens are skipped by one
+        geometric draw.  The lineages alive at the window's start sit on a
+        uniform subset of its genes and take the old alleles found there.
+        """
+        if gens == 0:
+            return
+        two_n, edges, total = self.two_n, self.edges, self.edges[-1]
+        born: list[tuple[int, int]] = []  # (class, count) per new allele, newest first
+        weights, left = np.ones(two_n, dtype=np.int64), gens
+        while left and weights.size > _EVENT_LINEAGES:
+            u = rng.random(weights.size)
+            mutant = u < total
+            if mutant.any():
+                classes = np.searchsorted(edges, u[mutant], side="right")
+                born += zip(classes.tolist(), weights[mutant].tolist())
+                weights = weights[~mutant]
+            _, parent = np.unique(rng.integers(0, two_n, weights.size), return_inverse=True)
+            weights = np.bincount(parent, weights).astype(np.int64)
+            left -= 1
+        lineages, cum = weights.tolist(), self.cum
+        while left and lineages:
+            j = len(lineages)
+            if cum[j] == 0.0:  # one lineage that cannot mutate
+                break
+            u = rng.random(2 * j + 1).tolist()
+            skip = 1 + int(math.log1p(-u[0]) / -cum[j])  # geometric, >= 1
+            if skip > left:
+                break
+            left -= skip
+            # deviant d (1, 2, ...) takes u[2d-1] for where it falls and u[2d]
+            # for its fate; the first is drawn given that one exists
+            merged, m, d = [], 0, 1
+            tail = -math.log1p(u[1] * math.expm1(-cum[j]))
+            while True:
+                o = len(merged)
+                fine = bisect.bisect_right(cum, cum[o] + tail, o + 1, o + j - m + 1) - o - 1
+                merged += lineages[m:m + fine]
+                m += fine
+                if m == j:
+                    break
+                # it mutates with odds M : (1 - M) o/2N, else joins one of the
+                # o lineages whose parents are taken
+                o += fine
+                x = u[2 * d] * (total + (1.0 - total) * o / two_n)
+                if o == 0 or x < total:
+                    born.append((min(bisect.bisect_right(edges, x), self.k - 1), lineages[m]))
+                else:
+                    merged[min(int((x - total) * two_n / (1.0 - total)), o - 1)] += lineages[m]
+                m += 1
+                if m == j:
+                    break
+                d += 1
+                tail = -math.log1p(-u[2 * d - 1])
+            lineages = merged
+        self._land(lineages, born, rng)
         self.generation += gens
+
+    def _land(self, lineages: list, born: list, rng: np.random.Generator) -> None:
+        """Set the state from the lineages alive at the window's start and the
+        new alleles: the lineages land on a uniform subset of the old genes."""
+        counts = [0] * len(self.counts)
+        if lineages:
+            hits = rng.multivariate_hypergeometric(self.counts, len(lineages))
+            for a, w in zip(np.repeat(np.arange(len(counts)), hits).tolist(),
+                            rng.permutation(lineages).tolist()):
+                counts[a] += w
+        keys = [key for key, c in zip(self.keys, counts) if c]
+        counts = [c for c in counts if c]
+        for cls, c in reversed(born):
+            keys.append((cls, self.next_ids[cls]))
+            counts.append(c)
+            self.next_ids[cls] += 1
+        self.keys, self.counts = keys, counts
 
     def sample(self, n: int, rng: np.random.Generator) -> MultiplePartition:
         """Composition of a uniform sample of n genes without replacement."""

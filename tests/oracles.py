@@ -14,7 +14,11 @@ from functools import lru_cache
 from itertools import permutations
 
 from multiewens.measure import _params, refined_esf_pmf
-from multiewens.partitions import enumerate_multipartitions, multipartition_to_matrix
+from multiewens.partitions import (
+    enumerate_multipartitions,
+    multipartition_from_lists,
+    multipartition_to_matrix,
+)
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +235,50 @@ def pewens_direct(class_counts, n: int, ts, class_sizes, order: int) -> Fraction
     for t, c in zip(ts, class_counts):
         value *= Fraction(t) ** c
     return value
+
+
+def wf_population_law(start, mus, gens: int) -> dict:
+    """Exact law of the whole population's multiple partition after `gens`
+    Wright-Fisher generations from a population shaped like `start` (a
+    multiple partition of 2N), with per-class mutation probabilities mus.
+
+    Forward, one generation at a time: the 2N children split multinomially
+    over "copy allele a" (probability c_a (1 - sum mu)/2N) and "new class-l
+    mutant" (mu_l), and every mutant is a one-gene allele of its class.  A
+    state is the sorted tuple of (class, count) pairs of its alleles."""
+    mus = [Fraction(m) for m in mus]
+    two_n, k, stay = start.n, len(mus), 1 - sum(mus)
+
+    @lru_cache(maxsize=None)
+    def successors(state):
+        probs = [c * stay / two_n for _, c in state] + mus
+        parts = len(probs)
+        out: dict = {}
+        for cuts in itertools.combinations(range(two_n + parts - 1), parts - 1):
+            xs = [b - a - 1 for a, b in zip((-1, *cuts), (*cuts, two_n + parts - 1))]
+            prob = Fraction(math.factorial(two_n))
+            for x, p in zip(xs, probs):
+                prob *= p**x / math.factorial(x)
+            if prob:
+                alleles = [(l, x) for (l, _), x in zip(state, xs) if x]
+                alleles += [(l, 1) for l, x in enumerate(xs[len(state):]) for _ in range(x)]
+                key = tuple(sorted(alleles))
+                out[key] = out.get(key, 0) + prob
+        return out
+
+    first = tuple(sorted((l, r) for l, comp in enumerate(start.components) for r in comp.rows))
+    law = {first: Fraction(1)}
+    for _ in range(gens):
+        nxt: dict = {}
+        for state, p in law.items():
+            for after, q in successors(state).items():
+                nxt[after] = nxt.get(after, 0) + p * q
+        law = nxt
+    return {
+        multipartition_from_lists([sorted((x for c, x in state if c == l), reverse=True)
+                                   for l in range(k)]): p
+        for state, p in law.items()
+    }
 
 
 def refuse_validation(monkeypatch, cls):

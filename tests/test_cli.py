@@ -1,5 +1,7 @@
 import json
+import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -401,6 +403,31 @@ class TestLargeInputs:
         assert len(errors) == 1 and "458004788008144308553622 states" in errors[0]
         assert res.stdout == ""
 
+
+    def test_exact_rational_past_the_digit_limit(self, runner):
+        # the law at n = 2,000 and masses 1/3, 2 has about 6,700 digits, past
+        # the 4,300 that Python converts by default
+        rows = [[1] * 2_000, []]
+        limit = sys.get_int_max_str_digits()
+        res = runner.invoke(main, ["pmf", "--theta", "1/3,2", "--partition", json.dumps(rows)])
+        assert res.exit_code == 0, res.output
+        assert sys.get_int_max_str_digits() == limit
+        value = measure.refined_esf_pmf(multipartition_from_lists(rows), (Fraction(1, 3), Fraction(2)))
+        sys.set_int_max_str_digits(0)
+        try:
+            want = f"{value.numerator}/{value.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        rec = json.loads(res.stdout)
+        assert len(want) > 6_000 and rec["rational"] == want
+
+    def test_exact_law_refused_past_the_work_cap(self, runner):
+        start = time.perf_counter()
+        res = runner.invoke(main, ["pmf", "--theta", "1,2", "--partition", "[[100000],[]]"])
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 1 and res.stdout == ""
+        errors = [l for l in res.stderr.splitlines() if l.startswith("Error:")]
+        assert len(errors) == 1 and "an exact law at n=100000 is too large" in errors[0]
 
 class TestFloatLogProb:
     def test_underflowed_partition_keeps_its_log(self, runner):

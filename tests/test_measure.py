@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from multiewens.measure import (
     MutationParams,
+    _rising,
     check_consistency,
     classical_ewens_pmf,
     downward_transition,
@@ -31,6 +33,7 @@ from multiewens.partitions import (
     set_partition_to_multipartition,
 )
 from multiewens.wreath import (
+    WreathElement,
     crp_wreath_sample,
     cycle_type,
     cyclic_group,
@@ -441,6 +444,35 @@ class TestSharedDenominator:
             assert isinstance(value, float)
             assert value == math.exp(refined_esf_log_pmf(p, th))
 
+
+class TestExactSizeGuard:
+    """D_n is built as a product tree, behind the exact work guard."""
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 1), (7, 3), (10**20 + 1, 12)])
+    def test_product_tree_equals_the_sequential_product(self, p, q):
+        for m in (0, 1, 2, 63, 64, 65, 129, 1000):
+            assert _rising(p, q, m) == math.prod(range(p, p + m * q, q))
+
+    def test_every_single_state_law_refuses_before_working(self):
+        n, th = 100_000, (F(1, 3), F(2))
+        laws = {
+            "refined": lambda: refined_esf_pmf(mp([n], []), th),
+            "factorized": lambda: refined_esf_pmf_factorized(mp([n], []), th),
+            "set partition": lambda: labeled_set_partition_pmf(
+                LabeledSetPartition(((1, frozenset(range(1, n + 1))),), n), th),
+            "wreath": lambda: pewens_pmf(
+                WreathElement((0,) * n, tuple(range(n))), cyclic_group(2), th),
+        }
+        for name, law in laws.items():
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"an exact law at n={n} is too large"):
+                law()
+            assert time.perf_counter() - start < 1.0, name
+
+    def test_large_accepted_law_matches_the_oracle(self):
+        rows = [[1] * 2_000, []]
+        assert refined_esf_pmf(mp(*rows), (F(1, 3), F(2))) == \
+            refined_esf_direct(rows, (F(1, 3), F(2)))
 
 class TestSweepChecks:
     @pytest.mark.parametrize("th", _DESK, ids=lambda th: f"k{len(th)}")

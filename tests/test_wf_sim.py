@@ -4,10 +4,13 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from multiewens import wf_sim
+from multiewens.partitions import _from_alleles, multipartition_from_lists
 from multiewens.samplers import coalescent_rates
 from multiewens.wf_sim import (
     Population,
@@ -20,7 +23,7 @@ from multiewens.wf_sim import (
     wf_step,
 )
 
-from oracles import tv_distance
+from oracles import chi_square_p, tv_distance, wf_population_law
 
 F = Fraction
 
@@ -406,3 +409,78 @@ class TestCountLevelEngine:
         with pytest.raises(ValueError, match="positive and finite"):
             next(stationary_samples(pop, theta, 2, 3, np.random.default_rng(0)))
         assert pop.generation == 0
+
+
+_LAW_MUS = (F(1, 10), F(1, 5))
+
+
+@lru_cache(maxsize=None)
+def _population_law(start: tuple, gens: int) -> dict:
+    return wf_population_law(multipartition_from_lists(start), _LAW_MUS, gens)
+
+
+def _population_of(start) -> Population:
+    """A population shaped like the multiple partition `start`, one id per allele."""
+    ids, classes = [], []
+    for l, rows in enumerate(start):
+        for ident, r in enumerate(rows):
+            ids += [ident] * r
+            classes += [l] * r
+    return Population(ids=np.array(ids), classes=np.array(classes), k=len(start))
+
+
+def _composition(state: _AlleleCounts):
+    return _from_alleles(((cls, c) for (cls, _), c in zip(state.keys, state.counts)), state.k)
+
+
+_MONO, _POLY = ((4,), ()), ((3, 1), (2,))
+
+
+class TestBackwardLaw:
+    """advance(g) against the exact forward law of the whole population."""
+
+    # seeds fixed before the first run; 20,000 windows per case
+    @pytest.mark.parametrize("start,gens,seed", [
+        (_MONO, 1, 1301), (_MONO, 3, 1302), (_MONO, 20, 1303),
+        (_POLY, 1, 1304), (_POLY, 3, 1305), (_POLY, 20, 1306),
+    ], ids=["mono-g1", "mono-g3", "mono-g20", "poly-g1", "poly-g3", "poly-g20"])
+    @pytest.mark.parametrize("threshold", [None, 2], ids=["event-driven", "mixed"])
+    def test_population_law(self, monkeypatch, start, gens, seed, threshold):
+        # at 2N <= 6 every window is event-driven; with a threshold of 2 the
+        # generations with more than two lineages are drawn one by one
+        if threshold is not None:
+            monkeypatch.setattr(wf_sim, "_EVENT_LINEAGES", threshold)
+            seed += 100
+        pop, mus = _population_of(start), [float(m) for m in _LAW_MUS]
+        rng, reps = np.random.default_rng(seed), 20_000
+        counts: Counter = Counter()
+        for _ in range(reps):
+            state = _AlleleCounts(pop, mus)
+            state.advance(gens, rng)
+            counts[_composition(state)] += 1
+        assert chi_square_p(counts, _population_law(start, gens), reps) > 1e-3
+
+    def test_advance_zero_draws_nothing(self):
+        rng = np.random.default_rng(7)
+        state = _AlleleCounts(_population_of(_POLY), [0.1, 0.2])
+        before = copy.deepcopy(rng.bit_generator.state)
+        keys, counts = list(state.keys), list(state.counts)
+        state.advance(0, rng)
+        assert rng.bit_generator.state == before
+        assert (state.keys, state.counts, state.generation) == (keys, counts, 0)
+
+    def test_survivors_first_then_fresh_serials(self):
+        rng = np.random.default_rng(8)
+        pop = _population_of(((30, 20, 10), (25, 15)))
+        state = _AlleleCounts(pop, [0.01, 0.02])
+        for _ in range(20):
+            old_keys, next_ids = list(state.keys), list(state.next_ids)
+            state.advance(40, rng)
+            survivors = [key for key in state.keys if key in old_keys]
+            assert state.keys[:len(survivors)] == survivors
+            assert survivors == [key for key in old_keys if key in survivors]
+            fresh = state.keys[len(survivors):]
+            for l in range(2):
+                ids = [ident for cls, ident in fresh if cls == l]
+                assert ids == list(range(next_ids[l], state.next_ids[l]))
+            assert sum(state.counts) == 100 and 0 not in state.counts
