@@ -15,8 +15,11 @@ generations backward from the genes alive at its end: their lineages merge
 when they share a parent and stop at their first mutation, which founds a
 new allele.  Generations in which no lineage does either are skipped, so a
 window costs about as much as its genealogy has merges and mutations, and
-once every lineage has mutated the older generations cost nothing.  A
-sample of n genes is one multivariate hypergeometric draw.
+once every lineage has mutated the older generations cost nothing.  Every
+window starts from all 2N genes, so a window much shorter than N
+generations costs more than the g multinomial draws over the alleles that
+a forward engine would make.  A sample of n genes is one multivariate
+hypergeometric draw.
 
 Masses theta enter as :class:`~multiewens.measure.MutationParams`.  Mutation
 probabilities mu pass one rule, on the raw values before any conversion:
@@ -209,19 +212,22 @@ class _AlleleCounts:
                 classes = np.searchsorted(edges, u[mutant], side="right")
                 born += zip(classes.tolist(), weights[mutant].tolist())
                 weights = weights[~mutant]
-            _, parent = np.unique(rng.integers(0, two_n, weights.size), return_inverse=True)
-            weights = np.bincount(parent, weights).astype(np.int64)
+            parents = rng.integers(0, two_n, weights.size)
+            if 8 * weights.size < two_n:  # sorting few parents beats a pass over all 2N
+                _, parents = np.unique(parents, return_inverse=True)
+            weights = np.bincount(parents, weights)
+            weights = weights[weights > 0].astype(np.int64)
             left -= 1
-        lineages, cum = weights.tolist(), self.cum
+        lineages, cum = weights.tolist() if left else weights, self.cum
         while left and lineages:
             j = len(lineages)
             if cum[j] == 0.0:  # one lineage that cannot mutate
                 break
             u = rng.random(2 * j + 1).tolist()
-            skip = 1 + int(math.log1p(-u[0]) / -cum[j])  # geometric, >= 1
-            if skip > left:
+            nulls = math.log1p(-u[0]) / -cum[j]  # geometric, in floats: may be inf
+            if nulls >= left:
                 break
-            left -= skip
+            left -= 1 + int(nulls)
             # deviant d (1, 2, ...) takes u[2d-1] for where it falls and u[2d]
             # for its fate; the first is drawn given that one exists
             merged, m, d = [], 0, 1
@@ -254,11 +260,10 @@ class _AlleleCounts:
         """Set the state from the lineages alive at the window's start and the
         new alleles: the lineages land on a uniform subset of the old genes."""
         counts = [0] * len(self.counts)
-        if lineages:
+        if len(lineages):
             hits = rng.multivariate_hypergeometric(self.counts, len(lineages))
-            for a, w in zip(np.repeat(np.arange(len(counts)), hits).tolist(),
-                            rng.permutation(lineages).tolist()):
-                counts[a] += w
+            counts = np.bincount(np.repeat(np.arange(len(counts)), hits),
+                                 rng.permutation(lineages), len(counts)).astype(np.int64).tolist()
         keys = [key for key, c in zip(self.keys, counts) if c]
         counts = [c for c in counts if c]
         for cls, c in reversed(born):

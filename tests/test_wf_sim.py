@@ -469,6 +469,12 @@ class TestBackwardLaw:
         assert rng.bit_generator.state == before
         assert (state.keys, state.counts, state.generation) == (keys, counts, 0)
 
+    def test_subnormal_mutation_mass(self):
+        # a lone lineage's null run is then longer than any float can count
+        state = _AlleleCounts(Population.founding(10, 2), [1e-311, 1e-311])
+        state.advance(10**6, np.random.default_rng(9))
+        assert state.counts == [10] and state.generation == 10**6
+
     def test_survivors_first_then_fresh_serials(self):
         rng = np.random.default_rng(8)
         pop = _population_of(((30, 20, 10), (25, 15)))
