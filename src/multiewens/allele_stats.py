@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import CheckReport, _check_k, _common, _exact_params, _params, _sum_report
+from .measure import (CheckReport, _check_k, _common, _exact_params, _params,
+                      _positive_finite, _sum_report)
 from .partitions import _exact_work_guard, _plain_ints, compositions_of
 from .samplers import _numpy_rng
 
@@ -308,7 +309,7 @@ class RegimeSpec:
         object.__setattr__(self, "alphas", alphas)
         if not self.beta >= 0:  # also rejects NaN
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not all(0 < a < math.inf for a in alphas):
+        if not _positive_finite(alphas):
             raise ValueError(f"all alphas must be positive and finite, got {alphas}")
 
     @property

@@ -18,8 +18,9 @@ denominators, D_n = prod_{i<n} (Qw + iQ) = Q^n (w)_n and P(p) = N(p) / D_n for
 
 with K_l rows in component l and K = sum K_l.  The first factor counts the
 permutations with these class-coloured cycles, so N(p) is an integer.  Q,
-the Q theta_l and D_n are cached per (theta, n); the exact sweep checks
-compare integer sums of numerators.
+the Q theta_l and D_n are cached per n and the masses' (numerator,
+denominator) pairs, which hash far faster than Fractions; the exact sweep
+checks compare integer sums of numerators.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .partitions import (
     partitions_of,
     union,
     _exact_work_guard,
+    _trusted,
 )
 
 __all__ = [
@@ -79,7 +81,7 @@ class MutationParams:
         object.__setattr__(self, "thetas", thetas)
         if len(thetas) < 1:
             raise ValueError("need at least one mutation class")
-        if not all(0 < t < math.inf for t in thetas):  # also rejects NaN
+        if not _positive_finite(thetas):
             shown = ", ".join(map(str, thetas))
             raise ValueError(f"mutation masses must be positive and finite, got ({shown})")
 
@@ -101,6 +103,16 @@ def _is_exact(values) -> bool:
     or a Fraction.  A plain loop, as it runs on every pmf call."""
     for v in values:
         if not isinstance(v, (int, Fraction)):
+            return False
+    return True
+
+
+def _positive_finite(values) -> bool:
+    """The one rule for masses and weights: positive and finite, NaN rejected.
+    A Fraction is finite, so the sign of its numerator decides, which skips
+    two slow Fraction comparisons."""
+    for v in values:
+        if not (v.numerator > 0 if type(v) is Fraction else 0 < v < math.inf):
             return False
     return True
 
@@ -158,12 +170,29 @@ def _product_tree(p: int, q: int, m: int) -> int:
     return _product_tree(p, q, h) * _product_tree(p + h * q, q, m - h)
 
 
-@lru_cache(maxsize=256)
-def _common(thetas: tuple, n: int) -> tuple[int, tuple[int, ...], int]:
+def _ratios(values) -> tuple:
+    """Exact values as (numerator, denominator) pairs, the cache key of the
+    exact laws: ints hash far faster than Fractions, and a float, which has
+    no numerator, cannot share a key with an int (1 and 1.0 hash alike)."""
+    return tuple([(v.numerator, v.denominator) for v in values])
+
+
+def _scale(ratios) -> tuple[int, tuple[int, ...]]:
+    """(L, the integers L v) for the values v of ratios, L the lcm of their
+    denominators."""
+    lcm = math.lcm(*(d for _, d in ratios))
+    return lcm, tuple(a * (lcm // d) for a, d in ratios)
+
+
+def _common(thetas, n: int) -> tuple[int, tuple[int, ...], int]:
     """(Q, the scaled masses Q theta_l, D_n) for exact masses; see the module
-    docstring.  Only exact masses may reach this cache: 1 and 1.0 hash alike."""
-    q = math.lcm(*(Fraction(t).denominator for t in thetas))
-    scaled = tuple(int(t * q) for t in thetas)
+    docstring.  Cached per n and the masses' :func:`_ratios`."""
+    return _common_of_ratios(_ratios(thetas), n)
+
+
+@lru_cache(maxsize=256)
+def _common_of_ratios(ratios: tuple, n: int) -> tuple[int, tuple[int, ...], int]:
+    q, scaled = _scale(ratios)
     return q, scaled, _rising(sum(scaled), q, n)
 
 
@@ -265,23 +294,25 @@ def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:
     :func:`refined_esf_pmf` as a cross-checking route.
     """
     params = _params(theta)
-    _check_k(p.k, params)
+    comps = p.components
+    _check_k(len(comps), params)
+    sizes = [sum(comp.rows) for comp in comps]
+    n = sum(sizes)
     if params.is_exact:
-        q, scaled, d_n = _common(params.thetas, p.n)
-        sizes = [comp.size for comp in p.components]
-        risings = math.prod(map(_rising, scaled, (q,) * p.k, sizes))
-        size_law = math.factorial(p.n) // math.prod(map(math.factorial, sizes)) * risings
-        singles = math.prod(map(_single_class_numerator, p.components, (q,) * p.k, scaled))
+        q, scaled, d_n = _common(params.thetas, n)
+        risings = math.prod(map(_rising, scaled, (q,) * len(sizes), sizes))
+        size_law = math.factorial(n) // math.prod(map(math.factorial, sizes)) * risings
+        singles = math.prod(map(_single_class_numerator, comps, (q,) * len(sizes), scaled, sizes))
         return Fraction(size_law * singles, d_n * risings)
-    powers, pochs = [], [(1, (p.n,), 1), (params.w, (p.n,), -1)]
-    for th, comp in zip(params.thetas, p.components):
+    powers, pochs = [], [(1, (n,), 1), (params.w, (n,), -1)]
+    for th, comp, m in zip(params.thetas, comps, sizes):
         single_powers, single_pochs = _esf_factors((comp,), (th,), th)
         powers += single_powers
-        pochs += [*single_pochs, (th, (comp.size,), 1), (1, (comp.size,), -1)]
+        pochs += [*single_pochs, (th, (m,), 1), (1, (m,), -1)]
     return _product(powers, pochs)
 
 
-def _single_class_numerator(comp: YoungDiagram, q: int, s: int) -> int:
+def _single_class_numerator(comp: YoungDiagram, q: int, s: int, m: int) -> int:
     """N_l = m! / prod_j j^{a_j} a_j! * s^{K_l} * Q^{m-K_l} for one component
     of size m and scaled mass s, so that the single-class law at size m is
     N_l / R_l.  Read from the row multiplicities a_j, not from the runs of
@@ -289,7 +320,7 @@ def _single_class_numerator(comp: YoungDiagram, q: int, s: int) -> int:
     den = 1
     for j, a in comp.multiplicities().items():
         den *= j**a * math.factorial(a)
-    return math.factorial(comp.size) // den * s**comp.n_rows * q ** (comp.size - comp.n_rows)
+    return math.factorial(m) // den * s**comp.n_rows * q ** (m - comp.n_rows)
 
 
 def downward_transition(p: MultiplePartition) -> dict[MultiplePartition, Fraction]:
@@ -311,7 +342,7 @@ def _children(p: MultiplePartition):
         for length, mult in comp.multiplicities().items():
             comps = list(p.components)
             comps[l] = comp.remove_box_from_row(length)
-            yield MultiplePartition(tuple(comps)), mult * length
+            yield _trusted(MultiplePartition, components=tuple(comps)), mult * length
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,7 @@ class MultiplePartition:
 
     @property
     def n(self) -> int:
-        return sum(c.size for c in self.components)
+        return sum([sum(c.rows) for c in self.components])
 
     @property
     def k(self) -> int:
@@ -223,16 +223,24 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
     """Integer partitions of n, largest-part-first lexicographic order.
 
     partitions_of(4) yields (4,), (3,1), (2,2), (2,1,1), (1,1,1,1).
-    """
+    Iterative, so any n costs no recursion: each step removes the last part
+    x > 1 and the 1s after it, and refills those boxes greedily with parts of
+    at most x - 1."""
     if n < 0:
         return
     if n == 0:
         yield ()
-        return
-    top = n if max_part is None or max_part > n else max_part
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    parts: list[int] = []
+    total, cap = n, n if max_part is None else min(n, max_part)
+    while cap >= 1:  # fill total boxes greedily with parts of at most cap
+        q, r = divmod(total, cap)
+        parts += [cap] * q + [r] * (r > 0)
+        yield tuple(parts)
+        ones = parts.count(1)
+        if ones == len(parts):
+            return
+        total, cap = parts[-ones - 1] + ones, parts[-ones - 1] - 1
+        del parts[-ones - 1:]
 
 
 def compositions_of(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -380,24 +388,25 @@ def set_partition_to_multipartition(s: LabeledSetPartition, k: int) -> MultipleP
 
 
 def set_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
-    """All set partitions of {1..n} via restricted-growth strings."""
-    if n == 0:
-        yield ()
-        return
-
-    def grow(prefix: list[int], used: int):
-        if len(prefix) == n:
-            blocks: list[set[int]] = [set() for _ in range(used)]
-            for elem, b in enumerate(prefix, start=1):
-                blocks[b].add(elem)
-            yield tuple(frozenset(b) for b in blocks)
+    """All set partitions of {1..n}, blocks by smallest element, in the
+    lexicographic order of restricted-growth strings a (element i + 1 in
+    block a[i], a[i] <= 1 + max(a[:i])).  Iterative, so any n costs no
+    recursion: each step raises the last entry that may grow and zeroes the
+    entries after it."""
+    a, top = [0] * n, [0] * n  # top[i] = max(a[:i + 1])
+    while n >= 0:
+        blocks: list[list[int]] = [[] for _ in range(top[-1] + 1 if n else 0)]
+        for elem, b in enumerate(a, start=1):
+            blocks[b].append(elem)
+        yield tuple(map(frozenset, blocks))
+        i = n - 1
+        while i > 0 and a[i] > top[i - 1]:
+            i -= 1
+        if i <= 0:
             return
-        for b in range(used + 1):
-            prefix.append(b)
-            yield from grow(prefix, max(used, b + 1))
-            prefix.pop()
-
-    yield from grow([], 0)
+        a[i] += 1
+        top[i:] = [max(top[i - 1], a[i])] * (n - i)
+        a[i + 1:] = [0] * (n - i - 1)
 
 
 def _stirling_second(p: int, m: int) -> int:
@@ -411,10 +420,14 @@ def labeled_set_partitions(n: int, k: int) -> Iterator[LabeledSetPartition]:
     """All set partitions of {1..n} with every block labelled from 1..k.
 
     :func:`set_partitions` lists blocks by their smallest element, the
-    canonical order of :class:`LabeledSetPartition`."""
+    canonical order of :class:`LabeledSetPartition`; the labellings of one
+    partition are the product of its blocks' (label, block) pairs."""
+    new = object.__new__
     for blocks in set_partitions(n):
-        for labels in itertools.product(range(1, k + 1), repeat=len(blocks)):
-            yield _trusted(LabeledSetPartition, blocks=tuple(zip(labels, blocks)), n=n)
+        for labelled in itertools.product(*[[(l, b) for l in range(1, k + 1)] for b in blocks]):
+            s = new(LabeledSetPartition)  # what _trusted builds, without its call
+            s.__dict__.update(blocks=labelled, n=n)
+            yield s
 
 
 def multipartition_to_lists(p: MultiplePartition) -> list[list[int]]:

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .measure import _is_exact, _product, _rising
+from .measure import _is_exact, _positive_finite, _product, _ratios, _rising, _scale
 from .partitions import MultiplePartition, _from_alleles, _plain_ints, _trusted
 from .samplers import _batched_counts
 
@@ -187,7 +187,7 @@ class WreathParams:
     def __post_init__(self):
         ts = tuple(self.ts)
         object.__setattr__(self, "ts", ts)
-        if not all(0 < t < math.inf for t in ts):  # also rejects NaN
+        if not _positive_finite(ts):
             shown = ", ".join(map(str, ts))
             raise ValueError(f"all weights must be positive and finite, got ({shown})")
 
@@ -265,7 +265,7 @@ def pewens_pmf(x: WreathElement, group: GroupTable, t):
     if not _is_exact(ts):
         powers = [*zip(ts, counts), (group.order, -x.n)]
         return _product(powers, [(sum(params.thetas(group)), (x.n,), -1)])
-    b, scaled, d = _wreath_common(ts, group.class_sizes(), x.n)
+    b, scaled, d = _wreath_common(_ratios(ts), group.class_sizes(), x.n)
     num = b ** (x.n - sum(counts))
     for s, c in zip(scaled, counts):
         num *= s**c
@@ -273,13 +273,12 @@ def pewens_pmf(x: WreathElement, group: GroupTable, t):
 
 
 @lru_cache(maxsize=256)
-def _wreath_common(ts: tuple, sizes: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...], int]:
-    """(B, the scaled weights B t_l, D) for exact weights t_l on classes of
-    the given sizes: B is the lcm of the weight denominators and
-    D = prod_{i<n} (B sum_l t_l |c_l| + i B |G|) = (B|G|)^n (sum theta)_n.
-    Only exact weights may reach this cache: 1 and 1.0 hash alike."""
-    b = math.lcm(*(Fraction(v).denominator for v in ts))
-    scaled = tuple(int(v * b) for v in ts)
+def _wreath_common(ratios: tuple, sizes: tuple[int, ...], n: int) -> tuple[int, tuple, int]:
+    """(B, the scaled weights B t_l, D) for exact weights t_l, given by their
+    (numerator, denominator) pairs (``measure._ratios``, the cache key), on
+    classes of the given sizes: B is the lcm of the weight denominators and
+    D = prod_{i<n} (B sum_l t_l |c_l| + i B |G|) = (B|G|)^n (sum theta)_n."""
+    b, scaled = _scale(ratios)
     return b, scaled, _rising(sum(map(math.prod, zip(scaled, sizes))), b * sum(sizes), n)
 
 

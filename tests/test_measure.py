@@ -95,6 +95,35 @@ class TestMutationParams:
         with pytest.raises(ValueError):
             refined_esf_pmf(mp([1], []), (bad, 1))
 
+    def test_rejects_negative_fraction(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MutationParams((F(-1, 2), F(1)))
+        with pytest.raises(ValueError, match="positive and finite"):
+            refined_esf_pmf(mp([1], []), (F(-1, 2), 1))
+
+    @pytest.mark.parametrize("first", ["exact", "float"])
+    def test_backend_follows_mass_type(self, first):
+        # 1 and 1.0 hash alike, so a cache keyed by the masses themselves
+        # could hand one backend's values to the other
+        import multiewens.measure as measure
+        import multiewens.wreath as wreath
+
+        measure._common_of_ratios.cache_clear()
+        wreath._wreath_common.cache_clear()
+        p = mp([2, 1], [1])
+        s = LabeledSetPartition(((1, frozenset({1, 2})), (2, frozenset({3}))), n=3)
+        x = WreathElement((0, 1, 1), (1, 0, 2))
+        laws = [
+            lambda m: refined_esf_pmf(p, m),
+            lambda m: refined_esf_pmf_factorized(p, m),
+            lambda m: labeled_set_partition_pmf(s, m),
+            lambda m: pewens_pmf(x, cyclic_group(2), m),
+        ]
+        order = [((1, 2), Fraction), ((1.0, 2.0), float)]
+        for masses, kind in order if first == "exact" else order[::-1]:
+            for law in laws:
+                assert type(law(masses)) is kind
+
 
 class TestRefinedPmf:
     def test_single_draw_law(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -193,6 +194,30 @@ class TestSetPartitions:
         stirling2 = {1: 1, 2: 31, 3: 90, 4: 65, 5: 15, 6: 1}
         expected = sum(s * 2**b for b, s in stirling2.items())
         assert sum(1 for _ in labeled_set_partitions(6, 2)) == expected
+
+    def test_first_items_at_n_5000(self):
+        # each enumerator once recursed once per element, so n = 1,200 raised
+        # RecursionError at the first item
+        n = 5000
+        everything = frozenset(range(1, n + 1))
+        assert next(set_partitions(n)) == (everything,)
+        assert next(labeled_set_partitions(n, 2)).blocks == ((1, everything),)
+        assert next(partitions_of(n, 1)) == (1,) * n
+        second = itertools.islice(partitions_of(n), 1, 2)
+        assert list(second) == [(n - 1, 1)]
+
+    def test_orders(self):
+        # partitions of n with parts <= m in decreasing lexicographic order;
+        # set partitions in increasing order of restricted-growth strings
+        for n in range(10):
+            for m in (None, 1, 2, 3, n):
+                got = list(partitions_of(n, m))
+                assert got == sorted(set(got), reverse=True)
+                assert all(max(p, default=0) <= (m or n) and sum(p) == n for p in got)
+        for n in range(8):
+            strings = [tuple(next(i for i, b in enumerate(blocks) if e in b)
+                             for e in range(1, n + 1)) for blocks in set_partitions(n)]
+            assert strings == sorted(set(strings))
 
 
 def _validated(p: MultiplePartition) -> MultiplePartition:

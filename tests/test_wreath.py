@@ -260,7 +260,7 @@ class TestWreathMeasure:
         x = crp_wreath_sample(400, g, (1.0, 2.0, 1.5), 3)
         assert math.isfinite(pewens_pmf(x, g, (1.0, 2.0, 1.5)))
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, F(0), F(-1, 2)])
     def test_rejects_bad_weights(self, bad):
         with pytest.raises(ValueError):
             WreathParams((1.0, bad))
