@@ -178,8 +178,7 @@ def _ratios(values) -> tuple:
 
 
 def _scale(ratios) -> tuple[int, tuple[int, ...]]:
-    """(L, the integers L v) for the values v of ratios, L the lcm of their
-    denominators."""
+    """(L, the integers L v) for the values v of ratios, L the lcm of their denominators."""
     lcm = math.lcm(*(d for _, d in ratios))
     return lcm, tuple(a * (lcm // d) for a, d in ratios)
 

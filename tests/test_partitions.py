@@ -213,7 +213,8 @@ class TestSetPartitions:
             for m in (None, 1, 2, 3, n):
                 got = list(partitions_of(n, m))
                 assert got == sorted(set(got), reverse=True)
-                assert all(max(p, default=0) <= (m or n) and sum(p) == n for p in got)
+                assert all(list(p) == sorted(p, reverse=True) and sum(p) == n
+                           and max(p, default=0) <= (m or n) for p in got)
         for n in range(8):
             strings = [tuple(next(i for i, b in enumerate(blocks) if e in b)
                              for e in range(1, n + 1)) for blocks in set_partitions(n)]
