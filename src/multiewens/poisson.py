@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import measure
-from .measure import CheckReport, _check_k, _common, _exact_params, _params
+from .measure import CheckReport, _params
 from .partitions import enumerate_multipartitions
 from .samplers import _numpy_rng
 
@@ -59,9 +59,7 @@ def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
     second is N(p) * bottom == top * Q^n n!, with N(p) the numerator of the
     Ewens law over D_n.
     """
-    params = _exact_params(theta, "conditional identity check")
-    _check_k(k, params)
-    q, scaled, d_n = _common(params.thetas, n)
+    q, scaled, d_n = measure._exact_common(theta, k, n, "conditional identity check")
     scale = q**n * math.factorial(n)
     failures = []
     total = 0

@@ -6,8 +6,12 @@ per-step rates it realises, and the paintbox over class-weighted ranked
 frequencies drawn from the multiple Poisson-Dirichlet law.  The urn and the
 paintbox end with the alleles they drew as (class, count) pairs, which
 ``partitions._from_alleles`` groups into the sample's multiple partition.
-The urn runs one draw in ``_urn_run`` and many replicates at once, for the
-counting sampler, in ``_urn_batch``.
+The urn has three engines.  One draw of fewer than ``_KERNEL_STEPS`` steps
+runs in the interpreted loop ``_urn_run``; a longer one is built from all its
+uniforms at once by ``_urn_kernel``, which makes the same choices, so the
+engine never shows in the output.  The counting sampler runs many replicates
+at once in ``_urn_batch``.  Both array engines find each draw's colour by
+pointer doubling (:func:`_roots`).
 The urn's set partition and the Poisson-Dirichlet frequencies are valid by
 construction and skip their constructors' checks through
 ``partitions._trusted``, with the field types of a validated instance.
@@ -16,8 +20,8 @@ Seeding contract: every sampler takes a 64-bit integer seed and is bit
 deterministic for a fixed platform and library version.  Parallel workers
 should derive child seeds with :func:`derive_seed`, which applies the
 SplitMix64 mixer to (seed, worker index): child = mix(mix(seed) + 1 + index).
-The samplers that draw from numpy take their generator from
-:func:`_numpy_rng`, which refuses a seed that is not an integer >= 0.
+The samplers take their generator from :func:`_numpy_rng` or
+:func:`_python_rng`, which refuse a seed that is not an integer >= 0.
 """
 
 from __future__ import annotations
@@ -62,12 +66,55 @@ def derive_seed(seed: int, index: int) -> int:
     return _splitmix64((_splitmix64(seed & _MASK64) + 1 + index) & _MASK64)
 
 
-def _numpy_rng(seed) -> np.random.Generator:
-    """numpy's generator for seed, after the one check that every
-    numpy-seeded entry point shares: the seed is an integer >= 0."""
+def _checked_seed(seed) -> int:
+    """seed as an int, after the one check that every entry point shares:
+    the seed is an integer >= 0, numpy integers included.  A plain int is
+    passed first, since the Integral check is slow against a desk-size draw."""
+    if type(seed) is int and seed >= 0:
+        return seed
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return int(seed)
+
+
+def _numpy_rng(seed) -> np.random.Generator:
+    """numpy's generator for a checked seed."""
+    return np.random.default_rng(_checked_seed(seed))
+
+
+def _python_rng(seed) -> random.Random:
+    """The random.Random generator of the one-draw urn and restaurant, for a
+    checked seed."""
+    return random.Random(_checked_seed(seed))
+
+
+# a one-draw run of this many steps or more is built from all its uniforms at
+# once.  Below it the interpreted loop is faster than the array kernel, whose
+# fixed cost is 40-70 us: the two cross near 120 steps for the urn and 220 for
+# the restaurant
+_KERNEL_STEPS = 256
+
+
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """[rng.random() for _ in range(n)], bit for bit, from one getrandbits call.
+
+    getrandbits(64 n) packs the generator's next 2n 32-bit words, the first
+    one least significant, and random() turns each pair (a, b) of them into
+    ((a >> 5) 2**26 + (b >> 6)) / 2**53, exactly in float arithmetic.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """The root of every index of a forest given by its parent links (a root
+    is its own parent), by pointer doubling: parent = parent[parent] until
+    nothing changes, which takes about log2 of the deepest path steps."""
+    while True:
+        up = parent.take(parent)
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
 
 
 def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
@@ -106,6 +153,46 @@ def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
     return classes, counts, founder
 
 
+def _urn_founders(w: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The urn's steps on the uniforms u, one step per row, without a loop.
+
+    Returns x, the uniforms scaled to [0, w + j) at step j, and for every
+    draw the flat index into u of the draw that founded its color.  A draw
+    with x below w founds a color; any other copies the color of draw
+    min(int(x - w), j - 1) of its run, the clamp of :func:`_urn_run`.
+    Columns of a 2-D u are independent runs.
+    """
+    n, runs = len(u), u[0].size
+    steps = np.arange(n).reshape((n,) + (1,) * (u.ndim - 1))
+    x = u * (w + steps)
+    pick = np.minimum(np.maximum(x - w, 0.0).astype(np.intp), steps - 1)  # used where x >= w
+    parent = np.where(x < w, steps, pick)
+    parent = parent * runs + np.arange(runs).reshape(u.shape[1:])
+    return x, _roots(parent.ravel()).reshape(u.shape)
+
+
+def _urn_kernel(thetas: Sequence[float], u: np.ndarray):
+    """:func:`_urn_run` on the uniforms u, with no loop over the steps.
+
+    A founding draw picks its class by the same scan of the class masses,
+    one pass per class over all founding draws, so on the uniforms that
+    rng.random() would return the result is identical.
+    """
+    x, root = _urn_founders(float(sum(thetas)), u)
+    new = root == np.arange(len(u))
+    founder = (np.cumsum(new) - 1)[root]
+    rest = x[new]
+    classes = np.full(len(rest), len(thetas) - 1)
+    open_ = np.ones(len(rest), dtype=bool)
+    for l, theta in enumerate(thetas[:-1]):
+        hit = open_ & (rest < theta)
+        classes[hit] = l
+        open_ &= ~hit
+        rest -= theta
+    counts = np.bincount(founder, minlength=len(rest))
+    return classes.tolist(), counts.tolist(), founder.tolist()
+
+
 def hoppe_urn_sample(
     n: int, theta, seed: int, blocks: bool = True
 ) -> tuple[MultiplePartition, LabeledSetPartition | None]:
@@ -124,8 +211,11 @@ def hoppe_urn_sample(
         raise ValueError("n must be >= 1")
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
-    rng = random.Random(seed)
-    classes, counts, founder = _urn_run(n, thetas, rng)
+    rng = _python_rng(seed)
+    if n < _KERNEL_STEPS:
+        classes, counts, founder = _urn_run(n, thetas, rng)
+    else:
+        classes, counts, founder = _urn_kernel(thetas, _uniforms(rng, n))
     part = _from_alleles(zip(classes, counts), params.k)
     if not blocks:
         return part, None
@@ -171,26 +261,15 @@ def _batched_counts(n: int, reps: int, seed: int, keys_of) -> Counter:
 def _urn_batch(n: int, thetas: Sequence[float], u: np.ndarray) -> np.ndarray:
     """Run the urn on each column of the (n, r) uniforms u at once.
 
-    Step j scales u[j] to [0, w + j) as :func:`_urn_run` does.  Below w
-    the draw founds a color, whose 0-based class is the number of partial
-    sums theta_1 + .. + theta_l, l < k, at or below it.  Otherwise it
-    copies the color of draw min(int(u - w), j - 1), the same clamp.  A
-    color is named by the draw that founded it.  Returns one row per run:
-    the sorted codes class * (n + 1) + count of its colors, padded with
-    zeros to n entries.
+    Each draw's color comes from :func:`_urn_founders`, and a color is
+    named by the draw that founded it.  A founding draw's 0-based class is
+    the number of partial sums theta_1 + .. + theta_l, l < k, at or below
+    its scaled uniform.  Returns one row per run: the sorted codes
+    class * (n + 1) + count of its colors, padded with zeros to n entries.
     """
     cum = np.cumsum(thetas)
-    w = cum[-1]
-    r = u.shape[1]
-    runs = np.arange(r)
-    x = u * (w + np.arange(n))[:, None]
-    founder = np.zeros((n, r), dtype=np.intp)
-    flat = founder.ravel()
-    for j in range(1, n):
-        pick = (x[j] - w).astype(np.intp)
-        np.clip(pick, 0, j - 1, out=pick)
-        founder[j] = np.where(x[j] < w, j, flat.take(pick * r + runs))
-    counts = np.bincount((founder * r + runs).ravel(), minlength=n * r).reshape(n, r)
+    x, founder = _urn_founders(cum[-1], u)
+    counts = np.bincount(founder.ravel(), minlength=u.size).reshape(u.shape)
     codes = (x[..., None] >= cum[:-1]).sum(axis=-1)  # the class of each draw
     codes *= n + 1  # in place, which keeps few chunk-sized arrays alive
     codes += counts

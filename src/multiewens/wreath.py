@@ -13,10 +13,18 @@ Group tables and elements from outside are checked by their constructors,
 whose integer fields pass ``partitions._plain_ints`` and are never rounded;
 the elements the restaurant process, the enumerator and the group
 operations build skip that check through ``partitions._trusted``.
+
+The restaurant process takes one uniform per step and has three engines
+that make the same choices on the same uniforms.  One draw of fewer than
+``samplers._KERNEL_STEPS`` steps runs in the interpreted loop ``_crp_run``;
+a longer one is rebuilt from its insertion events by ``_crp_kernel``, so
+the engine never shows in the output.  The counting sampler runs many
+replicates at once in ``_crp_batch``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -30,7 +38,7 @@ import numpy as np
 
 from .measure import _is_exact, _positive_finite, _product, _ratios, _rising, _scale
 from .partitions import MultiplePartition, _from_alleles, _plain_ints, _trusted
-from .samplers import _batched_counts
+from .samplers import _KERNEL_STEPS, _batched_counts, _python_rng, _roots, _uniforms
 
 __all__ = [
     "GroupTable",
@@ -107,6 +115,7 @@ class GroupTable:
         object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "class_of", tuple(class_of))
+        object.__setattr__(self, "_sizes", tuple(len(c) for c in classes))
 
     @property
     def order(self) -> int:
@@ -118,7 +127,7 @@ class GroupTable:
         return len(self.classes)
 
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return self._sizes
 
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -292,64 +301,119 @@ def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
     elements with a fresh entry h drawn uniformly over G (weight 1 for each
     of the j|G| position/entry pairs); the predecessor's entry g_p is
     replaced by h^{-1} g_p so the cycle-product of the host cycle is
-    unchanged.  Every step divides by D + j|G|.
+    unchanged.  Every step divides by D + j|G| and takes one uniform.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ts = [float(v) for v in _wreath_params(t)._per_class(group)]
-    rng = random.Random(seed)
-    g, s = _crp_run(n, group, ts, rng)
+    rng = _python_rng(seed)
+    if n < _KERNEL_STEPS:
+        g, s = _crp_run(n, group, ts, rng)
+    else:
+        g, s = _crp_kernel(group, ts, _uniforms(rng, n))
     return _trusted(WreathElement, g=tuple(g), s=tuple(s))
 
 
+def _entry_weights(group: GroupTable, ts: list) -> list[float]:
+    """Cumulative new-cycle weights t_{class(a)} over the elements a of G,
+    in element order; the last is D."""
+    return list(itertools.accumulate(ts[c] for c in group.class_of))
+
+
+def _undo(group: GroupTable) -> list[tuple[int, ...]]:
+    """undo[e][a] = e^{-1} a, the entry left at a host position with entry a
+    after an insertion with entry e."""
+    return [group.table[group.inverse[e]] for e in range(group.order)]
+
+
 def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
+    """Run the restaurant process for n steps, one rng.random() each.
+
+    Step j scales its uniform to x in [0, D + j|G|).  Below D it opens a
+    cycle, whose entry is the number of cumulative weights
+    (:func:`_entry_weights`) other than D at or below x.  Otherwise pair
+    min(int(x - D), j|G| - 1) = pos |G| + entry gives the position and entry
+    of an insertion; the clamp holds x that rounds up to D + j|G| when
+    random() returns 1 - 2**-53.  Returns the lists (g, s).
+    """
     m = group.order
-    weight = [ts[group.class_of[a]] for a in range(m)]
-    d_new = sum(weight)
-
-    def draw_new_entry() -> int:
-        u = rng.random() * d_new
-        for a in range(m - 1):
-            if u < weight[a]:
-                return a
-            u -= weight[a]
-        return m - 1
-
-    g = [draw_new_entry()]
-    s = [0]
-    for j in range(1, n):
-        u = rng.random() * (d_new + j * m)
-        if u < d_new:
-            entry = draw_new_entry()
-            g.append(entry)
+    cum = _entry_weights(group, ts)
+    d_new, bounds = cum[-1], cum[:-1]
+    undo = _undo(group)
+    g: list[int] = []
+    s: list[int] = []
+    for j in range(n):
+        x = rng.random() * (d_new + j * m)
+        if x < d_new:
+            g.append(bisect.bisect_right(bounds, x))
             s.append(j)
         else:
-            # u can round up to d_new + j*m when random() is 1 - 2**-53
-            pair = min(int(u - d_new), j * m - 1)
-            pos, entry = divmod(pair, m)
+            pos, entry = divmod(min(int(x - d_new), j * m - 1), m)
             s.append(s[pos])
             s[pos] = j
-            g[pos] = group.mult(group.inverse[entry], g[pos])
+            g[pos] = undo[entry][g[pos]]
             g.append(entry)
     return g, s
+
+
+def _crp_kernel(group: GroupTable, ts: list, u: np.ndarray):
+    """:func:`_crp_run` on the uniforms u, with no loop over the steps.
+
+    Every step's choice is read off its own uniform.  The final s follows
+    from the insertions grouped by host: a host's successor is its last
+    insertion, and an element placed by a step has as successor the host's
+    insertion before it, or for the host's first insertion the host's own
+    successor when the host was placed, found by pointer doubling
+    (:func:`samplers._roots`).  A host's entry is left-multiplied by its
+    insertions' inverse entries in time order, one pass per insertion rank.
+    """
+    n, m = len(u), group.order
+    cum = _entry_weights(group, ts)
+    d_new = cum[-1]
+    steps = np.arange(n)
+    x = u * (d_new + m * steps)
+    new = x < d_new
+    pair = np.minimum(np.maximum(x - d_new, 0.0).astype(np.intp), m * steps - 1)  # used where x >= D
+    pos, entry = np.divmod(pair, m)
+    g = np.where(new, np.searchsorted(cum[:-1], x, side="right"), entry)
+    ins = np.flatnonzero(~new)
+    host, placed = np.divmod(np.sort(pos[ins] * n + ins), n)  # by host, then time
+    first = np.ones(len(placed), dtype=bool)
+    first[1:] = host[1:] != host[:-1]
+    last = np.ones(len(placed), dtype=bool)
+    last[:-1] = first[1:]
+    succ = steps.copy()  # each element's successor when placed
+    later = np.flatnonzero(~first)
+    succ[placed[later]] = placed[later - 1]
+    parent = steps.copy()
+    parent[placed[first]] = host[first]
+    s = succ[_roots(parent)]
+    s[host[last]] = placed[last]
+    idx = np.arange(len(placed))
+    rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    by_rank = np.sort(rank * n + idx) % n
+    undo = np.array(_undo(group)).ravel()
+    born, lo = g[placed], 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        at = by_rank[lo:hi]
+        h = host[at]
+        g[h] = undo[born[at] * m + g[h]]
+        lo = hi
+    return g.tolist(), s.tolist()
 
 
 def _crp_batch(n: int, group: GroupTable, ts: list, u: np.ndarray) -> np.ndarray:
     """Run the restaurant process on each column of the (n, r) uniforms u.
 
-    Step j scales u[j] to [0, D + j|G|) as :func:`_crp_run` does.  Below D
-    the run opens a new cycle, and the same scaled draw picks its entry by
-    the cumulative weights of G, so each step takes one uniform.  Otherwise
-    pair min(int(u - D), j|G| - 1) gives the position and entry of an
-    insertion, the same clamp.  A run that opens a cycle takes the
-    insertion path at its own position j, where s[j] = j, which changes no
-    other entry.  Returns one row (g, s) of 2n ints per run.
+    Step j makes the choice of :func:`_crp_run` on u[j].  A run that opens
+    a cycle takes the insertion path at its own position j, where s[j] = j,
+    which changes no other entry.  Returns one row (g, s) of 2n ints per
+    run.
     """
     m = group.order
-    cum = np.cumsum([ts[c] for c in group.class_of])
+    cum = np.array(_entry_weights(group, ts))
     d_new = cum[-1]
-    # undo[e * m + a] is e^{-1} a, the entry left at the host position
-    undo = np.array([group.table[group.inverse[e]] for e in range(m)]).ravel()
+    undo = np.array(_undo(group)).ravel()
     r = u.shape[1]
     runs = np.arange(r)
     x = u * (d_new + m * np.arange(n))[:, None]

@@ -96,17 +96,16 @@ class TestConditionalIdentity:
             conditional_identity_check(3, 2, (1.0, 2.0))
 
     def test_masses_checked_once(self, monkeypatch):
-        from multiewens import measure, poisson
+        from multiewens import measure
 
         calls = []
-        real = measure._exact_params
+        real = measure._positive_finite
 
-        def counting(theta, what):
-            calls.append(what)
-            return real(theta, what)
+        def counting(values):
+            calls.append(values)
+            return real(values)
 
-        monkeypatch.setattr(measure, "_exact_params", counting)
-        monkeypatch.setattr(poisson, "_exact_params", counting)
+        monkeypatch.setattr(measure, "_positive_finite", counting)
         assert conditional_identity_check(4, 2, (F(1), F(3, 7))).ok
         assert len(calls) == 1
 

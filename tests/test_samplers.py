@@ -18,9 +18,13 @@ from multiewens.partitions import (
     set_partition_to_multipartition,
 )
 from multiewens.samplers import (
+    _CHUNK_CELLS,
     _CHUNK_RUNS,
+    _KERNEL_STEPS,
     FrequencyRanked,
+    _uniforms,
     _urn_batch,
+    _urn_kernel,
     coalescent_rates,
     derive_seed,
     hoppe_urn_partition_counts,
@@ -64,9 +68,10 @@ class TestSeedDerivation:
             assert 0 <= derive_seed(123456789, i) < 2**64
 
 
-class TestNumpySeedDomain:
-    """Every numpy-seeded entry point refuses a seed outside the integers
-    >= 0 with one message that names the seed and its value."""
+class TestSeedDomain:
+    """Every seeded entry point, numpy or random.Random, refuses a seed
+    outside the integers >= 0 with one message that names the seed and its
+    value."""
 
     @staticmethod
     def _entry_points():
@@ -75,6 +80,9 @@ class TestNumpySeedDomain:
         pop = wf_sim.Population.founding(10, 2)
         f = pd_sample((1, 2), 1e-6, 1)
         return {
+            "hoppe_urn_sample": lambda s: hoppe_urn_sample(5, (1.0, 2.0), s),
+            "crp_wreath_sample": lambda s: wreath.crp_wreath_sample(
+                4, wreath.cyclic_group(2), (1.0, 2.0), s),
             "hoppe_urn_partition_counts": lambda s: hoppe_urn_partition_counts(3, (1.0,), 5, s),
             "crp_element_counts": lambda s: wreath.crp_element_counts(
                 2, wreath.cyclic_group(2), (1.0, 2.0), 5, s),
@@ -177,10 +185,10 @@ class TestUrnTopDraw:
     class Scripted(random.Random):
         def __init__(self, draws):
             super().__init__(0)
-            self.draws = list(draws)
+            self.draws = iter(draws)
 
         def random(self):
-            return self.draws.pop(0)
+            return next(self.draws)
 
     def test_colour_scan_clamps_to_last_colour(self):
         # three colours after draws 0-2; at j = 3 the scaled top draw lands at
@@ -226,6 +234,31 @@ class TestUrnTopDraw:
         assert _urn_batch(1, [0.05, 1 / 7, 2.0], np.array([[self.TOP]])).tolist() == [[5]]
 
 
+class TestUrnKernel:
+    """The array engines against the one-draw loop on the same uniforms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_uniforms_are_those_of_random(self, n):
+        # pins CPython's word order inside getrandbits and random()
+        for seed in (0, 1, 7, 2**70):
+            rng = random.Random(seed)
+            assert _uniforms(random.Random(seed), n).tolist() == [rng.random() for _ in range(n)]
+
+    def test_kernel_equals_loop_at_every_n(self):
+        for n in range(1, _KERNEL_STEPS + 20):
+            for ts in ([0.7, 1.3], [0.05, 1 / 7, 2.0], [n / 2, n / 2], [1e300]):
+                seed = 1000 * n + len(ts)
+                u = _uniforms(random.Random(seed), n)
+                assert _urn_kernel(ts, u) == _urn_run(n, ts, random.Random(seed))
+
+    def test_kernel_equals_loop_on_top_draws(self):
+        top = TestUrnTopDraw.TOP
+        for n in (1, 4, 50, _KERNEL_STEPS):
+            for ts in ([0.05, 1 / 7], [0.05, 1 / 7, 2.0]):
+                expected = _urn_run(n, ts, TestUrnTopDraw.Scripted([top] * n))
+                assert _urn_kernel(ts, np.full(n, top)) == expected
+
+
 class TestUrnEnginesAgainstExactLaw:
     """The one-draw engine (_urn_run, one random.Random stream) and the
     batched engine (hoppe_urn_partition_counts) against the exact law.
@@ -258,13 +291,15 @@ class TestUrnEnginesAgainstExactLaw:
         self._check(hoppe_urn_partition_counts(n, th, reps, seed=8102), n, th, reps)
 
     def test_batched_equals_one_draw_on_the_same_uniforms(self):
-        # one run per column: the batched step makes the same choices
-        ts, n = [0.4, 1.1, 2.5], 9
-        u = np.random.default_rng(5).random((n, 300))
-        for draws, key in zip(u.T.tolist(), _urn_batch(n, ts, u).tolist()):
-            classes, counts, _ = _urn_run(n, ts, TestUrnTopDraw.Scripted(draws))
-            codes = [cls * (n + 1) + c for cls, c in zip(classes, counts)]
-            assert key == sorted(codes + [0] * (n - len(codes)))
+        # one run per column: the batched step makes the same choices, also
+        # past n = _CHUNK_CELLS / 2, where a chunk holds a single run
+        ts = [0.4, 1.1, 2.5]
+        for n, runs in ((9, 300), (_CHUNK_CELLS // 2 + 4, 1)):
+            u = np.random.default_rng(5).random((n, runs))
+            for draws, key in zip(u.T.tolist(), _urn_batch(n, ts, u).tolist()):
+                classes, counts, _ = _urn_run(n, ts, TestUrnTopDraw.Scripted(draws))
+                codes = [cls * (n + 1) + c for cls, c in zip(classes, counts)]
+                assert key == sorted(codes + [0] * (n - len(codes)))
 
 
 class TestUrnCountingEdges:

@@ -13,6 +13,7 @@ from multiewens.wreath import (
     WreathElement,
     WreathParams,
     _crp_batch,
+    _crp_kernel,
     _crp_run,
     crp_element_counts,
     crp_wreath_sample,
@@ -27,7 +28,7 @@ from multiewens.wreath import (
     wreath_multiply,
 )
 
-from multiewens.samplers import _CHUNK_RUNS
+from multiewens.samplers import _CHUNK_RUNS, _KERNEL_STEPS, _uniforms
 
 from oracles import chi_square_p, refuse_validation, tv_distance, tv_noise
 
@@ -414,7 +415,43 @@ class TestRestaurantEnginesAgainstExactLaw:
             (row,) = _crp_batch(4, group, ts, np.full((4, 1), 1.0 - 2.0**-53)).tolist()
             gv, sv = _crp_run(4, group, ts, TopDraw())
             assert row == gv + sv
+            assert _crp_kernel(group, ts, np.full(4, 1.0 - 2.0**-53)) == (gv, sv)
             assert sorted(sv) == [0, 1, 2, 3]
+
+
+class TestRestaurantKernel:
+    """The three restaurant engines make the same choices on the same uniforms."""
+
+    CASES = [
+        (trivial_group(), [1.0]),
+        (cyclic_group(2), [0.3, 40.0]),
+        (symmetric_group_3(), [1.0, 2.0, 0.5]),
+        (cyclic_group(5), [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ]
+
+    @pytest.mark.parametrize("group,ts", CASES)
+    def test_loop_kernel_and_batch_agree(self, group, ts):
+        for n in list(range(1, 40)) + [_KERNEL_STEPS, 3000]:
+            seed = 100 * n + group.order
+            u = _uniforms(random.Random(seed), n)
+            g, s = _crp_run(n, group, ts, random.Random(seed))
+            assert _crp_kernel(group, ts, u) == (g, s)
+            if n < 40:
+                assert _crp_batch(n, group, ts, u[:, None]).tolist() == [g + s]
+
+    def test_kernel_without_insertions(self):
+        # weights so large that every step opens its own cycle
+        group, n = cyclic_group(2), _KERNEL_STEPS
+        u = _uniforms(random.Random(3), n)
+        g, s = _crp_kernel(group, [1e300, 1e300], u)
+        assert s == list(range(n))
+        assert (g, s) == _crp_run(n, group, [1e300, 1e300], random.Random(3))
+
+    def test_sampler_uses_the_kernel_above_the_cutoff(self):
+        group, ts = symmetric_group_3(), (1.0, 2.0, 0.5)
+        for n in (_KERNEL_STEPS - 1, _KERNEL_STEPS):
+            g, s = _crp_run(n, group, list(ts), random.Random(9))
+            assert crp_wreath_sample(n, group, ts, 9) == WreathElement(g, s)
 
 
 class TestCrpCountingEdges:
