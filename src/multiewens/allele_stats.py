@@ -370,6 +370,8 @@ def clt_scaling(n: int, theta, beta: float) -> ClltScaling:
     0 < beta <= 3/2: (theta_l log(1+n/w), same minus n theta_l^2/(w(w+n)));
     beta > 3/2 (needs k >= 2): (n theta_l/w, n (theta_l/w)(1 - theta_l/w)).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
     w = float(params.w)

@@ -156,8 +156,8 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
     if partition_text is not None:
         thetas = _parse_theta(theta)
         part = _parse_partition(partition_text)
-        value = measure.refined_esf_pmf(part, thetas)
         log_prob = None if thetas.is_exact else measure.refined_esf_log_pmf(part, thetas)
+        value = measure.refined_esf_pmf(part, thetas) if log_prob is None else math.exp(log_prob)
         rec = {"partition": multipartition_to_lists(part), **_prob_record(value, log_prob)}
     elif joint_text is not None:
         if n_opt is None:
@@ -274,6 +274,8 @@ def cmd_sample_pd(theta, eps, reps, seed):
               show_default=True)
 def cmd_stats_k(n, theta, mc_reps, seed, fmt):
     """Exact mean/variance of the per-class allele counts."""
+    if mc_reps == 1:
+        raise click.ClickException("--mc-reps must be 0 or at least 2 for a sample variance")
     thetas = _parse_theta(theta)
     rows = []
     for l, (mean, var) in enumerate(allele_stats.class_moments(n, thetas), start=1):

@@ -10,8 +10,12 @@ The urn has three engines.  One draw of fewer than ``_KERNEL_STEPS`` steps
 runs in the interpreted loop ``_urn_run``; a longer one is built from all its
 uniforms at once by ``_urn_kernel``, which makes the same choices, so the
 engine never shows in the output.  The counting sampler runs many replicates
-at once in ``_urn_batch``.  Both array engines find each draw's colour by
-pointer doubling (:func:`_roots`).
+at once in ``_urn_batch``.  These two and the restaurant's array engines
+(``wreath``) read every step from :func:`_steps`, and all six engines open
+a class by one rule: the number of partial sums of the masses below their
+total that lie at or below the scaled uniform (``bisect_right`` in the
+loops, :func:`_classes` in the arrays).  Both urn array engines find each
+draw's colour by pointer doubling (:func:`_roots`).
 The urn's set partition and the Poisson-Dirichlet frequencies are valid by
 construction and skip their constructors' checks through
 ``partitions._trusted``, with the field types of a validated instance.
@@ -26,6 +30,8 @@ The samplers take their generator from :func:`_numpy_rng` or
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from collections import Counter
@@ -122,75 +128,73 @@ def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
 
     Returns (classes, counts, founder): 0-based class and count per color in
     creation order, and for each draw j the index of the color it joined
-    (or founded).  Step j scales its uniform to u in [0, w + j).  Below w
-    it picks a black object by scanning the k class masses.  Otherwise
-    int(u - w) is a uniform earlier draw, and the step copies that draw's
-    color, which joins each color with probability count / j.  The index
-    is clamped to j - 1, since u rounds up to w + j when random() returns
-    1 - 2**-53."""
-    w = float(sum(thetas))
-    k = len(thetas)
+    (or founded).  Each draw takes the step of :func:`_steps` with m = 1 on
+    the cumulative class masses; copying the color of a uniform earlier
+    draw joins each color with probability count / j."""
+    cum = list(itertools.accumulate(thetas))
+    w, bounds = cum[-1], cum[:-1]
     classes: list[int] = []  # class of each color, 0-based
     counts: list[int] = []
     founder: list[int] = []
     for j in range(n):
-        u = rng.random() * (w + j)
-        if u < w:
+        x = rng.random() * (w + j)
+        if x < w:
             # black object: found a new color in the chosen class
-            cls = k - 1
-            for l in range(k - 1):
-                if u < thetas[l]:
-                    cls = l
-                    break
-                u -= thetas[l]
-            classes.append(cls)
+            classes.append(bisect.bisect_right(bounds, x))
             counts.append(1)
             founder.append(len(counts) - 1)
         else:
-            idx = founder[min(int(u - w), j - 1)]
+            idx = founder[min(int(x - w), j - 1)]
             counts[idx] += 1
             founder.append(idx)
     return classes, counts, founder
 
 
-def _urn_founders(w: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The urn's steps on the uniforms u, one step per row, without a loop.
+def _steps(u: np.ndarray, cum, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step of the urn and the restaurant on every uniform of u at once,
+    one step per row; the columns of a 2-D u are independent runs.
 
-    Returns x, the uniforms scaled to [0, w + j) at step j, and for every
-    draw the flat index into u of the draw that founded its color.  A draw
-    with x below w founds a color; any other copies the color of draw
-    min(int(x - w), j - 1) of its run, the clamp of :func:`_urn_run`.
-    Columns of a 2-D u are independent runs.
+    cum holds the cumulative weights of opening, the last being their total
+    D, and each earlier draw offers m slots.  Step j scales its uniform to x
+    in [0, D + j m).  Where x < D it opens and takes its own first slot j m;
+    any other step takes slot min(int(x - D), j m - 1), clamped since x
+    rounds up to D + j m when random() returns 1 - 2**-53.  Returns x, the
+    opening mask and the slots.
     """
-    n, runs = len(u), u[0].size
-    steps = np.arange(n).reshape((n,) + (1,) * (u.ndim - 1))
-    x = u * (w + steps)
-    pick = np.minimum(np.maximum(x - w, 0.0).astype(np.intp), steps - 1)  # used where x >= w
-    parent = np.where(x < w, steps, pick)
-    parent = parent * runs + np.arange(runs).reshape(u.shape[1:])
-    return x, _roots(parent.ravel()).reshape(u.shape)
+    d, n = cum[-1], len(u)
+    slots = m * np.arange(n).reshape((n,) + (1,) * (u.ndim - 1))
+    x = u * (d + slots)
+    opens = x < d
+    pair = np.minimum(np.maximum(x - d, 0.0).astype(np.intp), slots - 1)
+    return x, opens, np.where(opens, slots, pair)
+
+
+def _classes(x: np.ndarray, opens: np.ndarray, cum) -> np.ndarray:
+    """The class each step opens, 0 where it opens none: the number of
+    entries of cum[:-1] at or below its scaled uniform x, as bisect_right
+    gives in the step loops.  Every step is compared, one pass per entry,
+    which costs less than gathering the opening steps of a desk batch."""
+    return sum(x >= b for b in cum[:-1]) * opens
+
+
+def _urn_founders(cum: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The urn's steps (:func:`_steps`, m = 1) on the uniforms u for the
+    cumulative class masses cum, where a founding draw copies itself.
+    Returns every draw's 0-based class (0 if it joins a color) and the flat
+    index into u of the draw that founded its color, found by pointer
+    doubling (:func:`_roots`)."""
+    x, opens, pick = _steps(u, cum, 1)
+    parent = pick * u[0].size + np.arange(u[0].size).reshape(u.shape[1:])
+    return _classes(x, opens, cum), _roots(parent.ravel()).reshape(u.shape)
 
 
 def _urn_kernel(thetas: Sequence[float], u: np.ndarray):
-    """:func:`_urn_run` on the uniforms u, with no loop over the steps.
-
-    A founding draw picks its class by the same scan of the class masses,
-    one pass per class over all founding draws, so on the uniforms that
-    rng.random() would return the result is identical.
-    """
-    x, root = _urn_founders(float(sum(thetas)), u)
+    """:func:`_urn_run` on the uniforms u, with no loop over the steps; on
+    the uniforms that rng.random() would return the result is identical."""
+    classes, root = _urn_founders(np.cumsum(thetas), u)
     new = root == np.arange(len(u))
     founder = (np.cumsum(new) - 1)[root]
-    rest = x[new]
-    classes = np.full(len(rest), len(thetas) - 1)
-    open_ = np.ones(len(rest), dtype=bool)
-    for l, theta in enumerate(thetas[:-1]):
-        hit = open_ & (rest < theta)
-        classes[hit] = l
-        open_ &= ~hit
-        rest -= theta
-    counts = np.bincount(founder, minlength=len(rest))
-    return classes.tolist(), counts.tolist(), founder.tolist()
+    return classes[new].tolist(), np.bincount(founder).tolist(), founder.tolist()
 
 
 def hoppe_urn_sample(
@@ -261,19 +265,13 @@ def _batched_counts(n: int, reps: int, seed: int, keys_of) -> Counter:
 def _urn_batch(n: int, thetas: Sequence[float], u: np.ndarray) -> np.ndarray:
     """Run the urn on each column of the (n, r) uniforms u at once.
 
-    Each draw's color comes from :func:`_urn_founders`, and a color is
-    named by the draw that founded it.  A founding draw's 0-based class is
-    the number of partial sums theta_1 + .. + theta_l, l < k, at or below
-    its scaled uniform.  Returns one row per run: the sorted codes
-    class * (n + 1) + count of its colors, padded with zeros to n entries.
+    Returns one row per run: the sorted codes class * (n + 1) + count of
+    its colors (:func:`_urn_founders`), each named by its founding draw,
+    padded with zeros to n entries by the draws that found no color.
     """
-    cum = np.cumsum(thetas)
-    x, founder = _urn_founders(cum[-1], u)
-    counts = np.bincount(founder.ravel(), minlength=u.size).reshape(u.shape)
-    codes = (x[..., None] >= cum[:-1]).sum(axis=-1)  # the class of each draw
+    codes, founder = _urn_founders(np.cumsum(thetas), u)
     codes *= n + 1  # in place, which keeps few chunk-sized arrays alive
-    codes += counts
-    codes *= counts > 0
+    codes += np.bincount(founder.ravel(), minlength=u.size).reshape(u.shape)
     codes.sort(axis=0)
     return codes.T
 

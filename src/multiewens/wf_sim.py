@@ -1,4 +1,4 @@
-"""Forward Wright-Fisher simulation with k mutation classes.
+"""Wright-Fisher simulation with k mutation classes.
 
 A population of 2N genes resamples parents uniformly each generation; a child
 inherits its parent's allele with probability 1 - sum(mu_l) or mutates to a
@@ -302,6 +302,8 @@ def stationary_samples(
     """
     if not 1 <= sample_size <= pop.size:
         raise ValueError(f"sample size {sample_size} must be in 1..{pop.size}")
+    if reps < 0:
+        raise ValueError("reps must be >= 0")
     half_n = pop.size // 2
     burn_gens = 20 * half_n if burn_gens is None else burn_gens
     thin_gens = half_n if thin_gens is None else thin_gens

@@ -19,7 +19,9 @@ that make the same choices on the same uniforms.  One draw of fewer than
 ``samplers._KERNEL_STEPS`` steps runs in the interpreted loop ``_crp_run``;
 a longer one is rebuilt from its insertion events by ``_crp_kernel``, so
 the engine never shows in the output.  The counting sampler runs many
-replicates at once in ``_crp_batch``.
+replicates at once in ``_crp_batch``.  All three take the urn's step with
+|G| slots per placed element (``samplers._steps`` in the arrays), and a new
+cycle's entry follows the urn's class rule over the entry weights.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ import numpy as np
 
 from .measure import _is_exact, _positive_finite, _product, _ratios, _rising, _scale
 from .partitions import MultiplePartition, _from_alleles, _plain_ints, _trusted
-from .samplers import _KERNEL_STEPS, _batched_counts, _python_rng, _roots, _uniforms
+from .samplers import (
+    _KERNEL_STEPS, _batched_counts, _classes, _python_rng, _roots, _steps, _uniforms,
+)
 
 __all__ = [
     "GroupTable",
@@ -329,12 +333,11 @@ def _undo(group: GroupTable) -> list[tuple[int, ...]]:
 def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
     """Run the restaurant process for n steps, one rng.random() each.
 
-    Step j scales its uniform to x in [0, D + j|G|).  Below D it opens a
-    cycle, whose entry is the number of cumulative weights
-    (:func:`_entry_weights`) other than D at or below x.  Otherwise pair
-    min(int(x - D), j|G| - 1) = pos |G| + entry gives the position and entry
-    of an insertion; the clamp holds x that rounds up to D + j|G| when
-    random() returns 1 - 2**-53.  Returns the lists (g, s).
+    Each step is that of :func:`samplers._steps` with m = |G| on the
+    cumulative weights of :func:`_entry_weights`, whose last is D: below D
+    it opens a cycle with entry bisect_right of x among the others, and
+    otherwise slot pos |G| + entry gives the position and entry of an
+    insertion.  Returns the lists (g, s).
     """
     m = group.order
     cum = _entry_weights(group, ts)
@@ -356,10 +359,20 @@ def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
     return g, s
 
 
+def _crp_choices(group: GroupTable, ts: list, u: np.ndarray):
+    """Each step's choice on the uniforms u (:func:`samplers._steps`): the
+    opening mask, the position inserted after (its own where it opens) and
+    the entry, the new cycle's (:func:`samplers._classes`) where it opens."""
+    cum = _entry_weights(group, ts)
+    x, new, pair = _steps(u, cum, group.order)
+    pos, entry = np.divmod(pair, group.order)  # entry 0 where it opens, at slot j |G|
+    return new, pos, entry + _classes(x, new, cum)
+
+
 def _crp_kernel(group: GroupTable, ts: list, u: np.ndarray):
     """:func:`_crp_run` on the uniforms u, with no loop over the steps.
 
-    Every step's choice is read off its own uniform.  The final s follows
+    The steps' choices come from :func:`_crp_choices`.  The final s follows
     from the insertions grouped by host: a host's successor is its last
     insertion, and an element placed by a step has as successor the host's
     insertion before it, or for the host's first insertion the host's own
@@ -368,24 +381,17 @@ def _crp_kernel(group: GroupTable, ts: list, u: np.ndarray):
     insertions' inverse entries in time order, one pass per insertion rank.
     """
     n, m = len(u), group.order
-    cum = _entry_weights(group, ts)
-    d_new = cum[-1]
-    steps = np.arange(n)
-    x = u * (d_new + m * steps)
-    new = x < d_new
-    pair = np.minimum(np.maximum(x - d_new, 0.0).astype(np.intp), m * steps - 1)  # used where x >= D
-    pos, entry = np.divmod(pair, m)
-    g = np.where(new, np.searchsorted(cum[:-1], x, side="right"), entry)
+    new, pos, g = _crp_choices(group, ts, u)
     ins = np.flatnonzero(~new)
     host, placed = np.divmod(np.sort(pos[ins] * n + ins), n)  # by host, then time
     first = np.ones(len(placed), dtype=bool)
     first[1:] = host[1:] != host[:-1]
     last = np.ones(len(placed), dtype=bool)
     last[:-1] = first[1:]
-    succ = steps.copy()  # each element's successor when placed
+    succ = np.arange(n)  # each element's successor when placed
     later = np.flatnonzero(~first)
     succ[placed[later]] = placed[later - 1]
-    parent = steps.copy()
+    parent = np.arange(n)
     parent[placed[first]] = host[first]
     s = succ[_roots(parent)]
     s[host[last]] = placed[last]
@@ -405,36 +411,24 @@ def _crp_kernel(group: GroupTable, ts: list, u: np.ndarray):
 def _crp_batch(n: int, group: GroupTable, ts: list, u: np.ndarray) -> np.ndarray:
     """Run the restaurant process on each column of the (n, r) uniforms u.
 
-    Step j makes the choice of :func:`_crp_run` on u[j].  A run that opens
-    a cycle takes the insertion path at its own position j, where s[j] = j,
-    which changes no other entry.  Returns one row (g, s) of 2n ints per
-    run.
+    Step j makes the choice of :func:`_crp_run` on u[j]
+    (:func:`_crp_choices`).  A run that opens a cycle is inserted after its
+    own position j, where s[j] = j, which changes no other entry.  Returns
+    one row (g, s) of 2n ints per run.
     """
-    m = group.order
-    cum = np.array(_entry_weights(group, ts))
-    d_new = cum[-1]
+    m, r = group.order, u.shape[1]
+    _, pos, entry = _crp_choices(group, ts, u)
     undo = np.array(_undo(group)).ravel()
-    r = u.shape[1]
-    runs = np.arange(r)
-    x = u * (d_new + m * np.arange(n))[:, None]
-    fresh = (x[..., None] >= cum[:-1]).sum(axis=-1)  # new-cycle entry, used below D
-    g = np.zeros((n, r), dtype=np.intp)
+    g = entry.copy()  # row 0 as placed; row j is set again at step j
     s = np.zeros((n, r), dtype=np.intp)
     g_flat, s_flat = g.ravel(), s.ravel()
-    g[0] = fresh[0]
-    for j in range(1, n):
-        new = x[j] < d_new
-        pair = (x[j] - d_new).astype(np.intp)
-        np.clip(pair, 0, j * m - 1, out=pair)
-        pos, entry = np.divmod(pair, m)
-        entry = np.where(new, fresh[j], entry)
-        at = np.where(new, j, pos) * r + runs
+    for j, at in enumerate(pos[1:] * r + np.arange(r), start=1):
         s[j] = j
         host = s_flat.take(at)
         s_flat[at] = j
         s[j] = host
-        g_flat[at] = undo.take(entry * m + g_flat.take(at))
-        g[j] = entry
+        g_flat[at] = undo.take(entry[j] * m + g_flat.take(at))
+        g[j] = entry[j]
     return np.concatenate((g, s)).T
 
 

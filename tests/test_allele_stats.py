@@ -352,6 +352,12 @@ class TestCltScaling:
         with pytest.raises(ValueError, match="beta must be >= 0"):
             clt_scaling(100, (1.0, 2.0), math.nan)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n):
+        for beta in (0.0, 1.0, 2.0):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                clt_scaling(n, (1.0, 2.0), beta)
+
     def test_k1_fast_growth_unsupported(self):
         with pytest.raises(UnsupportedRegimeError):
             clt_scaling(100, (5.0,), 2.0)

@@ -207,6 +207,15 @@ class TestTables:
         header = res.output.strip().splitlines()[0]
         assert "mc_mean" in header and "mc_var" in header
 
+    def test_stats_k_refuses_one_mc_rep(self, runner):
+        # a sample variance needs two replicates; one gave "mc_var": NaN
+        res = runner.invoke(main, ["stats-k", "--n", "5", "--theta", "1.0,2.0",
+                                   "--mc-reps", "1", "--format", "json"])
+        assert res.exit_code == 1
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "--mc-reps" in errors[0]
+        assert res.stdout == ""
+
     def test_stats_k_float_mode_at_a_million(self, runner):
         from scipy.special import digamma, polygamma
 

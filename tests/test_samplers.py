@@ -259,6 +259,48 @@ class TestUrnKernel:
                 assert _urn_kernel(ts, np.full(n, top)) == expected
 
 
+class TestUrnClassBoundary:
+    """All three urn engines pick a new colour's class by the cumulative
+    rule: the number of partial sums of the masses, other than their total,
+    at or below the scaled uniform."""
+
+    @staticmethod
+    def _three_engines(ts, draws):
+        n = len(draws)
+        run = _urn_run(n, ts, TestUrnTopDraw.Scripted(draws))
+        kernel = _urn_kernel(ts, np.array(draws))
+        (key,) = _urn_batch(n, ts, np.array(draws)[:, None]).tolist()
+        return run, kernel, key
+
+    def test_scaled_uniform_on_a_partial_sum(self):
+        # x = u * w equals 0.7 + 1/3 in floats, where subtracting the masses
+        # one by one leaves 0.7 + 1/3 - 0.7 just below 1/3, in class 1
+        ts, u = [0.7, 1 / 3, 0.7, 0.7], 0.4246575342465753
+        assert u * sum(ts) == ts[0] + ts[1]
+        run, kernel, key = self._three_engines(ts, [u])
+        assert run[0] == kernel[0] == [2]
+        assert key == [2 * 2 + 1]
+
+    def test_engines_agree_within_ulps_of_every_boundary(self):
+        # one run per mass vector and offset: step j draws the uniform that
+        # scales to a random partial sum at step j, moved by the offset in
+        # ulps, so every step founds a colour next to a class boundary
+        rng, n = np.random.default_rng(1604), 12
+        mass_vectors = [[0.7, 1 / 3, 0.7, 0.7], [0.1, 0.2, 0.3], [1 / 3, 1 / 7, 5.0, 0.05]]
+        mass_vectors += [rng.uniform(0.01, 3.0, size=4).tolist() for _ in range(3)]
+        for ts in mass_vectors:
+            cum = np.cumsum(ts)
+            for offset in range(-3, 4):
+                bound = cum[rng.integers(0, len(ts) - 1, size=n)]
+                draws = (bound / (cum[-1] + np.arange(n))).view(np.int64) + offset
+                draws = draws.view(np.float64).tolist()
+                run, kernel, key = self._three_engines(ts, draws)
+                assert kernel == run
+                classes, counts, _ = run
+                codes = [cls * (n + 1) + c for cls, c in zip(classes, counts)]
+                assert key == sorted(codes + [0] * (n - len(codes)))
+
+
 class TestUrnEnginesAgainstExactLaw:
     """The one-draw engine (_urn_run, one random.Random stream) and the
     batched engine (hoppe_urn_partition_counts) against the exact law.

@@ -388,6 +388,14 @@ class TestCountLevelEngine:
             stationary_samples(pop, theta, 2, 1, np.random.default_rng(0))
         assert pop.generation == 0
 
+    def test_rejects_negative_reps_at_the_call(self):
+        pop = Population.founding(10, 2)
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            stationary_samples(pop, (1.0, 2.0), 2, -1, np.random.default_rng(0))
+        assert pop.generation == 0
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            stationary_partition_counts(20, (1.0, 2.0), 2, -3, 1)
+
     def test_stream_follows_the_burn_in(self):
         pop = Population.founding(20, 2)
         rng = np.random.default_rng(5)
