@@ -85,4 +85,4 @@ from .wf_sim import (
     wf_step,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

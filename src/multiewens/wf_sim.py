@@ -11,15 +11,18 @@ The model runs in two engines with the same law.  The gene-level engine
 all 2N genes and redraws each one every generation; it is the reference
 model.  The count-level engine behind :func:`stationary_samples` stores one
 (class, id, count) entry per living allele, and builds each window of
-generations backward from the genes alive at its end: their lineages merge
-when they share a parent and stop at their first mutation, which founds a
-new allele.  Generations in which no lineage does either are skipped, so a
-window costs about as much as its genealogy has merges and mutations, and
-once every lineage has mutated the older generations cost nothing.  Every
-window starts from all 2N genes, so a window much shorter than N
-generations costs more than the g multinomial draws over the alleles that
-a forward engine would make.  A sample of n genes is one multivariate
-hypergeometric draw.
+generations backward from the genes alive at its end (:func:`_trace_back`):
+their lineages merge when they share a parent and stop at their first
+mutation, which founds a new allele.  Generations in which no lineage does
+either are skipped, so a window costs about as much as its genealogy has
+merges and mutations.  Every window starts from all 2N genes, so a window
+much shorter than N generations costs more than the g multinomial draws
+over the alleles that a forward engine would make.  A sample of n genes is
+one multivariate hypergeometric draw.
+
+:func:`stationary_partition_counts` needs no population: it traces each
+sample's own lineages back with no window limit, so its samples are
+independent and exact for the stationary finite-2N chain, with no burn-in.
 
 Masses theta enter as :class:`~multiewens.measure.MutationParams`.  Mutation
 probabilities mu pass one rule, on the raw values before any conversion:
@@ -86,8 +89,7 @@ class Population:
     @classmethod
     def founding(cls, two_n: int, k: int) -> "Population":
         """Monomorphic start: everyone carries allele 0 of class 1."""
-        if two_n < 1 or two_n % 2:
-            raise ValueError("population size 2N must be a positive even integer")
+        _check_size(two_n)
         return cls(
             ids=np.zeros(two_n, dtype=np.int64),
             classes=np.zeros(two_n, dtype=np.int64),
@@ -156,9 +158,104 @@ def sample_composition(pop: Population, n: int, seed_or_rng) -> MultiplePartitio
     return _from_alleles(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
 
-# lineages alive at or below which advance() stops drawing every generation
+# lineages alive at or below which a trace stops drawing every generation
 # and skips straight to the next one in which a lineage mutates or merges
 _EVENT_LINEAGES = 64
+
+
+def _tables(mus: Sequence, two_n: int, k: int | None = None) -> tuple[list, list]:
+    """The per-mu tables of a trace (:func:`_trace_back`), after the one check
+    on mus.  Class l takes the mutation draws in [edges[l-1], edges[l]), and
+    the last edge is the total mutation probability M.  A lineage is "fine"
+    when it neither mutates nor meets the parent of an earlier lineage; with
+    o parents taken that has probability (1 - M)(1 - o/2N), and cum[i] = -log
+    of i lineages in a row being fine from none taken, so a generation of j
+    lineages is null with probability exp(-cum[j])."""
+    edges = list(itertools.accumulate(float(m) for m in _mutation_probs(mus, k)))
+    log_stay = math.log1p(-edges[-1])
+    cum = [0.0, *itertools.accumulate(
+        -log_stay - math.log1p(-o / two_n) for o in range(min(_EVENT_LINEAGES, two_n))
+    )]
+    return edges, cum
+
+
+def _trace_back(weights: np.ndarray, gens, two_n: int, edges: list, cum: list,
+                rng: np.random.Generator) -> tuple[list, list]:
+    """Trace lineages of the given weights back `gens` generations, or, when
+    gens is math.inf, until at most one is left.
+
+    Going back one generation, a lineage mutates with probability
+    M = sum mu (a new class-l allele, chosen with odds mu_l, whose count is
+    the lineage's weight), and the others pick uniform parents among 2N,
+    merging when they pick the same one.  While many lineages live, every
+    generation is drawn; once few do, the generations in which nothing
+    happens are skipped by one geometric draw.  Returns the weights of the
+    lineages left, and (class, count) per new allele, newest first.
+    """
+    total, left, born = edges[-1], gens, []
+    while left and weights.size > _EVENT_LINEAGES:
+        u = rng.random(weights.size)
+        mutant = u < total
+        if mutant.any():
+            classes = np.searchsorted(edges, u[mutant], side="right")
+            born += zip(classes.tolist(), weights[mutant].tolist())
+            weights = weights[~mutant]
+        parents = rng.integers(0, two_n, weights.size)
+        if 8 * weights.size < two_n:  # sorting few parents beats a pass over all 2N
+            _, parents = np.unique(parents, return_inverse=True)
+        weights = np.bincount(parents, weights)
+        weights = weights[weights > 0].astype(np.int64)
+        left -= 1
+    # an unbounded trace leaves the last lineage to its caller: it mutates at
+    # some generation, and no geometric draw need say which
+    lineages, last = weights.tolist() if left else weights, int(left == math.inf)
+    while left and len(lineages) > last:
+        j = len(lineages)
+        if cum[j] == 0.0:  # one lineage that cannot mutate
+            break
+        u = rng.random(2 * j + 1).tolist()
+        nulls = math.log1p(-u[0]) / -cum[j]  # geometric, in floats: may be inf
+        if nulls >= left:
+            break
+        left -= 1 + int(nulls)
+        # deviant d (1, 2, ...) takes u[2d-1] for where it falls and u[2d]
+        # for its fate; the first is drawn given that one exists
+        merged, m, d = [], 0, 1
+        tail = -math.log1p(u[1] * math.expm1(-cum[j]))
+        while True:
+            o = len(merged)
+            fine = bisect.bisect_right(cum, cum[o] + tail, o + 1, o + j - m + 1) - o - 1
+            merged += lineages[m:m + fine]
+            m += fine
+            if m == j:
+                break
+            # it mutates with odds M : (1 - M) o/2N, else joins one of the
+            # o lineages whose parents are taken
+            o += fine
+            x = u[2 * d] * (total + (1.0 - total) * o / two_n)
+            if o == 0 or x < total:
+                born.append((min(bisect.bisect_right(edges, x), len(edges) - 1), lineages[m]))
+            else:
+                merged[min(int((x - total) * two_n / (1.0 - total)), o - 1)] += lineages[m]
+            m += 1
+            if m == j:
+                break
+            d += 1
+            tail = -math.log1p(-u[2 * d - 1])
+        lineages = merged
+    return lineages, born
+
+
+def _check_size(two_n: int) -> None:
+    if two_n < 1 or two_n % 2:
+        raise ValueError("population size 2N must be a positive even integer")
+
+
+def _check_draws(two_n: int, sample_size: int, reps: int) -> None:
+    if not 1 <= sample_size <= two_n:
+        raise ValueError(f"sample size {sample_size} must be in 1..{two_n}")
+    if reps < 0:
+        raise ValueError("reps must be >= 0")
 
 
 class _AlleleCounts:
@@ -166,93 +263,24 @@ class _AlleleCounts:
     per living allele, in the order the alleles first appeared."""
 
     def __init__(self, pop: Population, mus: Sequence[float]):
-        mus = [float(m) for m in _mutation_probs(mus, pop.k)]
         self.k, self.two_n = pop.k, pop.size
+        self.edges, self.cum = _tables(mus, self.two_n, self.k)
         genes = Counter(zip(pop.classes.tolist(), pop.ids.tolist()))
         self.keys = list(genes)
         self.counts = list(genes.values())
         self.next_ids = pop.next_ids.tolist()
         self.generation = pop.generation
-        # class l takes the mutation draws in [edges[l-1], edges[l]); the last
-        # edge is the total mutation probability M
-        self.edges = list(itertools.accumulate(mus))
-        # a lineage is "fine" when it neither mutates nor meets the parent of
-        # an earlier lineage; with o parents taken that has probability
-        # (1 - M)(1 - o/2N), and cum[i] = -log of i lineages in a row being
-        # fine from none taken, so a generation of j lineages is null with
-        # probability exp(-cum[j])
-        log_stay = math.log1p(-self.edges[-1])
-        self.cum = [0.0, *itertools.accumulate(
-            -log_stay - math.log1p(-o / self.two_n)
-            for o in range(min(_EVENT_LINEAGES, self.two_n))
-        )]
 
     def advance(self, gens: int, rng: np.random.Generator) -> None:
         """Run `gens` generations, built backward from the 2N genes alive at
-        the end.
-
-        Each gene is a lineage of weight 1.  Going back one generation, a
-        lineage mutates with probability M = sum mu (a new class-l allele,
-        chosen with odds mu_l, whose count is the lineage's weight), and the
-        others pick uniform parents, merging when they pick the same one.
-        While many lineages live, every generation is drawn; once few do,
-        the generations in which nothing happens are skipped by one
-        geometric draw.  The lineages alive at the window's start sit on a
-        uniform subset of its genes and take the old alleles found there.
+        the end: each gene is a lineage of weight 1 (:func:`_trace_back`).
+        The lineages alive at the window's start sit on a uniform subset of
+        its genes and take the old alleles found there.
         """
         if gens == 0:
             return
-        two_n, edges, total = self.two_n, self.edges, self.edges[-1]
-        born: list[tuple[int, int]] = []  # (class, count) per new allele, newest first
-        weights, left = np.ones(two_n, dtype=np.int64), gens
-        while left and weights.size > _EVENT_LINEAGES:
-            u = rng.random(weights.size)
-            mutant = u < total
-            if mutant.any():
-                classes = np.searchsorted(edges, u[mutant], side="right")
-                born += zip(classes.tolist(), weights[mutant].tolist())
-                weights = weights[~mutant]
-            parents = rng.integers(0, two_n, weights.size)
-            if 8 * weights.size < two_n:  # sorting few parents beats a pass over all 2N
-                _, parents = np.unique(parents, return_inverse=True)
-            weights = np.bincount(parents, weights)
-            weights = weights[weights > 0].astype(np.int64)
-            left -= 1
-        lineages, cum = weights.tolist() if left else weights, self.cum
-        while left and lineages:
-            j = len(lineages)
-            if cum[j] == 0.0:  # one lineage that cannot mutate
-                break
-            u = rng.random(2 * j + 1).tolist()
-            nulls = math.log1p(-u[0]) / -cum[j]  # geometric, in floats: may be inf
-            if nulls >= left:
-                break
-            left -= 1 + int(nulls)
-            # deviant d (1, 2, ...) takes u[2d-1] for where it falls and u[2d]
-            # for its fate; the first is drawn given that one exists
-            merged, m, d = [], 0, 1
-            tail = -math.log1p(u[1] * math.expm1(-cum[j]))
-            while True:
-                o = len(merged)
-                fine = bisect.bisect_right(cum, cum[o] + tail, o + 1, o + j - m + 1) - o - 1
-                merged += lineages[m:m + fine]
-                m += fine
-                if m == j:
-                    break
-                # it mutates with odds M : (1 - M) o/2N, else joins one of the
-                # o lineages whose parents are taken
-                o += fine
-                x = u[2 * d] * (total + (1.0 - total) * o / two_n)
-                if o == 0 or x < total:
-                    born.append((min(bisect.bisect_right(edges, x), self.k - 1), lineages[m]))
-                else:
-                    merged[min(int((x - total) * two_n / (1.0 - total)), o - 1)] += lineages[m]
-                m += 1
-                if m == j:
-                    break
-                d += 1
-                tail = -math.log1p(-u[2 * d - 1])
-            lineages = merged
+        lineages, born = _trace_back(np.ones(self.two_n, dtype=np.int64), gens, self.two_n,
+                                     self.edges, self.cum, rng)
         self._land(lineages, born, rng)
         self.generation += gens
 
@@ -300,10 +328,7 @@ def stationary_samples(
     (grouped by allele) at every yield and at the end.  Every input is
     checked at the call, before the generator is returned.
     """
-    if not 1 <= sample_size <= pop.size:
-        raise ValueError(f"sample size {sample_size} must be in 1..{pop.size}")
-    if reps < 0:
-        raise ValueError("reps must be >= 0")
+    _check_draws(pop.size, sample_size, reps)
     half_n = pop.size // 2
     burn_gens = 20 * half_n if burn_gens is None else burn_gens
     thin_gens = half_n if thin_gens is None else thin_gens
@@ -325,27 +350,29 @@ def stationary_samples(
     return run()
 
 
-def stationary_partition_counts(
-    two_n: int,
-    theta,
-    sample_size: int,
-    reps: int,
-    seed: int,
-    burn_gens: int | None = None,
-    thin_gens: int | None = None,
-) -> Counter:
-    """Empirical composition law near stationarity.
+def stationary_partition_counts(two_n: int, theta, sample_size: int, reps: int,
+                                seed: int) -> Counter:
+    """Compositions of `reps` independent samples of `sample_size` genes from
+    the stationary chain of 2N = two_n genes with mu_l = theta_l/(4N).
 
-    Runs a single population with mu_l = theta_l/(4N) (2N = two_n), burns in
-    for 20N generations, then records `reps` sample compositions thinned by
-    N generations (see :func:`stationary_samples`).  The burn-in and
-    thinning defaults follow the O(N) time-to-ancestry heuristic.
+    Each sample comes from its own genealogy, exactly: its genes are traced
+    back (:func:`_trace_back`) until at most one lineage is left, which then
+    founds an allele of class l with odds theta_l.  The odds come from the
+    masses, which do not underflow where mu does.
     """
     params = _params(theta)
-    pop = Population.founding(two_n, params.k)
+    _check_size(two_n)
     rng = _numpy_rng(seed)
-    samples = stationary_samples(pop, params, sample_size, reps, rng, burn_gens, thin_gens)
-    return Counter(samples)
+    _check_draws(two_n, sample_size, reps)
+    edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n)
+    thetas = [Fraction(t) for t in params.thetas]
+    bounds = [float(c / sum(thetas)) for c in itertools.accumulate(thetas[:-1])]
+    ones, keys = np.ones(sample_size, dtype=np.int64), Counter()
+    for _ in range(reps):
+        last, born = _trace_back(ones, math.inf, two_n, edges, cum, rng)
+        born += ((bisect.bisect_right(bounds, rng.random()), c) for c in last)
+        keys[tuple(sorted(born))] += 1
+    return Counter({_from_alleles(key, params.k): c for key, c in keys.items()})
 
 
 def transition_prob(p: int, m: int, two_n: int, mus: Sequence) -> Fraction:

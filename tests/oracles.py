@@ -281,6 +281,61 @@ def wf_population_law(start, mus, gens: int) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _wf_stationary_population(two_n: int, mus: tuple) -> dict:
+    """The stationary law pi of the population's multiple partition: the
+    solution of pi P = pi with sum pi = 1, P the one-generation law of
+    :func:`wf_population_law` from each state.  Each equation is scaled to
+    integers and solved by fraction-free (Bareiss) elimination, then back
+    substitution in Fractions."""
+    states = list(enumerate_multipartitions(two_n, len(mus)))
+    index = {s: i for i, s in enumerate(states)}
+    size = len(states)
+    # row t: sum_s pi_s (P[s, t] - [s == t]) = 0; the last row says sum pi = 1
+    rows = [[Fraction(0)] * (size + 1) for _ in range(size)]
+    for s in states:
+        for t, p in wf_population_law(s, mus, 1).items():
+            rows[index[t]][index[s]] += p
+        rows[index[s]][index[s]] -= 1
+    rows[-1] = [Fraction(1)] * (size + 1)
+    a = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(col + 1, size):
+            a[r] = [(x * a[col][col] - a[r][col] * y) // prev for x, y in zip(a[r], a[col])]
+        prev = a[col][col]
+    pi = [Fraction(0)] * size
+    for i in reversed(range(size)):
+        pi[i] = Fraction(a[i][-1] - sum(a[i][j] * pi[j] for j in range(i + 1, size)), a[i][i])
+    return dict(zip(states, pi))
+
+
+def wf_stationary_sample_law(two_n: int, mus, n: int) -> dict:
+    """Exact law of the composition of n genes drawn without replacement from
+    the stationary Wright-Fisher chain of 2N = two_n genes, with per-class
+    mutation probabilities mus: the stationary population law, then every
+    way of taking x_a of the c_a genes of each allele a."""
+    pi = _wf_stationary_population(two_n, tuple(Fraction(m) for m in mus))
+    law: dict = {}
+    for state, p in pi.items():
+        alleles = [(l, r) for l, comp in enumerate(state.components) for r in comp.rows]
+        for takes in itertools.product(*(range(min(c, n) + 1) for _, c in alleles)):
+            if sum(takes) != n:
+                continue
+            ways = math.prod(math.comb(c, x) for (_, c), x in zip(alleles, takes))
+            sample = multipartition_from_lists([
+                sorted((x for (cls, _), x in zip(alleles, takes) if cls == l and x), reverse=True)
+                for l in range(len(mus))
+            ])
+            law[sample] = law.get(sample, 0) + p * Fraction(ways, math.comb(two_n, n))
+    return law
+
+
 def refuse_validation(monkeypatch, cls):
     """Make every validated construction of the frozen dataclass cls fail,
     so a builder that still succeeds built its instances without checks."""

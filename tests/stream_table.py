@@ -124,6 +124,8 @@ SAMPLERS = {
         lambda s: allele_stats.bernoulli_k_samples(300, (1.0, 2.0), 1, 200, s), True),
     "poisson_matrix_sample": (lambda s: poisson.poisson_matrix_sample(4, (1, 2), s, reps=5), True),
     "stationary_samples": (_stationary, True),
+    "stationary_partition_counts": (
+        lambda s: wf_sim.stationary_partition_counts(40, (0.5, 1.0), 4, 50, s), True),
     "wf_step": (_wf_steps, True),
     "sample_composition": (_composition, True),
 }

@@ -92,7 +92,7 @@ class TestSeedDomain:
             "poisson_matrix_sample": lambda s: poisson.poisson_matrix_sample(2, (1, 2), s),
             "sample_composition": lambda s: wf_sim.sample_composition(pop, 2, s),
             "stationary_partition_counts": lambda s: wf_sim.stationary_partition_counts(
-                10, (0.5, 1.0), 2, 1, s, 2, 1),
+                10, (0.5, 1.0), 2, 1, s),
         }
 
     @pytest.mark.parametrize("seed", [-1, 2.0, True, "3"])

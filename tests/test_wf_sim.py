@@ -23,7 +23,7 @@ from multiewens.wf_sim import (
     wf_step,
 )
 
-from oracles import chi_square_p, tv_distance, wf_population_law
+from oracles import chi_square_p, tv_distance, wf_population_law, wf_stationary_sample_law
 
 F = Fraction
 
@@ -208,16 +208,18 @@ class TestAncestralGenerator:
 
 class TestStationarySmoke:
     def test_small_population_matches_law_loosely(self):
-        # tiny smoke version of the end-to-end check; the acceptance suite
-        # runs the full-scale version
+        # tiny smoke version of the end-to-end check, on the population chain;
+        # the acceptance suite runs the full-scale one on independent samples
         from multiewens.measure import refined_esf_pmf
         from multiewens.partitions import enumerate_multipartitions
 
         from oracles import tv_distance
 
-        counts = stationary_partition_counts(
-            200, (0.5, 1.0), 3, 1500, seed=17, burn_gens=2000, thin_gens=100
+        samples = stationary_samples(
+            Population.founding(200, 2), (0.5, 1.0), 3, 1500, np.random.default_rng(17),
+            burn_gens=2000, thin_gens=100,
         )
+        counts = Counter(samples)
         th = (F(1, 2), F(1))
         exact = {
             p: refined_esf_pmf(p, th) for p in enumerate_multipartitions(3, 2)
@@ -498,3 +500,65 @@ class TestBackwardLaw:
                 ids = [ident for cls, ident in fresh if cls == l]
                 assert ids == list(range(next_ids[l], state.next_ids[l]))
             assert sum(state.counts) == 100 and 0 not in state.counts
+
+
+_SMALL_MUS, _LARGE_MUS = (F(1, 100), F(1, 50)), (F(1, 10), F(1, 5))
+
+
+class TestStationaryGenealogy:
+    """stationary_partition_counts, one genealogy per sample, against the
+    exact stationary sample law of the finite chain."""
+
+    # seeds and the threshold fixed before the first run; 20,000 samples per case
+    @pytest.mark.parametrize("two_n,n,mus,seed", [
+        (4, 2, _SMALL_MUS, 1701), (4, 2, _LARGE_MUS, 1702),
+        (4, 3, _SMALL_MUS, 1703), (4, 3, _LARGE_MUS, 1704),
+        (6, 2, _SMALL_MUS, 1705), (6, 2, _LARGE_MUS, 1706),
+        (6, 3, _SMALL_MUS, 1707), (6, 3, _LARGE_MUS, 1708),
+        # the whole population, where it matters which lineage a merge joins
+        (4, 4, _SMALL_MUS, 1709), (4, 4, _LARGE_MUS, 1710),
+    ], ids=["4-2-small", "4-2-large", "4-3-small", "4-3-large",
+            "6-2-small", "6-2-large", "6-3-small", "6-3-large", "4-4-small", "4-4-large"])
+    def test_finite_chain_law(self, two_n, n, mus, seed):
+        reps = 20_000
+        thetas = tuple(2 * two_n * m for m in mus)  # mu_l = theta_l/(4N)
+        counts = stationary_partition_counts(two_n, thetas, n, reps, seed)
+        assert chi_square_p(counts, wf_stationary_sample_law(two_n, mus, n), reps) > 1e-3
+
+    @pytest.mark.parametrize("mus,seed", [(_SMALL_MUS, 1711), (_LARGE_MUS, 1712)],
+                             ids=["small", "large"])
+    def test_generations_drawn_one_by_one(self, monkeypatch, mus, seed):
+        # with a threshold of 2, the generations with three lineages run in
+        # the numpy phase, as a sample of more than 64 genes does
+        monkeypatch.setattr(wf_sim, "_EVENT_LINEAGES", 2)
+        reps = 20_000
+        counts = stationary_partition_counts(6, tuple(12 * m for m in mus), 3, reps, seed)
+        assert chi_square_p(counts, wf_stationary_sample_law(6, mus, 3), reps) > 1e-3
+
+    @pytest.mark.parametrize("theta,seed", [((1e-310, 1e-310), 1721), ((5e-324, 5e-324), 1722)],
+                             ids=["subnormal-mu", "mu-underflows"])
+    def test_tiny_masses_found_the_last_lineage(self, theta, seed):
+        # mu = theta/2000 is subnormal or 0, so a lone lineage's wait is
+        # beyond any float; its class still follows the masses' odds
+        reps = 2_000
+        counts = stationary_partition_counts(1000, theta, 4, reps, seed)
+        mono = [multipartition_from_lists([[4], []]), multipartition_from_lists([[], [4]])]
+        assert set(counts) <= set(mono) and sum(counts.values()) == reps
+        assert abs(counts[mono[0]] - reps / 2) < 4 * math.sqrt(reps / 4)
+
+    def test_one_gene_takes_the_class_odds(self):
+        counts = stationary_partition_counts(10**6, (0.5, 1.0), 1, 3_000, 1723)
+        ones = multipartition_from_lists([[1], []])
+        assert abs(counts[ones] - 1_000) < 4 * math.sqrt(3_000 * 2 / 9)
+
+    @pytest.mark.parametrize("two_n,sample_size,reps,seed,message", [
+        (7, 2, 1, 0, "positive even integer"),
+        (0, 1, 1, 0, "positive even integer"),
+        (10, 0, 1, 0, "must be in 1..10"),
+        (10, 11, 1, 0, "must be in 1..10"),
+        (10, 2, -1, 0, "reps must be >= 0"),
+        (10, 2, 1, -1, "nonnegative integer"),
+    ], ids=["odd", "empty", "no-genes", "too-many-genes", "negative-reps", "bad-seed"])
+    def test_refusals(self, two_n, sample_size, reps, seed, message):
+        with pytest.raises(ValueError, match=message):
+            stationary_partition_counts(two_n, (1.0, 2.0), sample_size, reps, seed)
