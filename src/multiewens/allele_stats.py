@@ -47,10 +47,13 @@ class UnsupportedRegimeError(ValueError):
 
 # Bernoulli numbers B_2, B_4, ..., B_16 of the Euler-Maclaurin tails
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
-# estimated bits of the unreduced denominator of the largest exact harmonic
-# sum that is built: its one gcd is quadratic in the size, and sums near this
-# size take 1-2 s on a 2-core x86 box (n = 10^6 would take about an hour)
+# estimated bits of the product of the denominators of the largest exact
+# harmonic sum that is built, an upper bound on its lcm denominator; sums near
+# this size take about 0.25 s on a 2-core x86 box (n = 10^6 would take minutes,
+# by extrapolation)
 _EXACT_BITS_CAP = 1 << 20
+# terms per leaf of _lcm_sums, few enough that math.lcm over them is cheap
+_LCM_LEAF = 32
 # uniforms per head block of bernoulli_k_samples (4 MB, cache-sized)
 _HEAD_BLOCK = 1 << 19
 
@@ -58,11 +61,13 @@ _HEAD_BLOCK = 1 << 19
 def harmonic_h(n: int, p: int, x):
     """Generalized harmonic tail H^p_n(x) = sum_{j=0}^{n-1} (x+j)^{-p} for x > 0.
 
-    int or Fraction x = a/b is exact: the terms b^p / (a+jb)^p are summed by
-    binary splitting into one integer numerator and denominator, then one
-    Fraction.  A sum whose unreduced denominator would exceed 2**20 bits
-    (n = 2*10^4 at x = 7/3 and p = 2 fits, n = 10^6 does not) raises
-    ValueError before any work; pass a float x for the float route.
+    int or Fraction x = a/b is exact: with L the lcm of the d_j = a + jb,
+    H^p_n(x) = b^p S_p / L^p for the integer S_p = sum_j (L/d_j)^p, which
+    :func:`_lcm_sums` builds by binary splitting, then one Fraction.  A sum
+    whose product denominator prod_j d_j^p would exceed 2**20 bits
+    (n = 3*10^4 at x = 7/3 and p = 2 fits, in about 0.25 s; n = 10^6 does
+    not) raises ValueError before any work; pass a float x for the float
+    route.
 
     Float x costs O(1): the terms below x = 10p are added directly and the
     rest is zeta(p, x) - zeta(p, x+n) (psi(x+n) - psi(x) at p = 1,
@@ -70,6 +75,7 @@ def harmonic_h(n: int, p: int, x):
     term a difference x^-m - (x+n)^-m built from positive parts, so small n
     at large x loses nothing to cancellation.  Relative error is a few ulp.
     """
+    n, p = _plain_ints((n, p), "n and p")
     if n < 1:
         raise ValueError("n must be >= 1")
     if p < 1:
@@ -77,12 +83,17 @@ def harmonic_h(n: int, p: int, x):
     if not 0 < x < math.inf:  # also rejects NaN
         raise ValueError(f"x must be positive and finite, got {x}")
     if isinstance(x, (int, Fraction)):
-        return _harmonic_exact(n, p, Fraction(x))
+        x = Fraction(x)
+        lcm, (s,) = _harmonic_sums(n, x, (p,))
+        return Fraction(x.denominator**p * s, lcm**p)
     return _harmonic_float(n, p, float(x))
 
 
-def _harmonic_exact(n: int, p: int, x: Fraction) -> Fraction:
+def _harmonic_sums(n: int, x: Fraction, ps: tuple[int, ...]) -> tuple[int, list[int]]:
+    """:func:`_lcm_sums` over d_j = a + jb, j < n, for x = a/b, after the
+    size guard at the largest power in ps."""
     a, b = x.numerator, x.denominator
+    p = ps[-1]
     bits = p * n * (a + (n - 1) * b).bit_length()
     if bits > _EXACT_BITS_CAP:
         raise ValueError(
@@ -90,18 +101,26 @@ def _harmonic_exact(n: int, p: int, x: Fraction) -> Fraction:
             f" about {bits} bits (limit {_EXACT_BITS_CAP}); pass decimal masses"
             " such as 0.3333 for the float route"
         )
-    num, den = _split_sum([(a + j * b) ** p for j in range(n)], 0, n)
-    return Fraction(num * b**p, den)
+    return _lcm_sums(a, b, 0, n, ps)
 
 
-def _split_sum(dens: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """sum of 1/dens[i] over lo <= i < hi as one unreduced (num, den) pair."""
-    if hi - lo == 1:
-        return 1, dens[lo]
+def _lcm_sums(a: int, b: int, lo: int, hi: int, ps: tuple[int, ...]) -> tuple[int, list[int]]:
+    """(L, [sum_j (L/d_j)^p for p in ps]) over d_j = a + jb, lo <= j < hi,
+    with L = lcm(d_j), by binary splitting.  A leaf of at most _LCM_LEAF
+    terms takes math.lcm and exact quotients; a node joins its halves at
+    L = L_1 (L_2/g), g = gcd(L_1, L_2), scaling each half's sums by
+    (L/L_i)^p, so no integer outgrows the reduced denominators."""
+    if hi - lo <= _LCM_LEAF:
+        dens = range(a + lo * b, a + hi * b, b)
+        lcm = math.lcm(*dens)
+        cofactors = [lcm // d for d in dens]
+        return lcm, [sum(c**p for c in cofactors) for p in ps]
     mid = (lo + hi) // 2
-    n1, d1 = _split_sum(dens, lo, mid)
-    n2, d2 = _split_sum(dens, mid, hi)
-    return n1 * d2 + n2 * d1, d1 * d2
+    l1, s1 = _lcm_sums(a, b, lo, mid, ps)
+    l2, s2 = _lcm_sums(a, b, mid, hi, ps)
+    g = math.gcd(l1, l2)
+    m1, m2 = l2 // g, l1 // g
+    return l1 * m1, [u * m1**p + v * m2**p for u, v, p in zip(s1, s2, ps)]
 
 
 def _harmonic_float(n: int, p: int, x: float) -> float:
@@ -176,11 +195,16 @@ def _spread_float(n: int, x: float) -> float:
 def _moments(n: int, params, ls, with_var: bool) -> list[tuple]:
     """[(E, Var)] of K_n^(l) for each class label l in ls, Var None unless
     with_var; the formulas are given at :func:`class_moments`."""
+    (n,) = _plain_ints((n,), "sample sizes")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if params.is_exact:
+        return _moments_exact(n, params, ls, with_var)
     w = params.w
     h1 = harmonic_h(n, 1, w)
     if with_var:
         h2 = harmonic_h(n, 2, w)
-        spread = h1 - w * h2 if params.is_exact else _spread_float(n, float(w))
+        spread = _spread_float(n, float(w))
     out = []
     for l in ls:
         th = params.thetas[l - 1]
@@ -192,33 +216,57 @@ def _moments(n: int, params, ls, with_var: bool) -> list[tuple]:
     return out
 
 
+def _moments_exact(n: int, params, ls, with_var: bool) -> list[tuple]:
+    """:func:`_moments` for rational masses, from one lcm tree.  With
+    w = a/b and H^p_n(w) = b^p S_p / L^p, each moment is one Fraction:
+    E = theta_l b S_1 / L and Var = theta_l b (S_1 L - theta_l b S_2) / L^2."""
+    w = Fraction(params.w)
+    b = w.denominator
+    lcm, sums = _harmonic_sums(n, w, (1, 2) if with_var else (1,))
+    s1 = b * sums[0]
+    out = []
+    for l in ls:
+        th = Fraction(params.thetas[l - 1])
+        t, u = th.numerator, th.denominator
+        var = None
+        if with_var:
+            var = Fraction(t * (u * s1 * lcm - t * b * b * sums[1]), (u * lcm) ** 2)
+        out.append((Fraction(t * s1, u * lcm), var))
+    return out
+
+
 def _class_params(theta, l: int):
     params = _params(theta)
+    (l,) = _plain_ints((l,), "class labels")
     if not 1 <= l <= params.k:
         raise ValueError(f"class label must be in 1..{params.k}")
-    return params
+    return params, l
 
 
 def expected_k(n: int, theta, l: int):
     """E[K_n^(l)] = theta_l * H_n^(1)(w); class label l is 1-based."""
-    return _moments(n, _class_params(theta, l), [l], False)[0][0]
+    params, l = _class_params(theta, l)
+    return _moments(n, params, [l], False)[0][0]
 
 
 def var_k(n: int, theta, l: int):
     """Var[K_n^(l)] as in :func:`class_moments`; class label l is 1-based."""
-    return _moments(n, _class_params(theta, l), [l], True)[0][1]
+    params, l = _class_params(theta, l)
+    return _moments(n, params, [l], True)[0][1]
 
 
 def class_moments(n: int, theta) -> list[tuple]:
-    """[(E[K_n^(l)], Var[K_n^(l)]) for l = 1..k], sharing one H^1_n(w), one
-    H^2_n(w) and one G_n(w) = sum_{j<n} j/(w+j)^2 between all classes.
+    """[(E[K_n^(l)], Var[K_n^(l)]) for l = 1..k], sharing one H^1_n(w) and
+    one H^2_n(w) between all classes.
 
     E[K_n^(l)] = theta_l H^1_n(w).  Var[K_n^(l)] = sum_{j<n} q_j (1 - q_j)
     with q_j = theta_l / (w + j), that is theta_l H^1_n(w) - theta_l^2
-    H^2_n(w), evaluated as theta_l (r H^2_n(w) + G_n(w)) with r = w - theta_l
-    the mass of the other classes.  Both parts are sums of nonnegative
-    terms, so a float variance is never negative and is exactly 0 at k = 1,
-    n = 1; rational masses give exact Fractions.
+    H^2_n(w).  Decimal masses evaluate it as theta_l (r H^2_n(w) + G_n(w))
+    with r = w - theta_l the mass of the other classes and one shared
+    G_n(w) = sum_{j<n} j/(w+j)^2: both parts are sums of nonnegative terms,
+    so a float variance is never negative and is exactly 0 at k = 1, n = 1.
+    Rational masses give exact Fractions, built from one lcm tree of H^1
+    and H^2 (see :func:`_moments_exact`).
     """
     params = _params(theta)
     return _moments(n, params, range(1, params.k + 1), True)
@@ -416,7 +464,7 @@ def bernoulli_k_samples(
         raise ValueError("n must be >= 1")
     if reps < 0:
         raise ValueError("reps must be >= 0")
-    params = _class_params(theta, l)
+    params, l = _class_params(theta, l)
     th = float(params.thetas[l - 1])
     w = float(params.w)
     rng = _numpy_rng(seed)

@@ -228,6 +228,26 @@ def joint_k_direct(n: int, thetas) -> dict:
     return law
 
 
+def harmonic_product_split(n: int, p: int, x) -> Fraction:
+    """H^p_n(x) = sum_{j<n} b^p / (a + jb)^p for x = a/b, by binary splitting
+    over the product of the denominators and one reducing Fraction at the
+    end: the library's route before it moved to lcm denominators."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    dens = [(a + j * b) ** p for j in range(n)]
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        if hi - lo == 1:
+            return 1, dens[lo]
+        mid = (lo + hi) // 2
+        n1, d1 = split(lo, mid)
+        n2, d2 = split(mid, hi)
+        return n1 * d2 + n2 * d1, d1 * d2
+
+    num, den = split(0, n)
+    return Fraction(num * b**p, den)
+
+
 def pewens_direct(class_counts, n: int, ts, class_sizes, order: int) -> Fraction:
     """prod t_l^{[x]_{c_l}} / (|G|^n (sum_l t_l |c_l| / |G|)_n)."""
     w = sum(Fraction(t) * Fraction(size, order) for t, size in zip(ts, class_sizes))

@@ -22,6 +22,8 @@ from multiewens.measure import refined_esf_pmf
 from multiewens.partitions import enumerate_multipartitions
 from multiewens.samplers import hoppe_urn_partition_counts
 
+from oracles import harmonic_product_split
+
 F = Fraction
 
 
@@ -85,6 +87,29 @@ class TestHarmonic:
         with pytest.raises(ValueError, match="float route"):
             harmonic_h(10**6, 2, F(7, 3))
 
+    # n straddles the 32-term leaves and the first tree nodes of the lcm split
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 200, 3000])
+    def test_exact_matches_product_split_oracle(self, n):
+        for x in (1, 5, F(7, 3), F(1, 10), F(32732, 15005)):
+            for p in (1, 2, 3):
+                got = harmonic_h(n, p, x)
+                assert type(got) is F
+                assert got == harmonic_product_split(n, p, x)
+
+    @pytest.mark.parametrize("x", [1.0, F(1)])
+    def test_rejects_fractional_n(self, x):
+        with pytest.raises(ValueError, match="integers"):
+            harmonic_h(2.5, 1, x)
+
+    @pytest.mark.parametrize("x", [0.5, F(1, 2)])
+    def test_rejects_fractional_p(self, x):
+        with pytest.raises(ValueError, match="integers"):
+            harmonic_h(3, 1.5, x)
+
+    def test_numpy_integers_pass(self):
+        assert harmonic_h(np.int64(40), np.int32(2), F(7, 3)) == harmonic_h(40, 2, F(7, 3))
+        assert harmonic_h(np.int64(40), np.int32(2), 0.5) == harmonic_h(40, 2, 0.5)
+
 
 class TestMoments:
     def test_single_draw(self):
@@ -131,6 +156,35 @@ class TestMoments:
             expected_k(5, (F(1), F(2)), 0)
         with pytest.raises(ValueError):
             var_k(5, (F(1), F(2)), 3)
+
+    @pytest.mark.parametrize("fn", [expected_k, var_k])
+    @pytest.mark.parametrize("th", [(1, 2), (1.0, 2.0)])
+    def test_rejects_fractional_n(self, fn, th):
+        with pytest.raises(ValueError, match="integers"):
+            fn(2.5, th, 1)
+
+    @pytest.mark.parametrize("fn", [expected_k, var_k])
+    @pytest.mark.parametrize("th", [(F(1, 3), F(2)), (0.5, 2.0)])
+    def test_rejects_fractional_label(self, fn, th):
+        with pytest.raises(ValueError, match="integers"):
+            fn(10, th, 1.0)
+
+    def test_numpy_integers_pass(self):
+        th = (F(1, 3), F(2))
+        assert expected_k(np.int64(10), th, np.int32(2)) == expected_k(10, th, 2)
+        assert var_k(np.int64(10), th, np.int32(2)) == var_k(10, th, 2)
+
+    def test_guard_boundary_at_n_31000(self):
+        # p = 1 needs 31000 * 17 = 527,000 bits and fits under 2**20; p = 2
+        # needs twice that, so a variance is refused before any work
+        th = (F(1, 3), F(2))
+        e = expected_k(31_000, th, 1)
+        assert type(e) is F
+        assert float(e) == pytest.approx(float(expected_k(31_000, (1 / 3, 2.0), 1)), rel=1e-12)
+        with pytest.raises(ValueError, match="float route"):
+            var_k(31_000, th, 1)
+        with pytest.raises(ValueError, match="float route"):
+            class_moments(31_000, th)
 
     def test_moments_match_urn_mc(self):
         th = (0.7, 1.3)
@@ -380,6 +434,24 @@ class TestClassMoments:
             got = class_moments(n, th)
             want = [(expected_k(n, th, l), var_k(n, th, l)) for l in range(1, len(th) + 1)]
             assert got == want
+
+    @pytest.mark.parametrize(
+        "th", [(F(1, 3), F(2), F(5, 7)), (1, 2, 3), (F(1, 10), 4, F(32732, 15005))]
+    )
+    def test_exact_matches_bernoulli_sums(self, th):
+        # E = sum_j q_j and Var = sum_j q_j (1 - q_j), q_j = theta_l / (w + j)
+        w = sum(F(t) for t in th)
+        for n in (1, 2, 31, 33, 200):
+            want = []
+            for t in th:
+                qs = [F(t) / (w + j) for j in range(n)]
+                want.append((sum(qs), sum(q * (1 - q) for q in qs)))
+            assert class_moments(n, th) == want
+
+    def test_rejects_fractional_n(self):
+        for th in ((1, 2), (1.0, 2.0)):
+            with pytest.raises(ValueError, match="integers"):
+                class_moments(2.5, th)
 
 
 class TestBernoulliSimulator:
