@@ -290,6 +290,7 @@ def _stirling_guard(what: str, n: int, terms: int = 0):
 
 def stirling_first(n: int, m: int) -> int:
     """Unsigned Stirling number of the first kind: permutations of n with m cycles."""
+    n, m = _plain_ints((n, m), "n and m")
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     if m > n:
@@ -308,6 +309,7 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     denominator of :mod:`multiewens.measure`.
     """
     params = _exact_params(theta, "joint law")
+    (n,) = _plain_ints((n,), "sample sizes")
     if n < 0:
         raise ValueError("n must be nonnegative")
     ps = _plain_ints(ps, "counts")
@@ -334,6 +336,7 @@ def joint_k_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that the joint law of (K_n^(1)..K_n^(k)) sums to one over
     its support sum_l p_l <= n: the numerators sum to D_n."""
     params = _exact_params(theta, "joint law check")
+    n, k = _plain_ints((n, k), "n and k")
     _check_k(k, params)
     _stirling_guard(f"the joint law check at n={n}, k={k}", n, math.comb(max(n, 0) + k, k))
     q, scaled, d_n = _common(params.thetas, n)
@@ -418,6 +421,7 @@ def clt_scaling(n: int, theta, beta: float) -> ClltScaling:
     0 < beta <= 3/2: (theta_l log(1+n/w), same minus n theta_l^2/(w(w+n)));
     beta > 3/2 (needs k >= 2): (n theta_l/w, n (theta_l/w)(1 - theta_l/w)).
     """
+    (n,) = _plain_ints((n,), "sample sizes")
     if n < 1:
         raise ValueError("n must be >= 1")
     params = _params(theta)
@@ -460,6 +464,7 @@ def bernoulli_k_samples(
     probability p_c/q, and restart at c + 1.  Every tail step is one numpy
     call over the replicates still short of n.
     """
+    n, reps = _plain_ints((n, reps), "n and reps")
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 0:

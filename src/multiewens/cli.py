@@ -179,7 +179,8 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise click.ClickException(f"invalid wreath element: {exc}") from exc
         value = wreath.pewens_pmf(x, group, ts)
-        rec = {"element": x.to_json_dict(), **_prob_record(value)}
+        log_prob = None if isinstance(value, Fraction) else wreath.pewens_log_pmf(x, group, ts)
+        rec = {"element": x.to_json_dict(), **_prob_record(value, log_prob)}
     click.echo(json.dumps(rec))
 
 

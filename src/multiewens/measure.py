@@ -7,9 +7,10 @@ sampling law of the allele-count matrix a_j^(l) of an n-sample is
 
 The backend is picked from the mass types.  When every theta is an int or a
 Fraction (the oracle path), each law is an integer numerator over a cached
-integer denominator, built into one Fraction.  Otherwise the law is written as
-factors x**e and ((x)_m)**e and evaluated as a sum of logs, which stays finite
-far beyond the n where (w)_n would overflow.
+integer denominator, built into one Fraction.  Otherwise each law is one sum
+of logs written beside its exact kernel, with lgamma for the factorials and
+the rising factorials (:func:`_log_rising`), which stays finite far beyond
+the n where (w)_n would overflow.
 
 Exact laws of size n share one denominator: with Q the lcm of the mass
 denominators, D_n = prod_{i<n} (Qw + iQ) = Q^n (w)_n and P(p) = N(p) / D_n for
@@ -71,7 +72,7 @@ class MutationParams:
     """Per-class mutation masses theta_l > 0; w is their sum.
 
     Pass ints or Fractions to unlock the exact rational backend; floats
-    route every evaluation through log space.
+    evaluate each law as one sum of logs.
     """
 
     thetas: tuple[Numeric, ...]
@@ -202,38 +203,22 @@ def _exact_common(theta, k: int, n: int, what: str):
     return _common(params.thetas, n)
 
 
-def _product(powers, pochs) -> float:
-    """prod x**e over (x, e) in powers, times ((x)_m)**e for every m in ms of
-    each (x, ms, e) in pochs, as the exp of :func:`_log_product`.  The float
-    backend only: exact laws build their integer numerators directly."""
-    return math.exp(_log_product(powers, pochs))
+def _log_rising(x, m: int) -> float:
+    """log (x)_m for x > 0, as lgamma(x + m) - lgamma(x)."""
+    return math.lgamma(x + m) - math.lgamma(x)
 
 
-def _log_product(powers, pochs) -> float:
-    """log of :func:`_product`, with lgamma for the rising factorials."""
-    lgamma = math.lgamma
-    total = 0.0
-    for x, e in powers:
-        total += e * math.log(x)
-    for x, ms, e in pochs:
-        lx = lgamma(x)
-        for m in ms:
-            total += e * (lgamma(x + m) - lx)
-    return total
-
-
-def _esf_factors(components, thetas, w):
-    """Factors of n!/(w)_n * prod_{l,j} (theta_l/j)^{a_j^(l)} / a_j^(l)!; the
-    product of j^{a_j^(l)} over j is that of the row lengths of component l."""
-    powers, counts = [], []
-    n, lengths = 0, 1
+def _log_esf(components, thetas, w) -> float:
+    """log of n!/(w)_n * prod_{l,j} (theta_l/j)^{a_j^(l)} / a_j^(l)!, read from
+    the row multiplicities a_j^(l) of each component."""
+    lgamma, log = math.lgamma, math.log
+    n, total = 0, 0.0
     for th, comp in zip(thetas, components):
         n += comp.size
-        lengths *= math.prod(comp.rows)
-        powers.append((th, comp.n_rows))
-        counts += comp.multiplicities().values()
-    powers.append((lengths, -1))
-    return powers, [(1, counts, -1), (1, (n,), 1), (w, (n,), -1)]
+        total += comp.n_rows * log(th)
+        for j, a in comp.multiplicities().items():
+            total -= a * log(j) + lgamma(a + 1)
+    return total + lgamma(n + 1) - _log_rising(w, n)
 
 
 def _esf_numerator(components, q: int, scaled) -> int:
@@ -265,15 +250,17 @@ def refined_esf_pmf(p: MultiplePartition, theta) -> Numeric:
     params = _params(theta)
     _check_k(p.k, params)
     if not params.is_exact:
-        return _product(*_esf_factors(p.components, params.thetas, params.w))
+        return math.exp(_log_esf(p.components, params.thetas, params.w))
     q, scaled, d_n = _common(params.thetas, p.n)
     return Fraction(_esf_numerator(p.components, q, scaled), d_n)
 
 
 def refined_esf_log_pmf(p: MultiplePartition, theta) -> float:
+    """log of :func:`refined_esf_pmf` as a float, for any masses; finite
+    where the probability itself underflows to 0."""
     params = _params(theta)
     _check_k(p.k, params)
-    return _log_product(*_esf_factors(p.components, params.thetas, params.w))
+    return _log_esf(p.components, params.thetas, params.w)
 
 
 def classical_ewens_pmf(diagram: YoungDiagram, theta: Numeric) -> Numeric:
@@ -303,12 +290,10 @@ def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:
         size_law = math.factorial(n) // math.prod(map(math.factorial, sizes)) * risings
         singles = math.prod(map(_single_class_numerator, comps, (q,) * len(sizes), scaled, sizes))
         return Fraction(size_law * singles, d_n * risings)
-    powers, pochs = [], [(1, (n,), 1), (params.w, (n,), -1)]
+    total = math.lgamma(n + 1) - _log_rising(params.w, n)
     for th, comp, m in zip(params.thetas, comps, sizes):
-        single_powers, single_pochs = _esf_factors((comp,), (th,), th)
-        powers += single_powers
-        pochs += [*single_pochs, (th, (m,), 1), (1, (m,), -1)]
-    return _product(powers, pochs)
+        total += _log_rising(th, m) - math.lgamma(m + 1) + _log_esf((comp,), (th,), th)
+    return math.exp(total)
 
 
 def _single_class_numerator(comp: YoungDiagram, q: int, s: int, m: int) -> int:
@@ -455,9 +440,8 @@ def labeled_set_partition_pmf(s: LabeledSetPartition, theta) -> Numeric:
     if params.is_exact:
         q, scaled, d_n = _common(params.thetas, s.n)
         return Fraction(_set_partition_numerator(s, q, scaled), d_n)
-    powers = [(params.thetas[label - 1], 1) for label, _ in s.blocks]
-    pochs = [(1, [len(elems) - 1 for _, elems in s.blocks], 1), (params.w, (s.n,), -1)]
-    return _product(powers, pochs)
+    logs = [math.log(params.thetas[label - 1]) + math.lgamma(len(e)) for label, e in s.blocks]
+    return math.exp(sum(logs) - _log_rising(params.w, s.n))
 
 
 def _set_partition_numerator(s: LabeledSetPartition, q: int, scaled) -> int:

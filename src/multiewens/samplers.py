@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import _params
-from .partitions import LabeledSetPartition, MultiplePartition, _from_alleles, _trusted
+from .partitions import LabeledSetPartition, MultiplePartition, _from_alleles, _plain_ints, _trusted
 
 __all__ = [
     "derive_seed",
@@ -399,6 +399,7 @@ def paintbox_sample(n: int, f: FrequencyRanked, seed: int) -> MultiplePartition:
     types: a draw landing there becomes its own new allele of that class,
     so no probability is lost (bias O(n * eps)).
     """
+    (n,) = _plain_ints((n,), "sample sizes")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _numpy_rng(seed)

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .measure import _is_exact, _positive_finite, _product, _ratios, _rising, _scale
+from .measure import _is_exact, _log_rising, _positive_finite, _ratios, _rising, _scale
 from .partitions import MultiplePartition, _from_alleles, _plain_ints, _trusted
 from .samplers import (
     _KERNEL_STEPS, _batched_counts, _classes, _python_rng, _roots, _steps, _uniforms,
@@ -53,6 +53,7 @@ __all__ = [
     "WreathParams",
     "cycle_type",
     "pewens_pmf",
+    "pewens_log_pmf",
     "crp_wreath_sample",
     "crp_element_counts",
     "enumerate_wreath_elements",
@@ -267,22 +268,41 @@ def pewens_pmf(x: WreathElement, group: GroupTable, t):
     t_1^{[x]_{c_1}} ... t_k^{[x]_{c_k}} / (|G|^n (t_1/zeta_1+..+t_k/zeta_k)_n)
     with zeta_l = |G|/|c_l|.  Rational t gives the Fraction
     prod_l (B t_l)^{[x]_{c_l}} * B^{n-C} / D over the denominator of
-    :func:`_wreath_common`, with C the number of cycles; other t give a
-    float from a sum of logs.
+    :func:`_wreath_common`, with C the number of cycles; other t give the
+    exp of :func:`pewens_log_pmf`.
     """
     params = _wreath_params(t)
     ts = params._per_class(group)
-    counts = [0] * group.k
-    for cls, _ in _cycle_classes(x, group):
-        counts[cls] += 1
+    counts = _class_counts(x, group)
     if not _is_exact(ts):
-        powers = [*zip(ts, counts), (group.order, -x.n)]
-        return _product(powers, [(sum(params.thetas(group)), (x.n,), -1)])
+        return math.exp(_log_pewens(x.n, group, params, counts))
     b, scaled, d = _wreath_common(_ratios(ts), group.class_sizes(), x.n)
     num = b ** (x.n - sum(counts))
     for s, c in zip(scaled, counts):
         num *= s**c
     return Fraction(num, d)
+
+
+def pewens_log_pmf(x: WreathElement, group: GroupTable, t) -> float:
+    """log of :func:`pewens_pmf` as a float, for any weights: sum_l [x]_{c_l}
+    log t_l - n log|G| - log (sum theta)_n, finite where the probability
+    itself underflows to 0."""
+    return _log_pewens(x.n, group, _wreath_params(t), _class_counts(x, group))
+
+
+def _class_counts(x: WreathElement, group: GroupTable) -> list[int]:
+    """[x]_{c_l}, the number of cycles of x in each conjugacy class."""
+    counts = [0] * group.k
+    for cls, _ in _cycle_classes(x, group):
+        counts[cls] += 1
+    return counts
+
+
+def _log_pewens(n: int, group: GroupTable, params: WreathParams, counts) -> float:
+    """The log-sum of :func:`pewens_log_pmf` for the cycle counts of each class."""
+    w = sum(params.thetas(group))  # also checks one weight per class
+    total = sum([c * math.log(t) for t, c in zip(params.ts, counts)])
+    return total - n * math.log(group.order) - _log_rising(w, n)
 
 
 @lru_cache(maxsize=256)

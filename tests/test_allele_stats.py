@@ -230,6 +230,12 @@ class TestStirlingFirst:
         with pytest.raises(ValueError):
             stirling_first(-1, 0)
 
+    @pytest.mark.parametrize("n,m", [(4.5, 1), (4, 1.0)])
+    def test_rejects_non_integer_arguments(self, n, m):
+        # a float m once reached the row as a tuple index
+        with pytest.raises(ValueError, match="integers"):
+            stirling_first(n, m)
+
     def test_large_row_without_recursion(self):
         # the row is built bottom-up, so a cold call at n = 600 does not
         # exhaust the Python stack; its entries still count all permutations
@@ -263,6 +269,14 @@ class TestJointLaw:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             joint_k_pmf(-1, (F(1), F(2)), (0, 0))
+
+    def test_rejects_fractional_n(self):
+        with pytest.raises(ValueError, match="integers"):
+            joint_k_pmf(2.5, (1, 2), (1, 1))
+
+    def test_check_rejects_fractional_n(self):
+        with pytest.raises(ValueError, match="integers"):
+            joint_k_check(2.5, 2, (1, 2))
 
     @pytest.mark.parametrize("ps", [(1.5, 1), (True, 1), ("1", 1), (np.float64(1.0), 1)],
                              ids=["float", "bool", "str", "numpy-float"])
@@ -412,6 +426,12 @@ class TestCltScaling:
             with pytest.raises(ValueError, match="n must be >= 1"):
                 clt_scaling(n, (1.0, 2.0), beta)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_rejects_non_integer_n(self, n):
+        # both once returned a scaling
+        with pytest.raises(ValueError, match="integers"):
+            clt_scaling(n, (1.0, 2.0), 0.5)
+
     def test_k1_fast_growth_unsupported(self):
         with pytest.raises(UnsupportedRegimeError):
             clt_scaling(100, (5.0,), 2.0)
@@ -507,3 +527,8 @@ class TestBernoulliSimulator:
     def test_rejects_negative_reps(self):
         with pytest.raises(ValueError, match="reps must be >= 0"):
             bernoulli_k_samples(10, (1.0, 2.0), 1, -1, seed=1)
+
+    @pytest.mark.parametrize("n,reps", [(2.5, 10), (5, 10.5)])
+    def test_rejects_fractional_n_and_reps(self, n, reps):
+        with pytest.raises(ValueError, match="integers"):
+            bernoulli_k_samples(n, (1.0, 2.0), 1, reps, seed=1)

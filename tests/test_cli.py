@@ -452,6 +452,18 @@ class TestFloatLogProb:
         assert rec["log_prob"] == measure.refined_esf_log_pmf(
             multipartition_from_lists([[1] * 300, []]), (1.0, 2.0))
 
+    def test_underflowed_element_keeps_its_log(self, runner):
+        # 300 fixed points with the identity entry in Z/2: P = 2^-300 / (3/2)_300
+        element = json.dumps({"g": [0] * 300, "s": list(range(300))})
+        args = ["pmf", "--element", element, "--group", "z2", "--t"]
+        exact = runner.invoke(main, args + ["1,2"])
+        floats = runner.invoke(main, args + ["1.0,2.0"])
+        want = json.loads(exact.stdout)["log_prob"]
+        rec = json.loads(floats.stdout)
+        assert rec["prob"] == 0.0
+        assert rec["log_prob"] == pytest.approx(want, rel=1e-12)
+        assert rec["log_prob"] == pytest.approx(-1625.82, abs=0.01)
+
 
 class TestGroupTableFile:
     def test_json_group_table(self, runner, tmp_path):

@@ -37,12 +37,14 @@ from multiewens.wreath import (
     crp_wreath_sample,
     cycle_type,
     cyclic_group,
+    pewens_log_pmf,
     pewens_pmf,
     symmetric_group_3,
     trivial_group,
 )
 
 from multiewens.allele_stats import joint_k_pmf
+from multiewens.samplers import hoppe_urn_sample
 
 from oracles import (
     classical_ewens_direct,
@@ -410,6 +412,42 @@ class TestExactFloatAgreement:
             got = evaluate(tuple(float(t) for t in th))
             assert isinstance(got, float)
             assert abs(got - float(exact)) <= 1e-12 * float(exact)
+
+
+def _exact_log(value: Fraction) -> float:
+    """log of a positive Fraction to about 1e-13 absolute, for laws far below
+    the smallest float: the ratio is scaled to a 60-bit-or-more integer first,
+    so neither log is taken at the size of the numerator or denominator."""
+    num, den = value.numerator, value.denominator
+    shift = den.bit_length() - num.bit_length() + 60
+    return math.log((num << shift) // den) - shift * math.log(2)
+
+
+class TestFloatAtLargeN:
+    """The float log laws against the exact laws far past the n where the
+    probability underflows, each on five draws of its own sampler."""
+
+    @pytest.mark.parametrize("n,th", [
+        (2000, (F(7, 10), F(13, 10))),
+        (2000, (F(1, 3), F(2))),
+        (20000, (F(1), F(5, 2))),
+    ])
+    def test_refined_log_pmf(self, n, th):
+        for seed in range(5):
+            p = hoppe_urn_sample(n, th, seed, blocks=False)[0]
+            exact = _exact_log(refined_esf_pmf(p, th))
+            assert abs(refined_esf_log_pmf(p, tuple(map(float, th))) - exact) <= 1e-10
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    @pytest.mark.parametrize("ts", [(F(1), F(2), F(3)), (F(1, 2), F(7, 3), F(5, 4))])
+    def test_wreath_log_pmf(self, n, ts):
+        group = symmetric_group_3()
+        for seed in range(5):
+            x = crp_wreath_sample(n, group, ts, seed)
+            exact = _exact_log(pewens_pmf(x, group, ts))
+            got = pewens_log_pmf(x, group, tuple(map(float, ts)))
+            assert abs(got - exact) <= 1e-10
+            assert pewens_pmf(x, group, tuple(map(float, ts))) == math.exp(got)
 
 
 # non-integer masses with 12-bit numerators and denominators, as in the

@@ -460,6 +460,12 @@ class TestPaintbox:
         assert abs(frac_pair - 0.5) < 4 * se
         assert hits[mp([1, 1])] + hits[mp([2])] == reps
 
+    def test_rejects_fractional_n(self):
+        # once drew 5 genes for n = 5.5
+        f = FrequencyRanked(((0.5, 0.5),), (1.0,), 1e-8)
+        with pytest.raises(ValueError, match="integers"):
+            paintbox_sample(5.5, f, 1)
+
     def test_remainder_spawns_singletons(self):
         # nearly all mass sits in the remainders: draws land on fresh
         # singleton alleles, so at most the two regular types repeat
