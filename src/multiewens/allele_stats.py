@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import (CheckReport, _check_k, _common, _exact_params, _params,
+from .measure import (CheckReport, _common, _exact_common, _exact_params, _params,
                       _positive_finite, _sum_report)
-from .partitions import _exact_work_guard, _plain_ints, compositions_of
+from .partitions import _at_least, _exact_work_guard, compositions_of
 from .samplers import _numpy_rng
 
 __all__ = [
@@ -75,11 +75,7 @@ def harmonic_h(n: int, p: int, x):
     term a difference x^-m - (x+n)^-m built from positive parts, so small n
     at large x loses nothing to cancellation.  Relative error is a few ulp.
     """
-    n, p = _plain_ints((n, p), "n and p")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    n, p = _at_least(n, 1, "n"), _at_least(p, 1, "p")
     if not 0 < x < math.inf:  # also rejects NaN
         raise ValueError(f"x must be positive and finite, got {x}")
     if isinstance(x, (int, Fraction)):
@@ -195,9 +191,7 @@ def _spread_float(n: int, x: float) -> float:
 def _moments(n: int, params, ls, with_var: bool) -> list[tuple]:
     """[(E, Var)] of K_n^(l) for each class label l in ls, Var None unless
     with_var; the formulas are given at :func:`class_moments`."""
-    (n,) = _plain_ints((n,), "sample sizes")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least(n, 1, "n")
     if params.is_exact:
         return _moments_exact(n, params, ls, with_var)
     w = params.w
@@ -235,12 +229,17 @@ def _moments_exact(n: int, params, ls, with_var: bool) -> list[tuple]:
     return out
 
 
+def _class_label(l, k: int) -> int:
+    """The 1-based class label l as an int, checked to lie in 1..k."""
+    l = _at_least(l, 1, "class label")
+    if l > k:
+        raise ValueError(f"class label must be in 1..{k}")
+    return l
+
+
 def _class_params(theta, l: int):
     params = _params(theta)
-    (l,) = _plain_ints((l,), "class labels")
-    if not 1 <= l <= params.k:
-        raise ValueError(f"class label must be in 1..{params.k}")
-    return params, l
+    return params, _class_label(l, params.k)
 
 
 def expected_k(n: int, theta, l: int):
@@ -290,9 +289,7 @@ def _stirling_guard(what: str, n: int, terms: int = 0):
 
 def stirling_first(n: int, m: int) -> int:
     """Unsigned Stirling number of the first kind: permutations of n with m cycles."""
-    n, m = _plain_ints((n, m), "n and m")
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    n, m = _at_least(n, 0, "n"), _at_least(m, 0, "m")
     if m > n:
         return 0
     _stirling_guard(f"the Stirling row at n={n}", n)
@@ -309,14 +306,10 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     denominator of :mod:`multiewens.measure`.
     """
     params = _exact_params(theta, "joint law")
-    (n,) = _plain_ints((n,), "sample sizes")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ps = _plain_ints(ps, "counts")
+    n = _at_least(n, 0, "n")
+    ps = tuple([_at_least(p, 0, "counts") for p in ps])
     if len(ps) != params.k:
         raise ValueError(f"need k={params.k} counts")
-    if any(p < 0 for p in ps):
-        raise ValueError("counts must be nonnegative")
     _stirling_guard(f"the joint law at n={n}", n)
     q, scaled, d_n = _common(params.thetas, n)
     return Fraction(_joint_k_numerator(n, ps, q, scaled), d_n)
@@ -335,11 +328,9 @@ def _joint_k_numerator(n: int, ps: tuple[int, ...], q: int, scaled) -> int:
 def joint_k_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that the joint law of (K_n^(1)..K_n^(k)) sums to one over
     its support sum_l p_l <= n: the numerators sum to D_n."""
-    params = _exact_params(theta, "joint law check")
-    n, k = _plain_ints((n, k), "n and k")
-    _check_k(k, params)
-    _stirling_guard(f"the joint law check at n={n}, k={k}", n, math.comb(max(n, 0) + k, k))
-    q, scaled, d_n = _common(params.thetas, n)
+    n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
+    _stirling_guard(f"the joint law check at n={n}, k={k}", n, math.comb(n + k, k))
+    _, _, q, scaled, d_n = _exact_common(theta, k, n, "joint law check")
     total = sum(
         _joint_k_numerator(n, ps, q, scaled)
         for alleles in range(n + 1)
@@ -395,9 +386,7 @@ def regime_prediction(spec: RegimeSpec, l: int) -> RegimePrediction:
     beta = 1: K/n -> alpha_l log((1+A)/A) with A = sum alphas;
     beta > 1: K/n -> alpha_l / A.
     """
-    if not 1 <= l <= spec.k:
-        raise ValueError(f"class label must be in 1..{spec.k}")
-    a = spec.alphas[l - 1]
+    a = spec.alphas[_class_label(l, spec.k) - 1]
     if spec.beta < 1:
         return RegimePrediction(a * (1 - spec.beta), "n^beta*log(n)")
     if spec.beta == 1:
@@ -421,9 +410,7 @@ def clt_scaling(n: int, theta, beta: float) -> ClltScaling:
     0 < beta <= 3/2: (theta_l log(1+n/w), same minus n theta_l^2/(w(w+n)));
     beta > 3/2 (needs k >= 2): (n theta_l/w, n (theta_l/w)(1 - theta_l/w)).
     """
-    (n,) = _plain_ints((n,), "sample sizes")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least(n, 1, "n")
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
     w = float(params.w)
@@ -464,11 +451,7 @@ def bernoulli_k_samples(
     probability p_c/q, and restart at c + 1.  Every tail step is one numpy
     call over the replicates still short of n.
     """
-    n, reps = _plain_ints((n, reps), "n and reps")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if reps < 0:
-        raise ValueError("reps must be >= 0")
+    n, reps = _at_least(n, 1, "n"), _at_least(reps, 0, "reps")
     params, l = _class_params(theta, l)
     th = float(params.thetas[l - 1])
     w = float(params.w)

@@ -42,6 +42,7 @@ from .partitions import (
     multipartition_to_lists,
     partitions_of,
     union,
+    _at_least,
     _exact_work_guard,
     _trusted,
 )
@@ -137,8 +138,7 @@ def pochhammer(x: Numeric, n: int):
     The result keeps the numeric kind of x (int, Fraction, or float),
     including the empty product.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _at_least(n, 0, "n")
     result = x**0
     for i in range(n):
         result = result * (x + i)
@@ -197,10 +197,12 @@ def _common_of_ratios(ratios: tuple, n: int) -> tuple[int, tuple[int, ...], int]
 
 
 def _exact_common(theta, k: int, n: int, what: str):
-    """:func:`_common` for a sweep over states with k components."""
+    """(n, k) as checked ints, then :func:`_common`, for a sweep over states
+    of size n with k components."""
+    n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
     params = _exact_params(theta, what)
     _check_k(k, params)
-    return _common(params.thetas, n)
+    return (n, k, *_common(params.thetas, n))
 
 
 def _log_rising(x, m: int) -> float:
@@ -350,7 +352,7 @@ def _sum_report(name: str, total: int, d_n: int) -> CheckReport:
 
 def normalization_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that the refined law of size n sums to one: sum_p N(p) == D_n."""
-    q, scaled, d_n = _exact_common(theta, k, n, "normalization check")
+    n, k, q, scaled, d_n = _exact_common(theta, k, n, "normalization check")
     total = sum(_esf_numerator(p.components, q, scaled) for p in enumerate_multipartitions(n, k))
     return _sum_report("normalization", total, d_n)
 
@@ -377,7 +379,7 @@ def check_consistency(n: int, k: int, theta) -> CheckReport:
     identity sum_p m_L L N_n(p) == n (Qw + (n-1)Q) N_{n-1}(mu).  Requires
     rational theta; desk scale n.
     """
-    q, scaled, d_n = _exact_common(theta, k, n, "consistency check")
+    n, k, q, scaled, d_n = _exact_common(theta, k, n, "consistency check")
     if n < 1:
         return CheckReport("consistency", True)
     step = n * (sum(scaled) + (n - 1) * q)  # n D_n / D_{n-1}
@@ -400,7 +402,7 @@ def union_marginal_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that forgetting class labels gives classical Ewens at w:
     the numerators grouped by union equal the single-class numerators at
     mass Qw over the same D_n."""
-    q, scaled, d_n = _exact_common(theta, k, n, "union marginal check")
+    n, k, q, scaled, d_n = _exact_common(theta, k, n, "union marginal check")
     grouped: dict[YoungDiagram, int] = {}
     for p in enumerate_multipartitions(n, k):
         lam = union(p)
@@ -418,7 +420,7 @@ def union_marginal_check(n: int, k: int, theta) -> CheckReport:
 
 def vandermonde_check(n: int, k: int, theta) -> bool:
     """n! * sum over n_1+..+n_k=n of prod (theta_l)_{n_l}/n_l! == (w)_n, exactly."""
-    q, scaled, d_n = _exact_common(theta, k, n, "identity check")
+    n, k, q, scaled, d_n = _exact_common(theta, k, n, "identity check")
     total = sum(  # n!/prod n_l! * prod Q^{n_l} (theta_l)_{n_l}, against Q^n (w)_n
         math.factorial(n) // math.prod(map(math.factorial, sizes))
         * math.prod(map(_rising, scaled, (q,) * k, sizes))
@@ -455,7 +457,7 @@ def _set_partition_numerator(s: LabeledSetPartition, q: int, scaled) -> int:
 def set_partition_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that the labelled set-partition law of {1..n} with labels
     1..k sums to one: sum_s N(s) == D_n."""
-    q, scaled, d_n = _exact_common(theta, k, n, "set-partition check")
+    n, k, q, scaled, d_n = _exact_common(theta, k, n, "set-partition check")
     total = sum(_set_partition_numerator(s, q, scaled) for s in labeled_set_partitions(n, k))
     return _sum_report("set-partition", total, d_n)
 

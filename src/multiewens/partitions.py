@@ -10,7 +10,10 @@ Everything here is immutable and hashable, and the enumeration helpers are
 deliberately simple so they can serve as exact oracles for the measure and
 sampler modules.  The public constructors check every value from outside
 the program, and never round it: each integer field passes one rule,
-:func:`_plain_ints`.  Values the library builds from checked parts (the
+:func:`_plain_ints`.  A size, count, label or replicate argument of any
+public function passes :func:`_at_least`, that rule with a lower bound; one
+with a range of its own, or no bound, passes :func:`_plain_ints` and keeps
+its own check.  Values the library builds from checked parts (the
 enumerators, the box-removal and union maps, the count matrix of a
 partition) skip those checks through :func:`_trusted`.
 
@@ -59,6 +62,18 @@ def _plain_ints(values: Iterable, what: str) -> tuple[int, ...]:
         if isinstance(v, bool) or not isinstance(v, Integral):
             raise ValueError(f"{what} must be integers, got {v!r}")
     return tuple(map(int, values))
+
+
+def _at_least(value, least: int, what: str) -> int:
+    """value as a Python int of at least `least`, the one rule for a size,
+    count, label or replicate argument.  A plain int skips the type check;
+    any other value passes :func:`_plain_ints`, so a numpy integer is
+    converted and a bool, float or string raises."""
+    if type(value) is not int:
+        (value,) = _plain_ints((value,), what)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -226,12 +241,13 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
     Iterative, so any n costs no recursion: each step removes the last part
     x > 1 and the 1s after it, and refills those boxes greedily with parts of
     at most x - 1."""
+    n, cap = _plain_ints((n, n if max_part is None else max_part), "n and max_part")
     if n < 0:
         return
     if n == 0:
         yield ()
     parts: list[int] = []
-    total, cap = n, n if max_part is None else min(n, max_part)
+    total, cap = n, min(n, cap)
     while cap >= 1:  # fill total boxes greedily with parts of at most cap
         q, r = divmod(total, cap)
         parts += [cap] * q + [r] * (r > 0)
@@ -249,8 +265,8 @@ def compositions_of(n: int, k: int) -> Iterator[tuple[int, ...]]:
     Iterative, so any k costs no recursion: each step moves one unit out of
     part i, the last nonzero part before the final one, into part i + 1,
     together with all of the final part.  Tracking i costs O(1) amortized."""
-    if k < 1:
-        raise ValueError("need at least one part")
+    k = _at_least(k, 1, "k")
+    (n,) = _plain_ints((n,), "n")
     if n < 0:
         return
     parts = [n] + [0] * (k - 1)
@@ -277,8 +293,7 @@ def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiplePartition]:
     component first), then row-lexicographic within each component.
     Intended for desk-scale n; the caller is responsible for feasibility.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _at_least(n, 0, "n")
     diagrams: dict[int, list[YoungDiagram]] = {}
     for sizes in compositions_of(n, k):
         for m in sizes:
@@ -337,10 +352,7 @@ def count_multipartitions(n: int, k: int) -> int:
     series: P^k = H H' with H = P^(k//2) and H' = H or H P, truncated
     after x^n, and only the x^n coefficient of the last product is formed,
     so k = 2 costs O(n) products."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 1:
-        raise ValueError("need at least one part")
+    n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
     e = k // 2  # series products: the squarings and multiplies of P^e, one more at odd k
     products = (e.bit_length() - 1) + (e.bit_count() - 1) + k % 2 if k > 1 else 0
     # |Y_n^(k)| is at most C(n+k-1, n) p(n), and p(n) < exp(pi sqrt(2n/3))
@@ -393,8 +405,9 @@ def set_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
     block a[i], a[i] <= 1 + max(a[:i])).  Iterative, so any n costs no
     recursion: each step raises the last entry that may grow and zeroes the
     entries after it."""
+    n = _at_least(n, 0, "n")
     a, top = [0] * n, [0] * n  # top[i] = max(a[:i + 1])
-    while n >= 0:
+    while True:
         blocks: list[list[int]] = [[] for _ in range(top[-1] + 1 if n else 0)]
         for elem, b in enumerate(a, start=1):
             blocks[b].append(elem)
@@ -422,6 +435,7 @@ def labeled_set_partitions(n: int, k: int) -> Iterator[LabeledSetPartition]:
     :func:`set_partitions` lists blocks by their smallest element, the
     canonical order of :class:`LabeledSetPartition`; the labellings of one
     partition are the product of its blocks' (label, block) pairs."""
+    n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
     new = object.__new__
     for blocks in set_partitions(n):
         for labelled in itertools.product(*[[(l, b) for l in range(1, k + 1)] for b in blocks]):

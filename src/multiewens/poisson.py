@@ -18,7 +18,7 @@ import numpy as np
 
 from . import measure
 from .measure import CheckReport, _params
-from .partitions import enumerate_multipartitions
+from .partitions import _at_least, enumerate_multipartitions
 from .samplers import _numpy_rng
 
 __all__ = [
@@ -33,14 +33,13 @@ def poisson_matrix_sample(m: int, theta, seed: int, reps: int | None = None):
 
     With reps=None returns one (m, k) array; otherwise (reps, m, k).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _at_least(m, 1, "m")
     thetas = _params(theta).thetas
     lam = np.array([[float(t) / j for t in thetas] for j in range(1, m + 1)])
     rng = _numpy_rng(seed)
     if reps is None:
         return rng.poisson(lam)
-    return rng.poisson(lam, size=(reps, m, len(thetas)))
+    return rng.poisson(lam, size=(_at_least(reps, 0, "reps"), m, len(thetas)))
 
 
 def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
@@ -59,7 +58,7 @@ def conditional_identity_check(n: int, k: int, theta) -> CheckReport:
     second is N(p) * bottom == top * Q^n n!, with N(p) the numerator of the
     Ewens law over D_n.
     """
-    q, scaled, d_n = measure._exact_common(theta, k, n, "conditional identity check")
+    n, k, q, scaled, d_n = measure._exact_common(theta, k, n, "conditional identity check")
     scale = q**n * math.factorial(n)
     failures = []
     total = 0
@@ -98,8 +97,7 @@ def truncated_tv_distance(n: int, m: int, theta) -> float:
     prefix sum for T_mn.  Both are carried in log space from P(T=0) = 1,
     which cancels exp(-w H_n) from P(T_0n = n) = exp(-w H_n) (w)_n / n!.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m, n = _at_least(m, 1, "m"), _at_least(n, 1, "n")
     if m > n:
         raise ValueError("m must not exceed n")
     w = float(_params(theta).w)

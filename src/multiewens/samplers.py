@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import _params
-from .partitions import LabeledSetPartition, MultiplePartition, _from_alleles, _plain_ints, _trusted
+from .partitions import LabeledSetPartition, MultiplePartition, _at_least, _from_alleles, _trusted
 
 __all__ = [
     "derive_seed",
@@ -211,8 +211,7 @@ def hoppe_urn_sample(
     blocks come out ordered by their smallest element.  With blocks=False
     the set partition is not built, and None stands in its place.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least(n, 1, "n")
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
     rng = _python_rng(seed)
@@ -244,12 +243,10 @@ def _batched_counts(n: int, reps: int, seed: int, keys_of) -> Counter:
     row i is the canonical key of run i.  Chunks hold at most _CHUNK_RUNS
     runs and _CHUNK_CELLS run-steps, which bounds the memory at any n.
     Rows are grouped by a lexicographic sort, exact at any n and key
-    range; the result counts each distinct row as a tuple of ints.
+    range; the result counts each distinct row as a tuple of ints.  The
+    caller has checked n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if reps < 0:
-        raise ValueError("reps must be >= 0")
+    reps = _at_least(reps, 0, "reps")
     rng = _numpy_rng(seed)
     size = max(1, min(_CHUNK_RUNS, _CHUNK_CELLS // n))
     raw: Counter = Counter()
@@ -289,6 +286,7 @@ def hoppe_urn_partition_counts(
     """
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
+    n = _at_least(n, 1, "n")
     raw = _batched_counts(n, reps, seed, lambda u: _urn_batch(n, thetas, u))
     return Counter({
         _from_alleles((divmod(code, n + 1) for code in key if code), params.k): c
@@ -302,8 +300,7 @@ def coalescent_rates(j: int, theta):
     Returns (coalesce_prob, per-class mutation probs): (j-1)/(j-1+w) and
     theta_l/(j-1+w).  Exact when theta is rational.  The probs sum to 1.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    j = _at_least(j, 1, "j")
     params = _params(theta)
     denom = Fraction(j - 1) + params.w  # a float mass makes this a float
     return (j - 1) / denom, tuple(t / denom for t in params.thetas)
@@ -399,9 +396,7 @@ def paintbox_sample(n: int, f: FrequencyRanked, seed: int) -> MultiplePartition:
     types: a draw landing there becomes its own new allele of that class,
     so no probability is lost (bias O(n * eps)).
     """
-    (n,) = _plain_ints((n,), "sample sizes")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least(n, 1, "n")
     rng = _numpy_rng(seed)
     probs: list[float] = []
     owner: list[int] = []  # class index per regular type

@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .measure import _params
-from .partitions import MultiplePartition, _from_alleles, _stirling_second
+from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _stirling_second
 from .samplers import _numpy_rng
 
 __all__ = [
@@ -89,7 +89,7 @@ class Population:
     @classmethod
     def founding(cls, two_n: int, k: int) -> "Population":
         """Monomorphic start: everyone carries allele 0 of class 1."""
-        _check_size(two_n)
+        two_n, k = _check_size(two_n), _at_least(k, 1, "k")
         return cls(
             ids=np.zeros(two_n, dtype=np.int64),
             classes=np.zeros(two_n, dtype=np.int64),
@@ -146,6 +146,7 @@ def wf_step(pop: Population, mus: Sequence[float], rng: np.random.Generator) -> 
 
 def sample_composition(pop: Population, n: int, seed_or_rng) -> MultiplePartition:
     """Allelic composition of a uniform sample of n genes without replacement."""
+    n = _at_least(n, 0, "n")
     if n > pop.size:
         raise ValueError(f"sample size {n} exceeds population size {pop.size}")
     rng = (
@@ -246,16 +247,20 @@ def _trace_back(weights: np.ndarray, gens, two_n: int, edges: list, cum: list,
     return lineages, born
 
 
-def _check_size(two_n: int) -> None:
+def _check_size(two_n) -> int:
+    """2N as an int, checked to be a positive even integer."""
+    (two_n,) = _plain_ints((two_n,), "population size 2N")
     if two_n < 1 or two_n % 2:
         raise ValueError("population size 2N must be a positive even integer")
+    return two_n
 
 
-def _check_draws(two_n: int, sample_size: int, reps: int) -> None:
+def _check_draws(two_n: int, sample_size, reps) -> tuple[int, int]:
+    """(sample size, reps) as ints, checked against a population of 2N genes."""
+    (sample_size,) = _plain_ints((sample_size,), "sample size")
     if not 1 <= sample_size <= two_n:
         raise ValueError(f"sample size {sample_size} must be in 1..{two_n}")
-    if reps < 0:
-        raise ValueError("reps must be >= 0")
+    return sample_size, _at_least(reps, 0, "reps")
 
 
 class _AlleleCounts:
@@ -328,12 +333,10 @@ def stationary_samples(
     (grouped by allele) at every yield and at the end.  Every input is
     checked at the call, before the generator is returned.
     """
-    _check_draws(pop.size, sample_size, reps)
+    sample_size, reps = _check_draws(pop.size, sample_size, reps)
     half_n = pop.size // 2
-    burn_gens = 20 * half_n if burn_gens is None else burn_gens
-    thin_gens = half_n if thin_gens is None else thin_gens
-    if burn_gens < 0 or thin_gens < 0:
-        raise ValueError("burn-in and thinning generations must be nonnegative")
+    burn_gens = 20 * half_n if burn_gens is None else _at_least(burn_gens, 0, "burn-in generations")
+    thin_gens = half_n if thin_gens is None else _at_least(thin_gens, 0, "thinning generations")
     params = _params(theta)
     if params.k != pop.k:
         raise ValueError(f"need k={pop.k} mutation masses, got {params.k}")
@@ -361,9 +364,9 @@ def stationary_partition_counts(two_n: int, theta, sample_size: int, reps: int,
     masses, which do not underflow where mu does.
     """
     params = _params(theta)
-    _check_size(two_n)
+    two_n = _check_size(two_n)
     rng = _numpy_rng(seed)
-    _check_draws(two_n, sample_size, reps)
+    sample_size, reps = _check_draws(two_n, sample_size, reps)
     edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n)
     thetas = [Fraction(t) for t in params.thetas]
     bounds = [float(c / sum(thetas)) for c in itertools.accumulate(thetas[:-1])]
@@ -384,6 +387,7 @@ def transition_prob(p: int, m: int, two_n: int, mus: Sequence) -> Fraction:
     P0(q, m) = S(q, m) (2N)(2N-1)...(2N-m+1) / (2N)^q, P0(q, 0) = [q == 0].
     Rational mus give an exact Fraction.
     """
+    p, m, two_n = _plain_ints((p, m, two_n), "p, m and 2N")
     if not 0 <= m <= p <= two_n:
         raise ValueError("need 0 <= m <= p <= 2N")
     total_mu = sum(Fraction(v) for v in _mutation_probs(mus))
@@ -427,6 +431,7 @@ def ancestral_generator(n: int, theta) -> AncestralGenerator:
     coalescence with probability (j-1)/(j-1+w) and a class-l mutation with
     probability theta_l/(j-1+w), matching :func:`samplers.coalescent_rates`.
     """
+    n = _at_least(n, 0, "n")
     params = _params(theta)
     w = float(params.w)
     q = np.zeros((n + 1, n + 1))

@@ -39,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .measure import _is_exact, _log_rising, _positive_finite, _ratios, _rising, _scale
-from .partitions import MultiplePartition, _from_alleles, _plain_ints, _trusted
+from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _trusted
 from .samplers import (
     _KERNEL_STEPS, _batched_counts, _classes, _python_rng, _roots, _steps, _uniforms,
 )
@@ -144,8 +144,7 @@ def trivial_group() -> GroupTable:
 
 def cyclic_group(m: int) -> GroupTable:
     """Z/m with addition; every element is its own conjugacy class."""
-    if m < 1:
-        raise ValueError("order must be >= 1")
+    m = _at_least(m, 1, "order")
     return GroupTable(
         tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
     )
@@ -327,8 +326,7 @@ def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
     replaced by h^{-1} g_p so the cycle-product of the host cycle is
     unchanged.  Every step divides by D + j|G| and takes one uniform.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least(n, 1, "n")
     ts = [float(v) for v in _wreath_params(t)._per_class(group)]
     rng = _python_rng(seed)
     if n < _KERNEL_STEPS:
@@ -464,6 +462,7 @@ def crp_element_counts(
     once.
     """
     ts = [float(v) for v in _wreath_params(t)._per_class(group)]
+    n = _at_least(n, 1, "n")
     raw = _batched_counts(n, reps, seed, lambda u: _crp_batch(n, group, ts, u))
     return Counter({
         _trusted(WreathElement, g=key[:n], s=key[n:]): c for key, c in raw.items()
@@ -472,6 +471,7 @@ def crp_element_counts(
 
 def enumerate_wreath_elements(n: int, group: GroupTable) -> Iterator[WreathElement]:
     """All |G|^n n! elements of G wr S(n); desk scale only."""
+    n = _at_least(n, 0, "n")
     for s in itertools.permutations(range(n)):
         for g in itertools.product(range(group.order), repeat=n):
             yield _trusted(WreathElement, g=g, s=s)

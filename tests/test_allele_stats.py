@@ -267,7 +267,7 @@ class TestJointLaw:
             assert joint_k_pmf(n, th, key) == mass
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError, match="n must be nonnegative"):
+        with pytest.raises(ValueError, match="n must be >= 0"):
             joint_k_pmf(-1, (F(1), F(2)), (0, 0))
 
     def test_rejects_fractional_n(self):

@@ -334,7 +334,7 @@ class TestCountsAtLargeSize:
     def test_count_edges(self):
         assert count_multipartitions(0, 7) == 1
         assert count_multipartitions(2, 1000) == 1000 + 1000 * 999 // 2 + 1000
-        with pytest.raises(ValueError, match="at least one part"):
+        with pytest.raises(ValueError, match="k must be >= 1"):
             count_multipartitions(3, 0)
 
     def test_compositions_order(self):
