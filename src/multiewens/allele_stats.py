@@ -330,7 +330,7 @@ def joint_k_check(n: int, k: int, theta) -> CheckReport:
     its support sum_l p_l <= n: the numerators sum to D_n."""
     n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
     _stirling_guard(f"the joint law check at n={n}, k={k}", n, math.comb(n + k, k))
-    _, _, q, scaled, d_n = _exact_common(theta, k, n, "joint law check")
+    _, _, q, scaled, d_n = _exact_common(theta, k, n, "joint law check", None)
     total = sum(
         _joint_k_numerator(n, ps, q, scaled)
         for alleles in range(n + 1)

@@ -20,7 +20,7 @@ import click
 
 from . import allele_stats, measure, poisson, samplers, wf_sim, wreath
 from .partitions import (
-    _stirling_second,
+    _labelled_count,
     count_multipartitions,
     enumerate_multipartitions,
     multipartition_from_lists,
@@ -28,7 +28,6 @@ from .partitions import (
 )
 
 _ENUMERATION_CAP = 2_000_000
-_VERIFY_CAP = 200_000  # states; past it the exact sweeps take minutes
 # labelled set partitions that verify sums over: sum_b S(m, b) k^b at the
 # largest m <= min(n, 7) under this cap; (m, k) = (7, 2) gives 14,214
 _SET_PARTITION_CAP = 20_000
@@ -100,8 +99,8 @@ def _group_by_name(name: str) -> wreath.GroupTable:
 
 
 def _prob_record(value, log_prob=None) -> dict:
-    """prob and log_prob of value; a float value may bring its log_prob,
-    which its exp loses once it underflows to 0."""
+    """prob and log_prob of value; a float value brings its log_prob, which
+    its exp loses once it underflows to 0."""
     if isinstance(value, Fraction):
         num, den = value.numerator, value.denominator
         log_prob = -math.inf if num == 0 else math.log(num) - math.log(den)
@@ -114,8 +113,6 @@ def _prob_record(value, log_prob=None) -> dict:
         finally:
             sys.set_int_max_str_digits(limit)
         return {"rational": rational, "prob": float(value), "log_prob": log_prob}
-    if log_prob is None:
-        log_prob = -math.inf if value == 0 else math.log(value)
     return {"prob": float(value), "log_prob": log_prob}
 
 
@@ -178,8 +175,8 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
             x = wreath.WreathElement.from_json_dict(json.loads(element_text))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise click.ClickException(f"invalid wreath element: {exc}") from exc
-        value = wreath.pewens_pmf(x, group, ts)
-        log_prob = None if isinstance(value, Fraction) else wreath.pewens_log_pmf(x, group, ts)
+        log_prob = None if measure._is_exact(ts.ts) else wreath.pewens_log_pmf(x, group, ts)
+        value = wreath.pewens_pmf(x, group, ts) if log_prob is None else math.exp(log_prob)
         rec = {"element": x.to_json_dict(), **_prob_record(value, log_prob)}
     click.echo(json.dumps(rec))
 
@@ -335,16 +332,12 @@ def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
 def cmd_verify(n, k, theta):
     """Run the exact-rational verification suites at the given scale.
 
-    Exits 0 only if every check passes; one line per check, no skips.
+    Exits 0 only if every check passes; one line per check, no skips.  A
+    size that any check refuses is refused by the first, before any output.
     """
     thetas = _parse_theta(theta)
-    states = count_multipartitions(n, k)
-    if states > _VERIFY_CAP:
-        raise click.ClickException(
-            f"n={n}, k={k} enumerates {states} states, over the cap of {_VERIFY_CAP};"
-            " choose a smaller n or k"
-        )
-    n_blocks = max(m for m in range(min(n, 7) + 1) if _labelled_count(m, k) <= _SET_PARTITION_CAP)
+    fits = [m for m in range(min(n, 7) + 1) if _labelled_count(m, k) <= _SET_PARTITION_CAP]
+    n_blocks = max(fits, default=0)  # n < 0 is refused by the first check
     checks = [  # (label, check(size, k, theta), sizes)
         (f"normalization n={n} k={k}", measure.normalization_check, [n]),
         ("factorization identity", measure.factorization_check, [n]),
@@ -364,11 +357,6 @@ def cmd_verify(n, k, theta):
         failed += bool(bad)
     if failed:
         raise SystemExit(1)
-
-
-def _labelled_count(m: int, k: int) -> int:
-    """sum_b S(m, b) k^b, the labelled set partitions of {1..m} with labels 1..k."""
-    return sum(_stirling_second(m, b) * k**b for b in range(m + 1))
 
 
 def _emit_table(rows: list[dict], fmt: str):

@@ -21,7 +21,8 @@ with K_l rows in component l and K = sum K_l.  The first factor counts the
 permutations with these class-coloured cycles, so N(p) is an integer.  Q,
 the Q theta_l and D_n are cached per n and the masses' (numerator,
 denominator) pairs, which hash far faster than Fractions; the exact sweep
-checks compare integer sums of numerators.
+checks compare integer sums of numerators.  Every sweep starts with
+:func:`_exact_common`, which refuses more than 200,000 states before any work.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .partitions import (
     LabeledSetPartition,
     MultiplePartition,
     YoungDiagram,
+    count_multipartitions,
     enumerate_multipartitions,
     compositions_of,
     labeled_set_partitions,
@@ -44,6 +46,7 @@ from .partitions import (
     union,
     _at_least,
     _exact_work_guard,
+    _labelled_count,
     _trusted,
 )
 
@@ -196,10 +199,18 @@ def _common_of_ratios(ratios: tuple, n: int) -> tuple[int, tuple[int, ...], int]
     return q, scaled, _rising(sum(scaled), q, n)
 
 
-def _exact_common(theta, k: int, n: int, what: str):
-    """(n, k) as checked ints, then :func:`_common`, for a sweep over states
-    of size n with k components."""
+_STATE_CAP = 200_000  # states an exact sweep may enumerate; past it, one takes minutes
+
+
+def _exact_common(theta, k: int, n: int, what: str, states=count_multipartitions):
+    """(n, k) as checked ints, then :func:`_common`, for a sweep over states(n, k)
+    states of size n with k components; more than _STATE_CAP are refused
+    first.  states=None leaves the size to the sweep's own guard."""
     n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
+    count = 0 if states is None else states(n, k)
+    if count > _STATE_CAP:
+        raise ValueError(f"n={n}, k={k} enumerates {count} states, over the cap of"
+                         f" {_STATE_CAP}; choose a smaller n or k")
     params = _exact_params(theta, what)
     _check_k(k, params)
     return (n, k, *_common(params.thetas, n))
@@ -360,7 +371,8 @@ def normalization_check(n: int, k: int, theta) -> CheckReport:
 def factorization_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that :func:`refined_esf_pmf` equals the factorized route on
     every multiple partition of n into k components."""
-    params = _exact_params(theta, "factorization check")
+    n, k, *_ = _exact_common(theta, k, n, "factorization check")
+    params = _params(theta)
     failures = []
     for p in enumerate_multipartitions(n, k):
         direct, factorized = refined_esf_pmf(p, params), refined_esf_pmf_factorized(p, params)
@@ -420,7 +432,8 @@ def union_marginal_check(n: int, k: int, theta) -> CheckReport:
 
 def vandermonde_check(n: int, k: int, theta) -> bool:
     """n! * sum over n_1+..+n_k=n of prod (theta_l)_{n_l}/n_l! == (w)_n, exactly."""
-    n, k, q, scaled, d_n = _exact_common(theta, k, n, "identity check")
+    n, k, q, scaled, d_n = _exact_common(theta, k, n, "identity check",
+                                         lambda n, k: math.comb(n + k - 1, k - 1))
     total = sum(  # n!/prod n_l! * prod Q^{n_l} (theta_l)_{n_l}, against Q^n (w)_n
         math.factorial(n) // math.prod(map(math.factorial, sizes))
         * math.prod(map(_rising, scaled, (q,) * k, sizes))
@@ -457,7 +470,7 @@ def _set_partition_numerator(s: LabeledSetPartition, q: int, scaled) -> int:
 def set_partition_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that the labelled set-partition law of {1..n} with labels
     1..k sums to one: sum_s N(s) == D_n."""
-    n, k, q, scaled, d_n = _exact_common(theta, k, n, "set-partition check")
+    n, k, q, scaled, d_n = _exact_common(theta, k, n, "set-partition check", _labelled_count)
     total = sum(_set_partition_numerator(s, q, scaled) for s in labeled_set_partitions(n, k))
     return _sum_report("set-partition", total, d_n)
 

@@ -17,10 +17,11 @@ its own check.  Values the library builds from checked parts (the
 enumerators, the box-removal and union maps, the count matrix of a
 partition) skip those checks through :func:`_trusted`.
 
-The exact counting kernels (here the partition series, in
-:mod:`multiewens.allele_stats` the Stirling row) build tables of O(n^2) big
-integers; :func:`_exact_work_guard` refuses one that would not finish in
-about a second, before any work.
+The exact counting kernels (here the partition series and the labelled
+set-partition count, in :mod:`multiewens.allele_stats` the Stirling row)
+cost O(n^2) big-integer steps or more; :func:`_exact_work_guard` refuses one
+that would not finish in about a second, before any work.  The two counts
+here also size the sweeps behind the state cap of ``measure._exact_common``.
 """
 
 from __future__ import annotations
@@ -370,6 +371,14 @@ def count_multipartitions(n: int, k: int) -> int:
     return sum(half[i] * other[n - i] for i in range(n + 1))
 
 
+def _labelled_count(m: int, k: int) -> int:
+    """sum_b S(m, b) k^b, the labelled set partitions of {1..m} with labels
+    1..k: about m^2/2 powers of up to m log2(m + k) bits, behind the work guard."""
+    steps, bits = m * m // 2 * max(1, m.bit_length()), m * (m + k).bit_length()
+    _exact_work_guard(f"counting labelled set partitions of n={m}", steps, bits)
+    return sum(_stirling_second(m, b) * k**b for b in range(m + 1))
+
+
 def union(p: MultiplePartition) -> YoungDiagram:
     """Combine the rows of all components into a single Young diagram."""
     rows: list[int] = []
@@ -382,14 +391,19 @@ def _from_alleles(alleles: Iterable[tuple[int, int]], k: int) -> MultiplePartiti
     """Multiple partition of a sample given as (0-based class, count) per allele.
 
     The counts of class l, ranked, are the rows of component l; a class with
-    no allele gives an empty component.  Every sampler ends here.
+    no allele gives an empty component.  Every sampler ends here with Python
+    int counts, so ranked positive rows are built through :func:`_trusted`.
     """
     rows: list[list[int]] = [[] for _ in range(k)]
     for cls, c in alleles:
         rows[cls].append(c)
-    return MultiplePartition(
-        tuple(YoungDiagram(tuple(sorted(r, reverse=True))) for r in rows)
-    )
+    comps = []
+    for r in rows:
+        r.sort(reverse=True)
+        if r and r[-1] < 1:
+            raise ValueError(f"row lengths must be positive, got {r[-1]}")
+        comps.append(_trusted(YoungDiagram, rows=tuple(r)))
+    return _trusted(MultiplePartition, components=tuple(comps))
 
 
 def set_partition_to_multipartition(s: LabeledSetPartition, k: int) -> MultiplePartition:

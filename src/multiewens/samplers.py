@@ -443,13 +443,7 @@ def monomial_symmetric(rows: Sequence[int], power_sums) -> float:
     """
     parts = tuple(rows)
     value = _augmented_monomial(parts, power_sums)
-    mult: dict[int, int] = {}
-    for r in parts:
-        mult[r] = mult.get(r, 0) + 1
-    denom = 1
-    for m in mult.values():
-        denom *= math.factorial(m)
-    return value / denom
+    return value / math.prod(map(math.factorial, Counter(parts).values()))
 
 
 def power_sums_of(xs: Sequence[float], max_power: int) -> dict[int, float]:

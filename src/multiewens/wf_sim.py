@@ -27,7 +27,8 @@ independent and exact for the stationary finite-2N chain, with no burn-in.
 Masses theta enter as :class:`~multiewens.measure.MutationParams`.  Mutation
 probabilities mu pass one rule, on the raw values before any conversion:
 each finite and nonnegative, with sum below 1.  Both engines and
-:func:`transition_prob` apply it, with one message.
+:func:`transition_prob` apply it, with one message.  All three take 2N only
+as a positive even integer, and both engines a sample of at least one gene.
 
 The ancestral line-counting process is exposed through its exact finite-N
 transition probabilities and its limiting generator.
@@ -145,8 +146,8 @@ def wf_step(pop: Population, mus: Sequence[float], rng: np.random.Generator) -> 
 
 
 def sample_composition(pop: Population, n: int, seed_or_rng) -> MultiplePartition:
-    """Allelic composition of a uniform sample of n genes without replacement."""
-    n = _at_least(n, 0, "n")
+    """Allelic composition of a uniform sample of n >= 1 genes without replacement."""
+    n = _at_least(n, 1, "n")
     if n > pop.size:
         raise ValueError(f"sample size {n} exceeds population size {pop.size}")
     rng = (
@@ -387,27 +388,15 @@ def transition_prob(p: int, m: int, two_n: int, mus: Sequence) -> Fraction:
     P0(q, m) = S(q, m) (2N)(2N-1)...(2N-m+1) / (2N)^q, P0(q, 0) = [q == 0].
     Rational mus give an exact Fraction.
     """
-    p, m, two_n = _plain_ints((p, m, two_n), "p, m and 2N")
+    two_n = _check_size(two_n)
+    p, m = _plain_ints((p, m), "p and m")
     if not 0 <= m <= p <= two_n:
         raise ValueError("need 0 <= m <= p <= 2N")
     total_mu = sum(Fraction(v) for v in _mutation_probs(mus))
-
-    def p0(q: int, mm: int) -> Fraction:
-        if mm == 0:
-            return Fraction(1 if q == 0 else 0)
-        falling = 1
-        for i in range(mm):
-            falling *= two_n - i
-        return Fraction(_stirling_second(q, mm) * falling, two_n**q)
-
     total = Fraction(0)
-    for j in range(p - m + 1):
-        total += (
-            math.comb(p, j)
-            * (1 - total_mu) ** (p - j)
-            * total_mu**j
-            * p0(p - j, m)
-        )
+    for j in range(p - m + 1):  # S(0, 0) = 1 and S(q, 0) = 0 give P0(q, 0)
+        p0 = Fraction(_stirling_second(p - j, m) * math.perm(two_n, m), two_n ** (p - j))
+        total += math.comb(p, j) * (1 - total_mu) ** (p - j) * total_mu**j * p0
     return total
 
 

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from multiewens import allele_stats, measure
-from multiewens.cli import _labelled_count, main
+from multiewens import allele_stats, measure, wreath
+from multiewens.cli import main
 from multiewens.partitions import (
-    labeled_set_partitions,
     multipartition_from_lists,
     multipartition_to_lists,
 )
@@ -276,12 +275,6 @@ class TestVerify:
         assert res.exit_code != 0
         assert "states" in res.output
 
-    def test_labelled_count(self):
-        for m in range(6):
-            for k in (1, 2, 3):
-                assert _labelled_count(m, k) == sum(1 for _ in labeled_set_partitions(m, k))
-        assert _labelled_count(7, 2) == 14_214
-
     @pytest.mark.parametrize("k,n_blocks", [(2, 7), (3, 6), (6, 4)])
     def test_set_partition_sweep_is_capped(self, runner, k, n_blocks):
         start = time.perf_counter()
@@ -463,6 +456,16 @@ class TestFloatLogProb:
         assert rec["prob"] == 0.0
         assert rec["log_prob"] == pytest.approx(want, rel=1e-12)
         assert rec["log_prob"] == pytest.approx(-1625.82, abs=0.01)
+
+    def test_float_element_walks_its_cycles_once(self, runner, monkeypatch):
+        x = wreath.WreathElement((1, 0, 1), (1, 2, 0))
+        group, t = wreath.cyclic_group(2), (1.0, 2.0)
+        want = {"element": x.to_json_dict(), "prob": wreath.pewens_pmf(x, group, t),
+                "log_prob": wreath.pewens_log_pmf(x, group, t)}
+        monkeypatch.setattr(wreath, "pewens_pmf", lambda *args: pytest.fail("walked twice"))
+        res = runner.invoke(main, ["pmf", "--element", json.dumps(x.to_json_dict()),
+                                   "--group", "z2", "--t", "1.0,2.0"])
+        assert res.exit_code == 0 and res.stdout == json.dumps(want) + "\n"
 
 
 class TestGroupTableFile:

@@ -43,6 +43,7 @@ from multiewens.wreath import (
     trivial_group,
 )
 
+from multiewens import measure, poisson
 from multiewens.allele_stats import joint_k_pmf
 from multiewens.samplers import hoppe_urn_sample
 
@@ -577,3 +578,67 @@ class TestSweepChecks:
             report = check(4, 2, th)
             assert not report.ok and report.failures
         assert normalization_check(3, 2, th)
+
+
+def _thetas(k):
+    return tuple(range(1, k + 1))
+
+
+# (check, n, k, the states of its family at (n, k)): the multiple partitions,
+# the size compositions C(n+k-1, k-1), or the labelled set partitions
+_ESF_SWEEPS = [normalization_check, factorization_check, check_consistency,
+               union_marginal_check, poisson.conditional_identity_check]
+_OVER_THE_CAP = [(check, 40, 3, 481_225_800) for check in _ESF_SWEEPS] + [
+    (vandermonde_check, 200, 10, math.comb(209, 9)),
+    (set_partition_check, 12, 12, 373_625_770_888_956),  # Touchard T_12(12)
+]
+# the largest accepted size of each family, and the next one, which is refused
+_AT_THE_CAP = [(check, 26, 27, 2, 2) for check in _ESF_SWEEPS] + [
+    (vandermonde_check, 10, 10, 11, 12),  # 167,960 and 293,930 compositions
+    (set_partition_check, 8, 9, 2, 2),  # 89,918 and 610,182 labelled set partitions
+]
+
+
+class TestStateCap:
+    """Each exact sweep refuses more than 200,000 states of its own family
+    before any enumeration, with the message verify prints."""
+
+    class Enumerated(Exception):
+        pass
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def enumerated(*args):
+            raise self.Enumerated
+        for module, name in [(measure, "enumerate_multipartitions"), (measure, "compositions_of"),
+                             (measure, "labeled_set_partitions"),
+                             (poisson, "enumerate_multipartitions")]:
+            monkeypatch.setattr(module, name, enumerated)
+
+    @pytest.mark.parametrize("check,n,k,states", _OVER_THE_CAP,
+                             ids=lambda v: getattr(v, "__name__", None))
+    def test_refused_with_its_state_count(self, check, n, k, states):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            check(n, k, _thetas(k))
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (f"n={n}, k={k} enumerates {states} states, over the cap of"
+                                   " 200000; choose a smaller n or k")
+
+    @pytest.mark.parametrize("check,n_in,n_out,k_in,k_out", _AT_THE_CAP,
+                             ids=lambda v: getattr(v, "__name__", None))
+    def test_cap_boundary(self, no_enumeration, check, n_in, n_out, k_in, k_out):
+        with pytest.raises(self.Enumerated):
+            check(n_in, k_in, _thetas(k_in))
+        with pytest.raises(ValueError, match="over the cap of 200000"):
+            check(n_out, k_out, _thetas(k_out))
+
+    def test_cap_comes_before_the_rational_and_k_checks(self):
+        with pytest.raises(ValueError, match="over the cap"):
+            normalization_check(40, 3, (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="over the cap"):
+            factorization_check(40, 3, (1, 2))
+        with pytest.raises(ValueError, match="rational"):
+            factorization_check(3, 2, (1.0, 2.0))
+        with pytest.raises(ValueError, match="k=3"):
+            factorization_check(3, 3, (1, 2))

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from multiewens import samplers, wf_sim, wreath
 from multiewens.measure import refined_esf_pmf
 from multiewens.partitions import (
     AlleleCountMatrix,
@@ -25,6 +26,7 @@ from multiewens.partitions import (
     set_partitions,
     union,
     _from_alleles,
+    _labelled_count,
     _stirling_second,
 )
 
@@ -225,6 +227,41 @@ def _validated(p: MultiplePartition) -> MultiplePartition:
     return MultiplePartition(tuple(YoungDiagram(tuple(c.rows)) for c in p.components))
 
 
+def _evolved_population():
+    pop = wf_sim.Population.founding(40, 2)
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        wf_sim.wf_step(pop, [0.02, 0.03], rng)
+    return pop
+
+
+_TH, _Z2, _S3 = (1.0, 2.0), wreath.cyclic_group(2), wreath.symmetric_group_3()
+# every producer of _from_alleles -> a call returning the partitions it builds
+_PRODUCERS = {
+    "urn one-draw": lambda: [samplers.hoppe_urn_sample(n, _TH, s)[0]
+                             for n in (6, 300) for s in range(5)],
+    "urn counts": lambda: list(samplers.hoppe_urn_partition_counts(6, _TH, 200, 2)),
+    "paintbox": lambda: [samplers.paintbox_sample(30, samplers.pd_sample(_TH, 1e-6, s), s)
+                         for s in range(5)],
+    "cycle_type": lambda: [wreath.cycle_type(wreath.crp_wreath_sample(n, g, t, s), g)
+                           for g, t in ((_Z2, _TH), (_S3, (1.0, 2.0, 3.0)))
+                           for n in (5, 300) for s in range(3)],
+    "sample_composition": lambda: [wf_sim.sample_composition(_evolved_population(), n, 3)
+                                   for n in (1, 7, 40)],
+    "stationary samples": lambda: list(wf_sim.stationary_samples(
+        wf_sim.Population.founding(40, 2), _TH, 8, 5, np.random.default_rng(4), 50, 5)),
+    "stationary counts": lambda: list(wf_sim.stationary_partition_counts(
+        100, (0.5, 1.0), 10, 50, 5)),
+    "count matrix": lambda: [matrix_to_multipartition(multipartition_to_matrix(p))
+                             for k in (1, 2, 3) for n in range(6)
+                             for p in enumerate_multipartitions(n, k)],
+    "set partition": lambda: [set_partition_to_multipartition(s, 2)
+                              for n in range(5) for s in labeled_set_partitions(n, 2)]
+    + [set_partition_to_multipartition(samplers.hoppe_urn_sample(9, _TH, s)[1], 2)
+       for s in range(5)],
+}
+
+
 class TestTrustedInstances:
     """Enumerators and maps build instances without validation; they must be
     equal and hash-equal to the validated ones, field by field."""
@@ -258,6 +295,17 @@ class TestTrustedInstances:
                         for comp in child.components:
                             self._same(comp, YoungDiagram(comp.rows))
 
+
+    @pytest.mark.parametrize("name", list(_PRODUCERS))
+    def test_from_alleles_producers(self, monkeypatch, name):
+        with monkeypatch.context() as m:
+            refuse_validation(m, MultiplePartition)
+            refuse_validation(m, YoungDiagram)
+            built = _PRODUCERS[name]()
+        assert built
+        for p in built:
+            self._same(p, _validated(p))
+            assert all(type(r) is int for c in p.components for r in c.rows)
 
     def test_count_matrix(self, monkeypatch):
         parts = [p for k in (1, 2, 3) for n in range(7) for p in enumerate_multipartitions(n, k)]
@@ -405,6 +453,21 @@ class TestCountsAtLargeSize:
         with pytest.raises(ValueError, match="too large"):
             count_multipartitions(hi, k)
 
+    def test_labelled_count(self):
+        for m in range(6):
+            for k in (1, 2, 3):
+                assert _labelled_count(m, k) == sum(1 for _ in labeled_set_partitions(m, k))
+        assert _labelled_count(7, 2) == 14_214
+
+    def test_labelled_count_guard(self):
+        # 0.4 s at n = 400 on a 2-core x86 box; refused at once well past it
+        assert _labelled_count(30, 2) == sum(_stirling_second(30, b) * 2**b for b in range(31))
+        start = time.perf_counter()
+        for m in (420, 10**5):
+            with pytest.raises(ValueError, match=f"labelled set partitions of n={m} is too large"):
+                _labelled_count(m, 2)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("n", [1, 2, 5, 100, 600, 1000])
     def test_stirling_second_two_blocks(self, n):
         assert _stirling_second(n, 2) == 2 ** (n - 1) - 1
@@ -437,6 +500,8 @@ class TestFromAlleles:
     def test_rows_are_validated(self):
         with pytest.raises(ValueError):
             _from_alleles([(0, 0)], 1)
+        with pytest.raises(ValueError, match="positive"):
+            _from_alleles([(1, 2), (1, -1)], 2)
 
 
 class TestSerialization:

@@ -127,6 +127,14 @@ class TestSampleComposition:
         with pytest.raises(ValueError):
             sample_composition(pop, 11, 0)
 
+    def test_empty_sample_rejected(self):
+        # as the count-level engine refuses a sample size of 0
+        pop = Population.founding(10, 2)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_composition(pop, 0, 0)
+        with pytest.raises(ValueError, match="sample size 0"):
+            stationary_partition_counts(10, (0.5, 1.0), 0, 1, 0)
+
 
 class TestTransitionProb:
     def test_rows_sum_to_one(self):
@@ -162,6 +170,11 @@ class TestTransitionProb:
         # S(600, 2) = 2^599 - 1 ways to split the 600 genes between two parents
         got = transition_prob(600, 2, 1000, [F(0)])
         assert got == F((2**599 - 1) * 1000 * 999, 1000**600)
+
+    @pytest.mark.parametrize("p,m,two_n", [(0, 0, 0), (2, 1, 3), (1, 1, -2)])
+    def test_population_size_is_checked(self, p, m, two_n):
+        with pytest.raises(ValueError, match="2N must be a positive even integer"):
+            transition_prob(p, m, two_n, [F(0)])
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
