@@ -168,9 +168,9 @@ def _spread_float(n: int, x: float) -> float:
     m/(2y^2) and Bernoulli terms that stay below 1/(m-1) of the total.
     """
     if n <= 40:  # the expansion below needs m > 30
-        return math.fsum(j / (x + j) ** 2 for j in range(n))
+        return math.fsum(j / (x + j) ** 2 for j in range(1, n))
     lead = max(0, math.ceil(10.0 - x))
-    terms = [j / (x + j) ** 2 for j in range(lead)]
+    terms = [j / (x + j) ** 2 for j in range(1, lead)]
     x, m = x + lead, n - lead
     y = x + m
     s = m / y
@@ -194,19 +194,24 @@ def _moments(n: int, params, ls, with_var: bool) -> list[tuple]:
     n = _at_least(n, 1, "n")
     if params.is_exact:
         return _moments_exact(n, params, ls, with_var)
-    w = params.w
-    h1 = harmonic_h(n, 1, w)
+    # the j = 0 terms, whose w^-p overflows at tiny w, are taken out as
+    # q_0 = theta_l / w and q_0 r / w; the harmonic sums start at w + 1
+    w = float(params.w)
+    if w == math.inf:
+        raise ValueError(f"the masses must have a finite sum, got {w}")
+    h1 = _harmonic_float(n - 1, 1, w + 1)
     if with_var:
-        h2 = harmonic_h(n, 2, w)
-        spread = _spread_float(n, float(w))
+        h2 = _harmonic_float(n - 1, 2, w + 1)
+        spread = _spread_float(n, w)
     out = []
     for l in ls:
         th = params.thetas[l - 1]
+        q0 = th / w
         var = None
         if with_var:
             rest = sum(params.thetas[: l - 1] + params.thetas[l:])
-            var = th * (rest * h2 + spread)
-        out.append((th * h1, var))
+            var = q0 * (rest / w) + th * (rest * h2 + spread)
+        out.append((q0 + th * h1, var))
     return out
 
 
@@ -264,6 +269,8 @@ def class_moments(n: int, theta) -> list[tuple]:
     with r = w - theta_l the mass of the other classes and one shared
     G_n(w) = sum_{j<n} j/(w+j)^2: both parts are sums of nonnegative terms,
     so a float variance is never negative and is exactly 0 at k = 1, n = 1.
+    The j = 0 terms of the float sums come out as q_0 = theta_l/w in the
+    mean and q_0 r/w in the variance, so that tiny masses stay finite.
     Rational masses give exact Fractions, built from one lcm tree of H^1
     and H^2 (see :func:`_moments_exact`).
     """

@@ -98,9 +98,9 @@ def _group_by_name(name: str) -> wreath.GroupTable:
     )
 
 
-def _prob_record(value, log_prob=None) -> dict:
-    """prob and log_prob of value; a float value brings its log_prob, which
-    its exp loses once it underflows to 0."""
+def _prob_record(value, log_law=None, *args) -> dict:
+    """prob and log_prob of value, the law's exact Fraction or its float; a
+    float's log_prob is log_law(*args), finite where the float underflows to 0."""
     if isinstance(value, Fraction):
         num, den = value.numerator, value.denominator
         log_prob = -math.inf if num == 0 else math.log(num) - math.log(den)
@@ -113,7 +113,7 @@ def _prob_record(value, log_prob=None) -> dict:
         finally:
             sys.set_int_max_str_digits(limit)
         return {"rational": rational, "prob": float(value), "log_prob": log_prob}
-    return {"prob": float(value), "log_prob": log_prob}
+    return {"prob": float(value), "log_prob": None if log_law is None else log_law(*args)}
 
 
 class _ErrorBoundary(click.Group):
@@ -153,9 +153,9 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
     if partition_text is not None:
         thetas = _parse_theta(theta)
         part = _parse_partition(partition_text)
-        log_prob = None if thetas.is_exact else measure.refined_esf_log_pmf(part, thetas)
-        value = measure.refined_esf_pmf(part, thetas) if log_prob is None else math.exp(log_prob)
-        rec = {"partition": multipartition_to_lists(part), **_prob_record(value, log_prob)}
+        value = measure.refined_esf_pmf(part, thetas)
+        probs = _prob_record(value, measure.refined_esf_log_pmf, part, thetas)
+        rec = {"partition": multipartition_to_lists(part), **probs}
     elif joint_text is not None:
         if n_opt is None:
             raise click.UsageError("--joint-k needs --n")
@@ -175,9 +175,9 @@ def cmd_pmf(theta, partition_text, joint_text, n_opt, element_text, group_name, 
             x = wreath.WreathElement.from_json_dict(json.loads(element_text))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise click.ClickException(f"invalid wreath element: {exc}") from exc
-        log_prob = None if measure._is_exact(ts.ts) else wreath.pewens_log_pmf(x, group, ts)
-        value = wreath.pewens_pmf(x, group, ts) if log_prob is None else math.exp(log_prob)
-        rec = {"element": x.to_json_dict(), **_prob_record(value, log_prob)}
+        value = wreath.pewens_pmf(x, group, ts)
+        probs = _prob_record(value, wreath.pewens_log_pmf, x, group, ts)
+        rec = {"element": x.to_json_dict(), **probs}
     click.echo(json.dumps(rec))
 
 

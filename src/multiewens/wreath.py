@@ -33,12 +33,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .measure import _is_exact, _log_rising, _positive_finite, _ratios, _rising, _scale
+from .measure import _common_of_ratios, _is_exact, _log_rising, _positive_finite
 from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _trusted
 from .samplers import (
     _KERNEL_STEPS, _batched_counts, _classes, _python_rng, _roots, _steps, _uniforms,
@@ -221,22 +220,6 @@ def _wreath_params(t) -> WreathParams:
     return t if isinstance(t, WreathParams) else WreathParams(t)
 
 
-def _cycles(s: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(s)
-    cycles = []
-    for start in range(len(s)):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = s[i]
-        cycles.append(cyc)
-    return cycles
-
-
 def cycle_type(x: WreathElement, group: GroupTable) -> MultiplePartition:
     """Project a wreath element to its multiple partition of cycle data.
 
@@ -252,34 +235,47 @@ def cycle_type(x: WreathElement, group: GroupTable) -> MultiplePartition:
 def _cycle_classes(x: WreathElement, group: GroupTable) -> Iterator[tuple[int, int]]:
     """(conjugacy class index, length) of every cycle of x, after checking
     that every entry of g indexes an element of the group."""
-    if x.g and (min(x.g) < 0 or max(x.g) >= group.order):
+    g, s = x.g, x.s
+    if g and (min(g) < 0 or max(g) >= group.order):
         raise ValueError(f"entries of g must be in 0..{group.order - 1}")
-    for cyc in _cycles(x.s):
-        prod = group.identity
-        for i in cyc:
-            prod = group.mult(x.g[i], prod)
-        yield group.class_of[prod], len(cyc)
+    table, class_of, identity = group.table, group.class_of, group.identity
+    seen = [False] * len(s)
+    for start in range(len(s)):
+        if seen[start]:
+            continue
+        prod, length, i = identity, 0, start
+        while not seen[i]:
+            seen[i] = True
+            prod = table[g[i]][prod]
+            length += 1
+            i = s[i]
+        yield class_of[prod], length
 
 
 def pewens_pmf(x: WreathElement, group: GroupTable, t):
     """Probability of x under the wreath measure with class weights t.
 
     t_1^{[x]_{c_1}} ... t_k^{[x]_{c_k}} / (|G|^n (t_1/zeta_1+..+t_k/zeta_k)_n)
-    with zeta_l = |G|/|c_l|.  Rational t gives the Fraction
-    prod_l (B t_l)^{[x]_{c_l}} * B^{n-C} / D over the denominator of
-    :func:`_wreath_common`, with C the number of cycles; other t give the
-    exp of :func:`pewens_log_pmf`.
+    with zeta_l = |G|/|c_l|.  Rational t gives a Fraction over the shared
+    exact denominator D_n of the masses theta_l = t_l/zeta_l
+    (``measure._common_of_ratios``), each given as t_l |c_l| over |G| times
+    the denominator of t_l.  Their lcm is B|G|, with B that of the t_l, so
+    the scaled masses are B t_l |c_l|, D_n = (B|G|)^n (sum theta)_n and the
+    law is prod_l (B t_l)^{[x]_{c_l}} * B^{n-C} / D_n, with C the number of
+    cycles.  Other t give the exp of :func:`pewens_log_pmf`.
     """
     params = _wreath_params(t)
     ts = params._per_class(group)
     counts = _class_counts(x, group)
     if not _is_exact(ts):
         return math.exp(_log_pewens(x.n, group, params, counts))
-    b, scaled, d = _wreath_common(_ratios(ts), group.class_sizes(), x.n)
-    num = b ** (x.n - sum(counts))
-    for s, c in zip(scaled, counts):
-        num *= s**c
-    return Fraction(num, d)
+    m, sizes = group.order, group.class_sizes()
+    ratios = tuple([(v.numerator * size, v.denominator * m) for v, size in zip(ts, sizes)])
+    q, scaled, d_n = _common_of_ratios(ratios, x.n)
+    num = (q // m) ** (x.n - sum(counts))
+    for s, size, c in zip(scaled, sizes, counts):
+        num *= (s // size) ** c
+    return Fraction(num, d_n)
 
 
 def pewens_log_pmf(x: WreathElement, group: GroupTable, t) -> float:
@@ -302,16 +298,6 @@ def _log_pewens(n: int, group: GroupTable, params: WreathParams, counts) -> floa
     w = sum(params.thetas(group))  # also checks one weight per class
     total = sum([c * math.log(t) for t, c in zip(params.ts, counts)])
     return total - n * math.log(group.order) - _log_rising(w, n)
-
-
-@lru_cache(maxsize=256)
-def _wreath_common(ratios: tuple, sizes: tuple[int, ...], n: int) -> tuple[int, tuple, int]:
-    """(B, the scaled weights B t_l, D) for exact weights t_l, given by their
-    (numerator, denominator) pairs (``measure._ratios``, the cache key), on
-    classes of the given sizes: B is the lcm of the weight denominators and
-    D = prod_{i<n} (B sum_l t_l |c_l| + i B |G|) = (B|G|)^n (sum theta)_n."""
-    b, scaled = _scale(ratios)
-    return b, scaled, _rising(sum(map(math.prod, zip(scaled, sizes))), b * sum(sizes), n)
 
 
 def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:

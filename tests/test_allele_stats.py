@@ -151,6 +151,22 @@ class TestMoments:
                     got = var_k(n, th, l)
                     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("fn, n, t, want", [
+        (var_k, 10, 1e-160, 0.25),
+        (expected_k, 10, 1e-310, 0.5),
+        (var_k, 1000, 5e-324, 0.25),
+    ])
+    def test_tiny_masses_stay_finite(self, fn, n, t, want):
+        # the j = 0 term's (w + j)^-p overflows once w is tiny
+        assert fn(n, (t, t), 1) == pytest.approx(want, rel=1e-12)
+
+    def test_tiny_mass_class_moments(self):
+        assert class_moments(1000, (5e-324, 5e-324)) == [pytest.approx((0.5, 0.25))] * 2
+
+    def test_masses_with_infinite_sum_rejected(self):
+        with pytest.raises(ValueError, match="finite sum"):
+            class_moments(5, (1e308, 1e308))
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             expected_k(5, (F(1), F(2)), 0)

@@ -109,10 +109,8 @@ class TestMutationParams:
         # 1 and 1.0 hash alike, so a cache keyed by the masses themselves
         # could hand one backend's values to the other
         import multiewens.measure as measure
-        import multiewens.wreath as wreath
 
         measure._common_of_ratios.cache_clear()
-        wreath._wreath_common.cache_clear()
         p = mp([2, 1], [1])
         s = LabeledSetPartition(((1, frozenset({1, 2})), (2, frozenset({3}))), n=3)
         x = WreathElement((0, 1, 1), (1, 0, 2))
