@@ -73,7 +73,8 @@ def harmonic_h(n: int, p: int, x):
     rest is zeta(p, x) - zeta(p, x+n) (psi(x+n) - psi(x) at p = 1,
     psi'(x) - psi'(x+n) at p = 2) by the Euler-Maclaurin series, with each
     term a difference x^-m - (x+n)^-m built from positive parts, so small n
-    at large x loses nothing to cancellation.  Relative error is a few ulp.
+    at large x loses nothing to cancellation.  Relative error is a few ulp,
+    and a sum past the float range, at a tiny x, raises ValueError.
     """
     n, p = _at_least(n, 1, "n"), _at_least(p, 1, "p")
     if not 0 < x < math.inf:  # also rejects NaN
@@ -82,7 +83,11 @@ def harmonic_h(n: int, p: int, x):
         x = Fraction(x)
         lcm, (s,) = _harmonic_sums(n, x, (p,))
         return Fraction(x.denominator**p * s, lcm**p)
-    return _harmonic_float(n, p, float(x))
+    try:
+        return _harmonic_float(n, p, float(x))
+    except OverflowError:
+        raise ValueError(f"H^{p}_{n}(x) at x={x} is past the float range; a rational"
+                         f" x, such as Fraction({x!r}), takes the exact route") from None
 
 
 def _harmonic_sums(n: int, x: Fraction, ps: tuple[int, ...]) -> tuple[int, list[int]]:

@@ -10,8 +10,8 @@ The urn has three engines.  One draw of fewer than ``_KERNEL_STEPS`` steps
 runs in the interpreted loop ``_urn_run``; a longer one is built from all its
 uniforms at once by ``_urn_kernel``, which makes the same choices, so the
 engine never shows in the output.  The counting sampler runs many replicates
-at once in ``_urn_batch``.  These two and the restaurant's array engines
-(``wreath``) read every step from :func:`_steps`, and all six engines open
+at once in ``_urn_batch``.  These two and the restaurant's array engine
+(``wreath``) read every step from :func:`_steps`, and all five engines open
 a class by one rule: the number of partial sums of the masses below their
 total that lie at or below the scaled uniform (``bisect_right`` in the
 loops, :func:`_classes` in the arrays).  Both urn array engines find each
@@ -252,7 +252,8 @@ def _batched_counts(n: int, reps: int, seed: int, keys_of) -> Counter:
     raw: Counter = Counter()
     for start in range(0, reps, size):
         keys = keys_of(rng.random((n, min(size, reps - start))))
-        keys = keys[np.lexsort(keys.T)]
+        if len(keys) > 1:  # one run, as in every chunk past n = _CHUNK_CELLS / 2, is grouped
+            keys = keys[np.lexsort(keys.T)]
         first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
         counts = np.diff(np.r_[first, len(keys)])
         raw.update(dict(zip(map(tuple, keys[first].tolist()), counts.tolist())))

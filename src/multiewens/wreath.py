@@ -14,12 +14,13 @@ whose integer fields pass ``partitions._plain_ints`` and are never rounded;
 the elements the restaurant process, the enumerator and the group
 operations build skip that check through ``partitions._trusted``.
 
-The restaurant process takes one uniform per step and has three engines
+The restaurant process takes one uniform per step and has two engines
 that make the same choices on the same uniforms.  One draw of fewer than
 ``samplers._KERNEL_STEPS`` steps runs in the interpreted loop ``_crp_run``;
-a longer one is rebuilt from its insertion events by ``_crp_kernel``, so
-the engine never shows in the output.  The counting sampler runs many
-replicates at once in ``_crp_batch``.  All three take the urn's step with
+a longer one is rebuilt from its step codes (``_crp_codes``) by
+``_crp_assemble``, so the engine never shows in the output.  The counting
+sampler tallies its runs by their codes, which name an element one to one,
+and rebuilds each distinct run once.  Both engines take the urn's step with
 |G| slots per placed element (``samplers._steps`` in the arrays), and a new
 cycle's entry follows the urn's class rule over the entry weights.
 """
@@ -318,7 +319,8 @@ def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
     if n < _KERNEL_STEPS:
         g, s = _crp_run(n, group, ts, rng)
     else:
-        g, s = _crp_kernel(group, ts, _uniforms(rng, n))
+        codes = _crp_codes(group, ts, _uniforms(rng, n)[:, None])
+        g, s = (a[0].tolist() for a in _crp_assemble(group, codes))
     return _trusted(WreathElement, g=tuple(g), s=tuple(s))
 
 
@@ -363,20 +365,27 @@ def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
     return g, s
 
 
-def _crp_choices(group: GroupTable, ts: list, u: np.ndarray):
-    """Each step's choice on the uniforms u (:func:`samplers._steps`): the
-    opening mask, the position inserted after (its own where it opens) and
-    the entry, the new cycle's (:func:`samplers._classes`) where it opens."""
+def _crp_codes(group: GroupTable, ts: list, u: np.ndarray) -> np.ndarray:
+    """Each step's code on the uniforms u, one step per row
+    (:func:`samplers._steps`): pos |G| + entry, where a step j that opens a
+    cycle has pos j and the new cycle's entry (:func:`samplers._classes`),
+    and any other step inserts its entry after the earlier element pos.  The
+    n! |G|^n code sequences of n steps are as many as the elements of
+    G wr S(n), each of which some sequence builds, so a run's codes name its
+    element one to one."""
     cum = _entry_weights(group, ts)
     x, new, pair = _steps(u, cum, group.order)
-    pos, entry = np.divmod(pair, group.order)  # entry 0 where it opens, at slot j |G|
-    return new, pos, entry + _classes(x, new, cum)
+    return pair + _classes(x, new, cum)
 
 
-def _crp_kernel(group: GroupTable, ts: list, u: np.ndarray):
-    """:func:`_crp_run` on the uniforms u, with no loop over the steps.
+def _crp_assemble(group: GroupTable, codes: np.ndarray):
+    """:func:`_crp_run` on each column of the (n, r) step codes of
+    :func:`_crp_codes`, with no loop over the steps; returns g and s as
+    (r, n) arrays, one row per run.
 
-    The steps' choices come from :func:`_crp_choices`.  The final s follows
+    The runs are laid end to end, run c's positions offset by c n, so a
+    step opens a cycle where its offset position is its own flat index.
+    The final s follows
     from the insertions grouped by host: a host's successor is its last
     insertion, and an element placed by a step has as successor the host's
     insertion before it, or for the host's first insertion the host's own
@@ -384,24 +393,26 @@ def _crp_kernel(group: GroupTable, ts: list, u: np.ndarray):
     (:func:`samplers._roots`).  A host's entry is left-multiplied by its
     insertions' inverse entries in time order, one pass per insertion rank.
     """
-    n, m = len(u), group.order
-    new, pos, g = _crp_choices(group, ts, u)
-    ins = np.flatnonzero(~new)
-    host, placed = np.divmod(np.sort(pos[ins] * n + ins), n)  # by host, then time
+    (n, r), m = codes.shape, group.order
+    size, base = n * r, n * np.arange(r)[:, None]
+    pos, g = np.divmod(codes.T, m)
+    pos, g = (pos + base).ravel(), g.ravel()
+    ins = np.flatnonzero(pos != np.arange(size))
+    host, placed = np.divmod(np.sort(pos[ins] * size + ins), size)  # by host, then time
     first = np.ones(len(placed), dtype=bool)
     first[1:] = host[1:] != host[:-1]
     last = np.ones(len(placed), dtype=bool)
     last[:-1] = first[1:]
-    succ = np.arange(n)  # each element's successor when placed
+    succ = np.arange(size)  # each element's successor when placed
     later = np.flatnonzero(~first)
     succ[placed[later]] = placed[later - 1]
-    parent = np.arange(n)
+    parent = np.arange(size)
     parent[placed[first]] = host[first]
     s = succ[_roots(parent)]
     s[host[last]] = placed[last]
     idx = np.arange(len(placed))
     rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
-    by_rank = np.sort(rank * n + idx) % n
+    by_rank = np.sort(rank * size + idx) % size
     undo = np.array(_undo(group)).ravel()
     born, lo = g[placed], 0
     for hi in np.cumsum(np.bincount(rank)).tolist():
@@ -409,31 +420,7 @@ def _crp_kernel(group: GroupTable, ts: list, u: np.ndarray):
         h = host[at]
         g[h] = undo[born[at] * m + g[h]]
         lo = hi
-    return g.tolist(), s.tolist()
-
-
-def _crp_batch(n: int, group: GroupTable, ts: list, u: np.ndarray) -> np.ndarray:
-    """Run the restaurant process on each column of the (n, r) uniforms u.
-
-    Step j makes the choice of :func:`_crp_run` on u[j]
-    (:func:`_crp_choices`).  A run that opens a cycle is inserted after its
-    own position j, where s[j] = j, which changes no other entry.  Returns
-    one row (g, s) of 2n ints per run.
-    """
-    m, r = group.order, u.shape[1]
-    _, pos, entry = _crp_choices(group, ts, u)
-    undo = np.array(_undo(group)).ravel()
-    g = entry.copy()  # row 0 as placed; row j is set again at step j
-    s = np.zeros((n, r), dtype=np.intp)
-    g_flat, s_flat = g.ravel(), s.ravel()
-    for j, at in enumerate(pos[1:] * r + np.arange(r), start=1):
-        s[j] = j
-        host = s_flat.take(at)
-        s_flat[at] = j
-        s[j] = host
-        g_flat[at] = undo.take(entry[j] * m + g_flat.take(at))
-        g[j] = entry[j]
-    return np.concatenate((g, s)).T
+    return g.reshape(r, n), s.reshape(r, n) - base
 
 
 def crp_element_counts(
@@ -442,16 +429,19 @@ def crp_element_counts(
     """Empirical counts of restaurant-process draws, keyed by WreathElement.
 
     The process of :func:`crp_wreath_sample`, run on many replicates at
-    once off one numpy stream (:func:`_crp_batch`), so its stream is not
-    that of the one-draw sampler; intended for desk-scale n where the
-    number of distinct elements is small.  Each distinct (g, s) is built
-    once.
+    once off one numpy stream, so its stream is not that of the one-draw
+    sampler.  Runs are tallied by their step codes (:func:`_crp_codes`) and
+    the distinct ones built by one :func:`_crp_assemble`, so the cost is
+    paid once per distinct run: the sampler is intended for desk-scale n
+    where the number of distinct elements is small.
     """
     ts = [float(v) for v in _wreath_params(t)._per_class(group)]
     n = _at_least(n, 1, "n")
-    raw = _batched_counts(n, reps, seed, lambda u: _crp_batch(n, group, ts, u))
+    raw = _batched_counts(n, reps, seed, lambda u: _crp_codes(group, ts, u).T)
+    g, s = _crp_assemble(group, np.array(list(raw), dtype=np.intp).reshape(-1, n).T)
     return Counter({
-        _trusted(WreathElement, g=key[:n], s=key[n:]): c for key, c in raw.items()
+        _trusted(WreathElement, g=tuple(gv), s=tuple(sv)): c
+        for gv, sv, c in zip(g.tolist(), s.tolist(), raw.values())
     })
 
 

@@ -65,6 +65,13 @@ class TestHarmonic:
         with pytest.raises(ValueError, match="positive and finite"):
             harmonic_h(3, 1, x)
 
+    @pytest.mark.parametrize("p,x", [(2, 1e-160), (1, 5e-324)])
+    def test_float_sum_past_the_float_range(self, p, x):
+        # x^-p alone overflows a float; the rational x gives the exact sum
+        with pytest.raises(ValueError, match=f"x={x!r} is past the float range.*exact route"):
+            harmonic_h(10, p, x)
+        assert harmonic_h(10, p, F(x)) > F(10) ** 308
+
     def test_float_matches_fsum_grid(self):
         xs = [1e-3, 1e-2, 0.1, 0.5, 1.0, 7.3, 9.99, 10.0, 19.5, 1e2, 1e3, 1e4, 1e5, 1e6]
         for x in xs:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from multiewens import samplers
 from multiewens.measure import refined_esf_pmf
 from multiewens.partitions import (
     LabeledSetPartition,
@@ -358,6 +359,17 @@ class TestUrnCountingEdges:
         counts = hoppe_urn_partition_counts(1, (1.0, 3.0), 4000, seed=3)
         assert set(counts) <= {mp([1], []), mp([], [1])} and sum(counts.values()) == 4000
         assert abs(counts[mp([1], [])] / 4000 - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 4000)
+
+    def test_one_run_chunks_skip_the_sort(self, monkeypatch):
+        # past n = _CHUNK_CELLS / 2 each chunk holds one run, which is grouped already
+        n, th, reps = 6, (1.0, 2.0), 40
+        rng, want = np.random.default_rng(7), Counter()
+        for _ in range(reps):
+            (key,) = _urn_batch(n, list(th), rng.random((n, 1))).tolist()
+            want[_from_alleles((divmod(c, n + 1) for c in key if c), 2)] += 1
+        monkeypatch.setattr(samplers, "_CHUNK_CELLS", n)
+        monkeypatch.setattr(np, "lexsort", lambda keys: pytest.fail("sorted a one-run chunk"))
+        assert hoppe_urn_partition_counts(n, th, reps, seed=7) == want
 
 
 class TestUrnManyColours:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -12,8 +13,8 @@ from multiewens.wreath import (
     GroupTable,
     WreathElement,
     WreathParams,
-    _crp_batch,
-    _crp_kernel,
+    _crp_assemble,
+    _crp_codes,
     _crp_run,
     crp_element_counts,
     crp_wreath_sample,
@@ -412,15 +413,15 @@ class TestRestaurantEnginesAgainstExactLaw:
                 return 1.0 - 2.0**-53
 
         for group, ts in ((cyclic_group(2), [4 / 7, 1 / 3]), (symmetric_group_3(), [0.2, 0.5, 3.0])):
-            (row,) = _crp_batch(4, group, ts, np.full((4, 1), 1.0 - 2.0**-53)).tolist()
+            g, s = _crp_assemble(group, _crp_codes(group, ts, np.full((4, 2), 1.0 - 2.0**-53)))
             gv, sv = _crp_run(4, group, ts, TopDraw())
-            assert row == gv + sv
-            assert _crp_kernel(group, ts, np.full(4, 1.0 - 2.0**-53)) == (gv, sv)
+            assert g.tolist() == [gv, gv] and s.tolist() == [sv, sv]
             assert sorted(sv) == [0, 1, 2, 3]
 
 
 class TestRestaurantKernel:
-    """The three restaurant engines make the same choices on the same uniforms."""
+    """The two restaurant engines make the same choices on the same uniforms,
+    with several runs laid end to end in one block of codes."""
 
     CASES = [
         (trivial_group(), [1.0]),
@@ -432,20 +433,32 @@ class TestRestaurantKernel:
     @pytest.mark.parametrize("group,ts", CASES)
     def test_loop_kernel_and_batch_agree(self, group, ts):
         for n in list(range(1, 40)) + [_KERNEL_STEPS, 3000]:
-            seed = 100 * n + group.order
-            u = _uniforms(random.Random(seed), n)
-            g, s = _crp_run(n, group, ts, random.Random(seed))
-            assert _crp_kernel(group, ts, u) == (g, s)
-            if n < 40:
-                assert _crp_batch(n, group, ts, u[:, None]).tolist() == [g + s]
+            seeds = [100 * n + group.order + c for c in range(3 if n < 40 else 2)]
+            u = np.column_stack([_uniforms(random.Random(seed), n) for seed in seeds])
+            g, s = _crp_assemble(group, _crp_codes(group, ts, u))
+            assert g.shape == s.shape == (len(seeds), n)
+            for gv, sv, seed in zip(g.tolist(), s.tolist(), seeds):
+                assert (gv, sv) == _crp_run(n, group, ts, random.Random(seed))
 
     def test_kernel_without_insertions(self):
         # weights so large that every step opens its own cycle
-        group, n = cyclic_group(2), _KERNEL_STEPS
-        u = _uniforms(random.Random(3), n)
-        g, s = _crp_kernel(group, [1e300, 1e300], u)
-        assert s == list(range(n))
-        assert (g, s) == _crp_run(n, group, [1e300, 1e300], random.Random(3))
+        group, n, seeds = cyclic_group(2), _KERNEL_STEPS, (3, 4)
+        u = np.column_stack([_uniforms(random.Random(seed), n) for seed in seeds])
+        g, s = _crp_assemble(group, _crp_codes(group, [1e300, 1e300], u))
+        assert s.tolist() == [list(range(n))] * 2
+        for gv, sv, seed in zip(g.tolist(), s.tolist(), seeds):
+            assert (gv, sv) == _crp_run(n, group, [1e300, 1e300], random.Random(seed))
+
+    @pytest.mark.parametrize("group", [trivial_group(), cyclic_group(2), symmetric_group_3()])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_code_sequences_name_every_element_once(self, group, n):
+        # step j has (j + 1)|G| codes, so n steps have n! |G|^n sequences
+        m = group.order
+        codes = np.array(list(itertools.product(*(range((j + 1) * m) for j in range(n))))).T
+        g, s = _crp_assemble(group, codes)
+        built = {WreathElement(gv, sv) for gv, sv in zip(g.tolist(), s.tolist())}
+        assert len(built) == codes.shape[1] == math.factorial(n) * m**n
+        assert built == set(enumerate_wreath_elements(n, group))
 
     def test_sampler_uses_the_kernel_above_the_cutoff(self):
         group, ts = symmetric_group_3(), (1.0, 2.0, 0.5)
@@ -454,7 +467,24 @@ class TestRestaurantKernel:
             assert crp_wreath_sample(n, group, ts, 9) == WreathElement(g, s)
 
 
+class _Replay:
+    """Stands in for random.Random in _crp_run, returning the given uniforms."""
+
+    def __init__(self, u):
+        self.random = iter(u.tolist()).__next__
+
+
 class TestCrpCountingEdges:
+    @pytest.mark.parametrize("group,ts", TestRestaurantKernel.CASES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_counts_replay_the_loop_on_the_same_uniforms(self, group, ts, n):
+        # the counting sampler's numpy stream, chunk by chunk, one column per run
+        reps, rng, want = _CHUNK_RUNS + 500, np.random.default_rng(21), Counter()
+        for size in (_CHUNK_RUNS, 500):
+            for u in rng.random((n, size)).T:
+                want[WreathElement(*_crp_run(n, group, ts, _Replay(u)))] += 1
+        assert crp_element_counts(n, group, ts, reps, seed=21) == want
+
     def test_no_reps_gives_empty_counter(self):
         assert crp_element_counts(3, cyclic_group(2), (1.0, 2.0), 0, seed=3) == Counter()
 
