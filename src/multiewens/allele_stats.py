@@ -434,7 +434,7 @@ def clt_scaling(n: int, theta, beta: float) -> ClltScaling:
     if beta <= 1.5:
         cent = tuple(t * math.log1p(n / w) for t in thetas)
         var = tuple(
-            c - n * t * t / (w * (w + n)) for c, t in zip(cent, thetas)
+            c - (t / w) * (n * t / (w + n)) for c, t in zip(cent, thetas)
         )
         if any(v <= 0 for v in var):
             raise UnsupportedRegimeError("degenerate variance in this regime")

@@ -98,20 +98,23 @@ def _group_by_name(name: str) -> wreath.GroupTable:
     )
 
 
+def _decimal(value: int) -> str:
+    """value in decimal, past Python's default 4,300-digit limit: size guards bound it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _prob_record(value, log_law=None, *args) -> dict:
     """prob and log_prob of value, the law's exact Fraction or its float; a
     float's log_prob is log_law(*args), finite where the float underflows to 0."""
     if isinstance(value, Fraction):
         num, den = value.numerator, value.denominator
         log_prob = -math.inf if num == 0 else math.log(num) - math.log(den)
-        # the size guard on exact laws bounds this conversion, which Python
-        # refuses past 4,300 digits by default
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            rational = f"{num}/{den}"
-        finally:
-            sys.set_int_max_str_digits(limit)
+        rational = f"{_decimal(num)}/{_decimal(den)}"
         return {"rational": rational, "prob": float(value), "log_prob": log_prob}
     return {"prob": float(value), "log_prob": None if log_law is None else log_law(*args)}
 
@@ -189,7 +192,7 @@ def cmd_enumerate(n, k, count):
     """List every multiple partition of n into k components, one per line."""
     total = count_multipartitions(n, k)
     if count:
-        click.echo(str(total))
+        click.echo(_decimal(total))
         return
     if total > _ENUMERATION_CAP:
         raise click.ClickException(

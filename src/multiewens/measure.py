@@ -9,8 +9,9 @@ The backend is picked from the mass types.  When every theta is an int or a
 Fraction (the oracle path), each law is an integer numerator over a cached
 integer denominator, built into one Fraction.  Otherwise each law is one sum
 of logs written beside its exact kernel, with lgamma for the factorials and
-the rising factorials (:func:`_log_rising`), which stays finite far beyond
-the n where (w)_n would overflow.
+the rising factorials (:func:`_log_rising`, in Stirling's form at masses far
+above n), which stays finite far beyond the n where (w)_n would overflow and
+at most 0 at any positive finite mass.
 
 Exact laws of size n share one denominator: with Q the lcm of the mass
 denominators, D_n = prod_{i<n} (Qw + iQ) = Q^n (w)_n and P(p) = N(p) / D_n for
@@ -217,8 +218,20 @@ def _exact_common(theta, k: int, n: int, what: str, states=count_multipartitions
 
 
 def _log_rising(x, m: int) -> float:
-    """log (x)_m for x > 0, as lgamma(x + m) - lgamma(x)."""
-    return math.lgamma(x + m) - math.lgamma(x)
+    """log (x)_m for x > 0: lgamma(x + m) - lgamma(x) where x <= m or x < 10.
+    Above, those two share most of their digits, so Stirling's form is taken:
+    m log x + (x + m - 1/2) log1p(m/x) - m + d(x + m) - d(x), with d the
+    remainder lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2."""
+    if x <= m or x < 10:
+        return math.lgamma(x + m) - math.lgamma(x)
+    return (m * math.log(x) + (x + m - 0.5) * math.log1p(m / x) - m
+            + _stirling_remainder(x + m) - _stirling_remainder(x))
+
+
+def _stirling_remainder(z: float) -> float:
+    """d(z) of :func:`_log_rising` at z >= 10, by its series to z^-11 (error < 1e-15)."""
+    r = 1 / (z * z)
+    return (1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r * (1/1188 - r * 691/360360))))) / z
 
 
 def _log_esf(components, thetas, w) -> float:
@@ -231,7 +244,8 @@ def _log_esf(components, thetas, w) -> float:
         total += comp.n_rows * log(th)
         for j, a in comp.multiplicities().items():
             total -= a * log(j) + lgamma(a + 1)
-    return total + lgamma(n + 1) - _log_rising(w, n)
+    log_p = total + lgamma(n + 1) - _log_rising(w, n)
+    return 0.0 if log_p > 0 else log_p  # a near-sure state may round above 0
 
 
 def _esf_numerator(components, q: int, scaled) -> int:
@@ -289,24 +303,22 @@ def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:
     component is an independent single-class Ewens diagram given its size.
     Exact: the size law is n!/prod n_l! * prod R_l over D_n, with
     R_l = Q^{n_l} (theta_l)_{n_l}, and component l adds N_l / R_l from
-    :func:`_single_class_numerator`.  Kept separate from
-    :func:`refined_esf_pmf` as a cross-checking route.
+    :func:`_single_class_numerator`, an exact cross-check of
+    :func:`refined_esf_pmf`.  Float masses take that law's log-sum, in which
+    the factors (theta_l)_{n_l}/n_l! of the factorization cancel.
     """
     params = _params(theta)
     comps = p.components
     _check_k(len(comps), params)
+    if not params.is_exact:
+        return math.exp(_log_esf(comps, params.thetas, params.w))
     sizes = [sum(comp.rows) for comp in comps]
     n = sum(sizes)
-    if params.is_exact:
-        q, scaled, d_n = _common(params.thetas, n)
-        risings = math.prod(map(_rising, scaled, (q,) * len(sizes), sizes))
-        size_law = math.factorial(n) // math.prod(map(math.factorial, sizes)) * risings
-        singles = math.prod(map(_single_class_numerator, comps, (q,) * len(sizes), scaled, sizes))
-        return Fraction(size_law * singles, d_n * risings)
-    total = math.lgamma(n + 1) - _log_rising(params.w, n)
-    for th, comp, m in zip(params.thetas, comps, sizes):
-        total += _log_rising(th, m) - math.lgamma(m + 1) + _log_esf((comp,), (th,), th)
-    return math.exp(total)
+    q, scaled, d_n = _common(params.thetas, n)
+    risings = math.prod(map(_rising, scaled, (q,) * len(sizes), sizes))
+    size_law = math.factorial(n) // math.prod(map(math.factorial, sizes)) * risings
+    singles = math.prod(map(_single_class_numerator, comps, (q,) * len(sizes), scaled, sizes))
+    return Fraction(size_law * singles, d_n * risings)
 
 
 def _single_class_numerator(comp: YoungDiagram, q: int, s: int, m: int) -> int:
@@ -456,7 +468,8 @@ def labeled_set_partition_pmf(s: LabeledSetPartition, theta) -> Numeric:
         q, scaled, d_n = _common(params.thetas, s.n)
         return Fraction(_set_partition_numerator(s, q, scaled), d_n)
     logs = [math.log(params.thetas[label - 1]) + math.lgamma(len(e)) for label, e in s.blocks]
-    return math.exp(sum(logs) - _log_rising(params.w, s.n))
+    log_p = sum(logs) - _log_rising(params.w, s.n)
+    return math.exp(0.0 if log_p > 0 else log_p)
 
 
 def _set_partition_numerator(s: LabeledSetPartition, q: int, scaled) -> int:

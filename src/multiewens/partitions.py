@@ -17,17 +17,19 @@ its own check.  Values the library builds from checked parts (the
 enumerators, the box-removal and union maps, the count matrix of a
 partition) skip those checks through :func:`_trusted`.
 
-The exact counting kernels (here the partition series and the labelled
-set-partition count, in :mod:`multiewens.allele_stats` the Stirling row)
-cost O(n^2) big-integer steps or more; :func:`_exact_work_guard` refuses one
-that would not finish in about a second, before any work.  The two counts
-here also size the sweeps behind the state cap of ``measure._exact_common``.
+The exact counting kernels (here the multiple-partition count by Euler's
+divisor-sum recurrence and the labelled set-partition count, in
+:mod:`multiewens.allele_stats` the Stirling row) cost O(n^2) big-integer
+steps or more; :func:`_exact_work_guard` refuses one that would not finish
+in about a second, before any work.  The two counts here also size the
+sweeps behind the state cap of ``measure._exact_common``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Iterator, Sequence
@@ -321,54 +323,33 @@ def _exact_work_guard(what: str, steps: int, bits: float):
         )
 
 
-def _partition_counts(n: int) -> list[int]:
-    """[p(0), ..., p(n)], the integer partitions of each size, built bottom-up
-    by admitting one part size at a time."""
-    counts = [1] + [0] * n
-    for part in range(1, n + 1):
-        for m in range(part, n + 1):
-            counts[m] += counts[m - part]
-    return counts
-
-
-def _series_product(a: list[int], b: list[int]) -> list[int]:
-    """Product of two power series truncated to the length of a."""
-    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
-
-
-def _series_power(a: list[int], e: int) -> list[int]:
-    """a**e, e >= 1, truncated to the length of a, by binary powering."""
-    result = None
-    while True:
-        if e & 1:
-            result = a if result is None else _series_product(result, a)
-        e >>= 1
-        if not e:
-            return result
-        a = _series_product(a, a)
+def _divisor_sums(n: int) -> list[int]:
+    """[0, sigma(1), ..., sigma(n)], sigma(j) the sum of the divisors of j."""
+    sigma = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            sigma[m] += d
+    return sigma
 
 
 def count_multipartitions(n: int, k: int) -> int:
-    """|Y_n^(k)| = [x^n] P(x)^k, with P(x) = sum_m p(m) x^m the partition
-    series: P^k = H H' with H = P^(k//2) and H' = H or H P, truncated
-    after x^n, and only the x^n coefficient of the last product is formed,
-    so k = 2 costs O(n) products."""
+    """|Y_n^(k)| = [x^n] P(x)^k, with P(x) = prod_j 1/(1 - x^j) the partition
+    series.  Since log P(x) = sum_j sigma(j) x^j / j, the coefficients a_m of
+    P^k satisfy Euler's recurrence m a_m = k sum_{j=1..m} sigma(j) a_{m-j},
+    a_0 = 1: one divisor-sum sieve and about n^2/2 products at any k."""
     n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
-    e = k // 2  # series products: the squarings and multiplies of P^e, one more at odd k
-    products = (e.bit_length() - 1) + (e.bit_count() - 1) + k % 2 if k > 1 else 0
     # |Y_n^(k)| is at most C(n+k-1, n) p(n), and p(n) < exp(pi sqrt(2n/3))
     log_bound = (math.lgamma(n + k) - math.lgamma(n + 1) - math.lgamma(k)
                  + math.pi * math.sqrt(2 * n / 3))
     _exact_work_guard(
         f"counting multiple partitions of n={n} into k={k}",
-        (n + 1) ** 2 // 2 * (1 + products), log_bound / math.log(2),
+        (n + 1) ** 2 // 2, log_bound / math.log(2),
     )
-    p = _partition_counts(n)
-    if k == 1:
-        return p[n]
-    half = _series_power(p, k // 2)
-    other = half if k % 2 == 0 else _series_product(half, p)
-    return sum(half[i] * other[n - i] for i in range(n + 1))
+    k_sigma = [k * s for s in _divisor_sums(n)]
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(map(operator.mul, k_sigma[m:0:-1], a)) // m)
+    return a[n]
 
 
 def _labelled_count(m: int, k: int) -> int:

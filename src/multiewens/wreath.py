@@ -295,10 +295,12 @@ def _class_counts(x: WreathElement, group: GroupTable) -> list[int]:
 
 
 def _log_pewens(n: int, group: GroupTable, params: WreathParams, counts) -> float:
-    """The log-sum of :func:`pewens_log_pmf` for the cycle counts of each class."""
+    """The log-sum of :func:`pewens_log_pmf` for the cycle counts of each class,
+    at most 0, as in ``measure._log_esf``."""
     w = sum(params.thetas(group))  # also checks one weight per class
     total = sum([c * math.log(t) for t, c in zip(params.ts, counts)])
-    return total - n * math.log(group.order) - _log_rising(w, n)
+    log_p = total - n * math.log(group.order) - _log_rising(w, n)
+    return 0.0 if log_p > 0 else log_p
 
 
 def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:

@@ -432,6 +432,13 @@ class TestCltScaling:
         assert sc.centering[0] == pytest.approx(want_c)
         assert sc.variance[0] == pytest.approx(want_c - n * 4.0 / (w * (w + n)))
 
+    def test_moderate_growth_at_huge_masses(self):
+        # n t^2 / (w (w + n)) once formed inf / inf and returned a NaN variance
+        sc = clt_scaling(10, (1e300, 1e300), 1.0)
+        assert sc.centering == pytest.approx((5.0, 5.0)) and sc.variance == pytest.approx((2.5, 2.5))
+        with pytest.raises(UnsupportedRegimeError, match="degenerate variance"):
+            clt_scaling(10, (1e300, 1.0), 1.0)
+
     def test_fast_growth_binomial_form(self):
         n, th = 500, (1.0, 3.0)
         sc = clt_scaling(n, th, 2.0)

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from multiewens import allele_stats, measure, wreath
 from multiewens.cli import main
 from multiewens.partitions import (
+    count_multipartitions,
     multipartition_from_lists,
     multipartition_to_lists,
 )
@@ -387,6 +388,17 @@ class TestLargeInputs:
         # C(1001, 2) size compositions of 2 into 1000 parts, counted without recursion
         res = runner.invoke(main, ["enumerate", "--n", "2", "--k", "1000", "--count"])
         assert res.exit_code == 0 and res.stdout == "501500\n"
+
+    def test_enumerate_count_past_the_digit_limit(self, runner):
+        # the counting guard accepts n = 653 at k = 10**9, whose count has
+        # more than the 4,300 digits that Python converts by default
+        limit = sys.get_int_max_str_digits()
+        res = runner.invoke(main, ["enumerate", "--n", "653", "--k", str(10**9), "--count"])
+        assert res.exit_code == 0, res.output
+        assert sys.get_int_max_str_digits() == limit
+        got = res.stdout.strip()
+        assert len(got) > 4_300 and got.isdigit()
+        assert int(got[-30:]) == count_multipartitions(653, 10**9) % 10**30
 
     def test_verify_refuses_before_working(self, runner):
         start = time.perf_counter()

@@ -37,6 +37,7 @@ from multiewens.wreath import (
     crp_wreath_sample,
     cycle_type,
     cyclic_group,
+    enumerate_wreath_elements,
     pewens_log_pmf,
     pewens_pmf,
     symmetric_group_3,
@@ -447,6 +448,52 @@ class TestFloatAtLargeN:
             got = pewens_log_pmf(x, group, tuple(map(float, ts)))
             assert abs(got - exact) <= 1e-10
             assert pewens_pmf(x, group, tuple(map(float, ts))) == math.exp(got)
+
+
+# masses from 1e-300 to 1e300, alone, beside 1 and beside their inverse
+_MASSES = [10.0**e for e in (-300, -200, -100, -30, -16, -10, -3, 0, 3, 10, 14, 16, 20, 30,
+                             100, 200, 300)] + [0.37, 7.5]
+_AT_ANY_MASS = [th for s in _MASSES for th in ((s, s), (s, 1.0), (1.0, s), (s, 1 / s, 2.5))]
+
+
+class TestFloatAtAnyMass:
+    """Every float law and log law against the exact law on Fraction copies of
+    the same masses, over every state at desk size.  The bound was fixed
+    before the first run: |log error| <= 1e-11 max(1, |exact log|), the
+    probability within that relative error, no probability above 1 and no
+    log-probability above 0."""
+
+    @staticmethod
+    def _check(exact, log_p=None, probs=()):
+        want = _exact_log(exact)
+        tol = 1e-11 * max(1.0, abs(want))
+        if log_p is not None:
+            assert log_p <= 0 and abs(log_p - want) <= tol
+        for prob in probs:
+            assert 0 <= prob <= 1
+            assert abs(prob - math.exp(want)) <= tol * math.exp(want) + 1e-300
+
+    @pytest.mark.parametrize("th", _AT_ANY_MASS, ids=str)
+    def test_refined_and_factorized(self, th):
+        exact_th = tuple(map(F, th))
+        for p in enumerate_multipartitions(6 if len(th) == 2 else 4, len(th)):
+            self._check(refined_esf_pmf(p, exact_th), refined_esf_log_pmf(p, th),
+                        (refined_esf_pmf(p, th), refined_esf_pmf_factorized(p, th)))
+
+    @pytest.mark.parametrize("th", _AT_ANY_MASS, ids=str)
+    def test_labelled_set_partition(self, th):
+        exact_th = tuple(map(F, th))
+        for s in labeled_set_partitions(4, len(th)):
+            self._check(labeled_set_partition_pmf(s, exact_th),
+                        probs=(labeled_set_partition_pmf(s, th),))
+
+    @pytest.mark.parametrize("ts", _AT_ANY_MASS, ids=str)
+    def test_wreath(self, ts):
+        exact_ts = tuple(map(F, ts))
+        n, group = (3, cyclic_group(2)) if len(ts) == 2 else (2, symmetric_group_3())
+        for x in enumerate_wreath_elements(n, group):
+            self._check(pewens_pmf(x, group, exact_ts), pewens_log_pmf(x, group, ts),
+                        (pewens_pmf(x, group, ts),))
 
 
 # non-integer masses with 12-bit numerators and denominators, as in the

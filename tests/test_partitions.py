@@ -121,9 +121,9 @@ class TestEnumeration:
         seen = set(enumerate_multipartitions(6, 3))
         assert len(seen) == count_multipartitions(6, 3)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [*range(1, 13), 1000])
     def test_counts_match_pentagonal_oracle(self, k):
-        for n in range(0, 15 if k <= 2 else 10):
+        for n in range(0, 61 if k <= 12 else 31):
             assert count_multipartitions(n, k) == multipartition_count(n, k)
 
     def test_enumeration_length_matches_count(self):
@@ -415,10 +415,28 @@ class TestCountsAtLargeSize:
     def test_size_guard_refuses_before_any_work(self, monkeypatch):
         import multiewens.partitions as partitions
 
-        monkeypatch.setattr(partitions, "_partition_counts", lambda n: pytest.fail("counted"))
-        for n, k in [(100_000, 2), (5000, 2), (1000, 1000), (300, 10**6)]:
+        monkeypatch.setattr(partitions, "_divisor_sums", lambda n: pytest.fail("counted"))
+        for n, k in [(100_000, 2), (5000, 2), (5000, 1000), (2000, 10**6)]:
             with pytest.raises(ValueError, match=f"n={n} into k={k} is too large"):
                 count_multipartitions(n, k)
+
+    @pytest.mark.parametrize("n,k", [(1000, 1000), (300, 10**6)])
+    def test_counts_at_many_classes(self, n, k):
+        # accepted, as the recurrence costs the same at every k; checked
+        # modulo two primes against binary powering of the partition series
+        p = [partition_count(m) for m in range(n + 1)]  # in order: shallow recursion
+        got = count_multipartitions(n, k)
+        for prime in (999_983, 1_000_003):  # each convolution sum stays below 2**50
+            base = np.array([v % prime for v in p], dtype=np.int64)
+            power = np.zeros(n + 1, dtype=np.int64)
+            power[0] = 1
+            e = k
+            while e:
+                if e & 1:
+                    power = np.convolve(power, base)[: n + 1] % prime
+                base = np.convolve(base, base)[: n + 1] % prime
+                e >>= 1
+            assert got % prime == power[n]
 
     @pytest.mark.parametrize("k", [2, 1000])
     def test_largest_accepted_count_is_prompt(self, monkeypatch, k):
@@ -432,7 +450,7 @@ class TestCountsAtLargeSize:
 
         def accepted(n):
             with monkeypatch.context() as m:
-                m.setattr(partitions, "_partition_counts", stop)
+                m.setattr(partitions, "_divisor_sums", stop)
                 try:
                     count_multipartitions(n, k)
                 except Accepted:
