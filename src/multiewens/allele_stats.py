@@ -199,15 +199,15 @@ def _moments(n: int, params, ls, with_var: bool) -> list[tuple]:
     n = _at_least(n, 1, "n")
     if params.is_exact:
         return _moments_exact(n, params, ls, with_var)
-    # the j = 0 terms, whose w^-p overflows at tiny w, are taken out as
-    # q_0 = theta_l / w and q_0 r / w; the harmonic sums start at w + 1
-    w = float(params.w)
-    if w == math.inf:
-        raise ValueError(f"the masses must have a finite sum, got {w}")
-    h1 = _harmonic_float(n - 1, 1, w + 1)
-    if with_var:
-        h2 = _harmonic_float(n - 1, 2, w + 1)
-        spread = _spread_float(n, w)
+    w = float(params.w)  # finite, by MutationParams
+    flat = w >= 2.0**54 * n  # every w + j rounds to w, so q_j = theta_l / w
+    if not flat:
+        # the j = 0 terms, whose w^-p overflows at tiny w, are taken out as
+        # q_0 = theta_l / w and q_0 r / w; the harmonic sums start at w + 1
+        h1 = _harmonic_float(n - 1, 1, w + 1)
+        if with_var:
+            h2 = _harmonic_float(n - 1, 2, w + 1)
+            spread = _spread_float(n, w)
     out = []
     for l in ls:
         th = params.thetas[l - 1]
@@ -215,8 +215,9 @@ def _moments(n: int, params, ls, with_var: bool) -> list[tuple]:
         var = None
         if with_var:
             rest = sum(params.thetas[: l - 1] + params.thetas[l:])
-            var = q0 * (rest / w) + th * (rest * h2 + spread)
-        out.append((q0 + th * h1, var))
+            var = (q0 * (n * (rest / w) + n * (n - 1) / 2 / w) if flat
+                   else q0 * (rest / w) + th * (rest * h2 + spread))
+        out.append((n * q0 if flat else q0 + th * h1, var))
     return out
 
 
@@ -275,7 +276,8 @@ def class_moments(n: int, theta) -> list[tuple]:
     G_n(w) = sum_{j<n} j/(w+j)^2: both parts are sums of nonnegative terms,
     so a float variance is never negative and is exactly 0 at k = 1, n = 1.
     The j = 0 terms of the float sums come out as q_0 = theta_l/w in the
-    mean and q_0 r/w in the variance, so that tiny masses stay finite.
+    mean and q_0 r/w in the variance, so that tiny masses stay finite.  At
+    w >= 2^54 n, where w + j rounds to w, E = n q_0 and Var = q_0 (n r + n(n-1)/2)/w.
     Rational masses give exact Fractions, built from one lcm tree of H^1
     and H^2 (see :func:`_moments_exact`).
     """

@@ -76,8 +76,8 @@ Numeric = Union[int, Fraction, float]
 class MutationParams:
     """Per-class mutation masses theta_l > 0; w is their sum.
 
-    Pass ints or Fractions to unlock the exact rational backend; floats
-    evaluate each law as one sum of logs.
+    Pass ints or Fractions to unlock the exact rational backend; floats,
+    whose sum must be finite, evaluate each law as one sum of logs.
     """
 
     thetas: tuple[Numeric, ...]
@@ -90,6 +90,8 @@ class MutationParams:
         if not _positive_finite(thetas):
             shown = ", ".join(map(str, thetas))
             raise ValueError(f"mutation masses must be positive and finite, got ({shown})")
+        if not _is_exact(thetas):  # only a float sum can overflow
+            _finite_total(thetas)
 
     @property
     def k(self) -> int:
@@ -105,10 +107,10 @@ class MutationParams:
 
 
 def _is_exact(values) -> bool:
-    """The one rule that picks the backend: exact when every value is an int
-    or a Fraction.  A plain loop, as it runs on every pmf call."""
+    """The one rule that picks the backend: exact when every value is an int or
+    a Fraction.  A plain loop, run on every pmf call; a float skips the slow ABC isinstance."""
     for v in values:
-        if not isinstance(v, (int, Fraction)):
+        if type(v) is float or not isinstance(v, (int, Fraction)):
             return False
     return True
 
@@ -123,10 +125,20 @@ def _positive_finite(values) -> bool:
     return True
 
 
+def _finite_total(values) -> None:
+    """Refuse positive finite values whose float sum is past the float range:
+    the one rule for float masses and the restaurant's opening total."""
+    try:
+        total = sum(values)
+    except OverflowError:  # a rational too large for a float, beside a float
+        total = math.inf
+    if total == math.inf:
+        raise ValueError(f"the masses must have a finite sum, got {total}")
+
+
 def _params(theta) -> MutationParams:
-    if isinstance(theta, MutationParams):
-        return theta
-    return MutationParams(tuple(theta))
+    """The masses theta as a checked :class:`MutationParams`."""
+    return theta if isinstance(theta, MutationParams) else MutationParams(tuple(theta))
 
 
 def _exact_params(theta, what: str) -> MutationParams:

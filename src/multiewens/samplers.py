@@ -8,14 +8,14 @@ paintbox end with the alleles they drew as (class, count) pairs, which
 ``partitions._from_alleles`` groups into the sample's multiple partition.
 The urn has three engines.  One draw of fewer than ``_KERNEL_STEPS`` steps
 runs in the interpreted loop ``_urn_run``; a longer one is built from all its
-uniforms at once by ``_urn_kernel``, which makes the same choices, so the
-engine never shows in the output.  The counting sampler runs many replicates
-at once in ``_urn_batch``.  These two and the restaurant's array engine
-(``wreath``) read every step from :func:`_steps`, and all five engines open
-a class by one rule: the number of partial sums of the masses below their
-total that lie at or below the scaled uniform (``bisect_right`` in the
-loops, :func:`_classes` in the arrays).  Both urn array engines find each
-draw's colour by pointer doubling (:func:`_roots`).
+uniforms at once by ``_urn_kernel``, which makes the same choices on the same
+uniforms.  The counting sampler runs many replicates at once in
+``_urn_batch``.  These two and the restaurant's array engine (``wreath``)
+read every step from :func:`_steps`, and all five engines open a class by
+one rule: the number of partial sums of the masses below their total that
+lie at or below the scaled uniform (``bisect_right`` in the loops,
+:func:`_classes` in the arrays).  Both urn array engines find each draw's
+colour by pointer doubling (:func:`_roots`).
 The urn's set partition and the Poisson-Dirichlet frequencies are valid by
 construction and skip their constructors' checks through
 ``partitions._trusted``, with the field types of a validated instance.
@@ -25,7 +25,8 @@ deterministic for a fixed platform and library version.  Parallel workers
 should derive child seeds with :func:`derive_seed`, which applies the
 SplitMix64 mixer to (seed, worker index): child = mix(mix(seed) + 1 + index).
 The samplers take their generator from :func:`_numpy_rng` or
-:func:`_python_rng`, which refuse a seed that is not an integer >= 0.
+:func:`_python_rng`, which refuse a seed that is not an integer >= 0: the
+urn and restaurant step loops read ``random.Random``, all else numpy.
 """
 
 from __future__ import annotations
@@ -89,27 +90,15 @@ def _numpy_rng(seed) -> np.random.Generator:
 
 
 def _python_rng(seed) -> random.Random:
-    """The random.Random generator of the one-draw urn and restaurant, for a
-    checked seed."""
+    """random.Random for a checked seed: the generator of the urn and restaurant step loops."""
     return random.Random(_checked_seed(seed))
 
 
-# a one-draw run of this many steps or more is built from all its uniforms at
-# once.  Below it the interpreted loop is faster than the array kernel, whose
-# fixed cost is 40-70 us: the two cross near 120 steps for the urn and 220 for
-# the restaurant
+# a one-draw run of this many steps or more is built by its array kernel from
+# numpy's uniforms; below it the loop on random.Random is faster.  The kernels
+# cost 55-60 us (urn) and 110-130 us (restaurant) at any small n, and cross
+# the loops near 120 and 220-300 steps (timeit best of 7, 2-core x86)
 _KERNEL_STEPS = 256
-
-
-def _uniforms(rng: random.Random, n: int) -> np.ndarray:
-    """[rng.random() for _ in range(n)], bit for bit, from one getrandbits call.
-
-    getrandbits(64 n) packs the generator's next 2n 32-bit words, the first
-    one least significant, and random() turns each pair (a, b) of them into
-    ((a >> 5) 2**26 + (b >> 6)) / 2**53, exactly in float arithmetic.
-    """
-    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
@@ -190,7 +179,7 @@ def _urn_founders(cum: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _urn_kernel(thetas: Sequence[float], u: np.ndarray):
     """:func:`_urn_run` on the uniforms u, with no loop over the steps; on
-    the uniforms that rng.random() would return the result is identical."""
+    the same uniforms the result is identical."""
     classes, root = _urn_founders(np.cumsum(thetas), u)
     new = root == np.arange(len(u))
     founder = (np.cumsum(new) - 1)[root]
@@ -214,11 +203,10 @@ def hoppe_urn_sample(
     n = _at_least(n, 1, "n")
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
-    rng = _python_rng(seed)
     if n < _KERNEL_STEPS:
-        classes, counts, founder = _urn_run(n, thetas, rng)
+        classes, counts, founder = _urn_run(n, thetas, _python_rng(seed))
     else:
-        classes, counts, founder = _urn_kernel(thetas, _uniforms(rng, n))
+        classes, counts, founder = _urn_kernel(thetas, _numpy_rng(seed).random(n))
     part = _from_alleles(zip(classes, counts), params.k)
     if not blocks:
         return part, None
@@ -445,11 +433,6 @@ def monomial_symmetric(rows: Sequence[int], power_sums) -> float:
     parts = tuple(rows)
     value = _augmented_monomial(parts, power_sums)
     return value / math.prod(map(math.factorial, Counter(parts).values()))
-
-
-def power_sums_of(xs: Sequence[float], max_power: int) -> dict[int, float]:
-    arr = np.asarray(xs, dtype=float)
-    return {m: float(np.sum(arr**m)) for m in range(1, max_power + 1)}
 
 
 def _log_monomial(rows: Sequence[int], xs: Sequence[float]) -> float:

@@ -7,7 +7,7 @@ multiple partition, and the product measure with per-class weights t_l
 projects exactly onto the k-class Ewens measure with theta_l = t_l |c_l|/|G|.
 
 Weights cross one boundary: each entry point coerces t once to a
-:class:`WreathParams`, the only place weights are checked; the projected
+:class:`WreathParams`, the only place each weight is checked; the projected
 masses and the exact-or-float choice come from :meth:`WreathParams.thetas`.
 Group tables and elements from outside are checked by their constructors,
 whose integer fields pass ``partitions._plain_ints`` and are never rounded;
@@ -17,12 +17,12 @@ operations build skip that check through ``partitions._trusted``.
 The restaurant process takes one uniform per step and has two engines
 that make the same choices on the same uniforms.  One draw of fewer than
 ``samplers._KERNEL_STEPS`` steps runs in the interpreted loop ``_crp_run``;
-a longer one is rebuilt from its step codes (``_crp_codes``) by
-``_crp_assemble``, so the engine never shows in the output.  The counting
-sampler tallies its runs by their codes, which name an element one to one,
-and rebuilds each distinct run once.  Both engines take the urn's step with
-|G| slots per placed element (``samplers._steps`` in the arrays), and a new
-cycle's entry follows the urn's class rule over the entry weights.
+a longer one is rebuilt from its step codes (``_crp_codes``) on numpy's
+uniforms by ``_crp_assemble``.  The counting sampler tallies its runs by
+their codes, which name an element one to one, and rebuilds each distinct
+run once.  Both engines take the urn's step with |G| slots per placed
+element (``samplers._steps`` in the arrays), and a new cycle's entry follows
+the urn's class rule over the checked weights of :func:`_entry_weights`.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .measure import _common_of_ratios, _is_exact, _log_rising, _positive_finite
+from .measure import _common_of_ratios, _finite_total, _is_exact, _log_rising, _positive_finite
 from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _trusted
 from .samplers import (
-    _KERNEL_STEPS, _batched_counts, _classes, _python_rng, _roots, _steps, _uniforms,
+    _KERNEL_STEPS, _batched_counts, _classes, _numpy_rng, _python_rng, _roots, _steps,
 )
 
 __all__ = [
@@ -316,20 +316,23 @@ def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
     unchanged.  Every step divides by D + j|G| and takes one uniform.
     """
     n = _at_least(n, 1, "n")
-    ts = [float(v) for v in _wreath_params(t)._per_class(group)]
-    rng = _python_rng(seed)
+    cum = _entry_weights(group, t)
     if n < _KERNEL_STEPS:
-        g, s = _crp_run(n, group, ts, rng)
+        g, s = _crp_run(n, group, cum, _python_rng(seed))
     else:
-        codes = _crp_codes(group, ts, _uniforms(rng, n)[:, None])
+        codes = _crp_codes(group, cum, _numpy_rng(seed).random((n, 1)))
         g, s = (a[0].tolist() for a in _crp_assemble(group, codes))
     return _trusted(WreathElement, g=tuple(g), s=tuple(s))
 
 
-def _entry_weights(group: GroupTable, ts: list) -> list[float]:
-    """Cumulative new-cycle weights t_{class(a)} over the elements a of G,
-    in element order; the last is D."""
-    return list(itertools.accumulate(ts[c] for c in group.class_of))
+def _entry_weights(group: GroupTable, t) -> list[float]:
+    """Cumulative new-cycle weights t_{class(a)} over the elements a of G, in
+    element order, for the class weights t as floats; the last is the opening
+    total D = sum_l t_l |c_l|, refused past the float range."""
+    ts = [float(v) for v in _wreath_params(t)._per_class(group)]
+    cum = list(itertools.accumulate(ts[c] for c in group.class_of))
+    _finite_total(cum[-1:])
+    return cum
 
 
 def _undo(group: GroupTable) -> list[tuple[int, ...]]:
@@ -338,17 +341,16 @@ def _undo(group: GroupTable) -> list[tuple[int, ...]]:
     return [group.table[group.inverse[e]] for e in range(group.order)]
 
 
-def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
+def _crp_run(n: int, group: GroupTable, cum: list, rng: random.Random):
     """Run the restaurant process for n steps, one rng.random() each.
 
     Each step is that of :func:`samplers._steps` with m = |G| on the
-    cumulative weights of :func:`_entry_weights`, whose last is D: below D
+    cumulative weights cum of :func:`_entry_weights`, whose last is D: below D
     it opens a cycle with entry bisect_right of x among the others, and
     otherwise slot pos |G| + entry gives the position and entry of an
     insertion.  Returns the lists (g, s).
     """
     m = group.order
-    cum = _entry_weights(group, ts)
     d_new, bounds = cum[-1], cum[:-1]
     undo = _undo(group)
     g: list[int] = []
@@ -367,15 +369,14 @@ def _crp_run(n: int, group: GroupTable, ts: list, rng: random.Random):
     return g, s
 
 
-def _crp_codes(group: GroupTable, ts: list, u: np.ndarray) -> np.ndarray:
-    """Each step's code on the uniforms u, one step per row
-    (:func:`samplers._steps`): pos |G| + entry, where a step j that opens a
-    cycle has pos j and the new cycle's entry (:func:`samplers._classes`),
-    and any other step inserts its entry after the earlier element pos.  The
-    n! |G|^n code sequences of n steps are as many as the elements of
-    G wr S(n), each of which some sequence builds, so a run's codes name its
-    element one to one."""
-    cum = _entry_weights(group, ts)
+def _crp_codes(group: GroupTable, cum: list, u: np.ndarray) -> np.ndarray:
+    """Each step's code on the uniforms u, one step per row, for the weights
+    cum of :func:`_entry_weights` (:func:`samplers._steps`): pos |G| + entry,
+    where a step j that opens a cycle has pos j and the new cycle's entry
+    (:func:`samplers._classes`), and any other step inserts its entry after
+    the earlier element pos.  The n! |G|^n code sequences of n steps are as
+    many as the elements of G wr S(n), each of which some sequence builds, so
+    a run's codes name its element one to one."""
     x, new, pair = _steps(u, cum, group.order)
     return pair + _classes(x, new, cum)
 
@@ -437,9 +438,9 @@ def crp_element_counts(
     paid once per distinct run: the sampler is intended for desk-scale n
     where the number of distinct elements is small.
     """
-    ts = [float(v) for v in _wreath_params(t)._per_class(group)]
+    cum = _entry_weights(group, t)
     n = _at_least(n, 1, "n")
-    raw = _batched_counts(n, reps, seed, lambda u: _crp_codes(group, ts, u).T)
+    raw = _batched_counts(n, reps, seed, lambda u: _crp_codes(group, cum, u).T)
     g, s = _crp_assemble(group, np.array(list(raw), dtype=np.intp).reshape(-1, n).T)
     return Counter({
         _trusted(WreathElement, g=tuple(gv), s=tuple(sv)): c

@@ -109,11 +109,12 @@ SAMPLERS = {
     "crp_wreath_sample": (
         lambda s: wreath.crp_wreath_sample(6, wreath.symmetric_group_3(), (1.0, 2.0, 0.5), s),
         False),
-    # above samplers._KERNEL_STEPS, where the one-draw samplers run their array kernels
-    "hoppe_urn_sample_large": (lambda s: samplers.hoppe_urn_sample(2000, THETA, s), False),
+    # above samplers._KERNEL_STEPS, where the one-draw samplers run their array
+    # kernels on numpy's uniforms
+    "hoppe_urn_sample_large": (lambda s: samplers.hoppe_urn_sample(2000, THETA, s), True),
     "crp_wreath_sample_large": (
         lambda s: wreath.crp_wreath_sample(2000, wreath.symmetric_group_3(), (1.0, 2.0, 0.5), s),
-        False),
+        True),
     "crp_element_counts": (
         lambda s: wreath.crp_element_counts(3, wreath.cyclic_group(2), (1.0, 2.0), 5000, s),
         True),

@@ -231,6 +231,40 @@ class TestMoments:
         assert abs(var - v_th) < 3 * se_var
 
 
+# masses from 1e-300 to 1e300, alone, beside 1 and beside their inverse
+_SWEEP = list(dict.fromkeys(
+    th for s in (1e-300, 1e-150, 1.0, 1e150, 1e300) for th in ((s,), (s, 1.0), (s, 1 / s))
+))
+
+
+class TestMomentsAtAnyMass:
+    """Float class moments against the exact route on Fraction copies of the
+    same masses.  The bound was fixed before the first run:
+    |float - exact| <= 1e-12 max(|exact|, 2^-1022), a relative error of
+    1e-12 down to the smallest normal float."""
+
+    @staticmethod
+    def _close(got, want):
+        assert abs(Fraction(got) - want) <= Fraction(1e-12) * max(abs(want), Fraction(2.0**-1022))
+
+    @pytest.mark.parametrize("th", _SWEEP, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 10, 30])
+    def test_against_the_exact_route(self, th, n):
+        exact = class_moments(n, tuple(map(Fraction, th)))
+        for got, want in zip(class_moments(n, th), exact):
+            self._close(got[0], want[0])
+            self._close(got[1], want[1])
+
+    @pytest.mark.parametrize("n, th, l, want", [
+        (10, (1e300, 1e300), 1, 2.5),
+        (300, (1e300, 1.0), 2, 3e-298),
+        (10, (1e300,), 1, 4.5e-299),
+    ])
+    def test_huge_masses(self, n, th, l, want):
+        # the exact route on Fraction(10**300) copies gives these values
+        assert var_k(n, th, l) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestStirlingFirst:
     def test_diagonal(self):
         for n in range(12):

@@ -34,6 +34,7 @@ from multiewens.partitions import (
 )
 from multiewens.wreath import (
     WreathElement,
+    crp_element_counts,
     crp_wreath_sample,
     cycle_type,
     cyclic_group,
@@ -45,8 +46,8 @@ from multiewens.wreath import (
 )
 
 from multiewens import measure, poisson
-from multiewens.allele_stats import joint_k_pmf
-from multiewens.samplers import hoppe_urn_sample
+from multiewens.allele_stats import bernoulli_k_samples, class_moments, joint_k_pmf
+from multiewens.samplers import _KERNEL_STEPS, hoppe_urn_partition_counts, hoppe_urn_sample
 
 from oracles import (
     classical_ewens_direct,
@@ -494,6 +495,53 @@ class TestFloatAtAnyMass:
         for x in enumerate_wreath_elements(n, group):
             self._check(pewens_pmf(x, group, exact_ts), pewens_log_pmf(x, group, ts),
                         (pewens_pmf(x, group, ts),))
+
+
+class TestFiniteTotal:
+    """Masses whose every value is finite but whose float total is not are
+    refused, with one message, by every entry point that would form that
+    total; so are restaurant weights whose opening total sum_l t_l |c_l|
+    overflows, while the wreath law, which needs only sum_l t_l |c_l| / |G|,
+    still takes them."""
+
+    MASSES = [(1e308, 1e308), (1e308, 1.0, 1e308), (F(10**400), 1.0)]
+    GROUPS = [(cyclic_group(2), (1e308, 1e308)), (symmetric_group_3(), (1.0, 1e308, 1.0))]
+
+    @staticmethod
+    def _entry_points(th):
+        k = len(th)
+        p = MultiplePartition(tuple(YoungDiagram((1,)) for _ in range(k)))
+        s = LabeledSetPartition(tuple((l + 1, frozenset({l + 1})) for l in range(k)), n=k)
+        return [
+            lambda: MutationParams(th),
+            lambda: refined_esf_pmf(p, th),
+            lambda: refined_esf_log_pmf(p, th),
+            lambda: refined_esf_pmf_factorized(p, th),
+            lambda: labeled_set_partition_pmf(s, th),
+            lambda: class_moments(5, th),
+            lambda: hoppe_urn_sample(5, th, 1),
+            lambda: hoppe_urn_sample(_KERNEL_STEPS, th, 1),
+            lambda: hoppe_urn_partition_counts(5, th, 10, 1),
+            lambda: bernoulli_k_samples(5, th, 1, 10, 1),
+            lambda: poisson.truncated_tv_distance(3, 2, th),
+        ]
+
+    @pytest.mark.parametrize("th", MASSES, ids=["two", "three", "huge-rational"])
+    def test_masses_refused(self, th):
+        for call in self._entry_points(th):
+            with pytest.raises(ValueError, match="^the masses must have a finite sum, got inf$"):
+                call()
+
+    @pytest.mark.parametrize("group,ts", GROUPS, ids=["z2", "s3"])
+    def test_restaurant_weights_refused(self, group, ts):
+        for n in (5, _KERNEL_STEPS):
+            with pytest.raises(ValueError, match="^the masses must have a finite sum, got inf$"):
+                crp_wreath_sample(n, group, ts, 1)
+        with pytest.raises(ValueError, match="^the masses must have a finite sum, got inf$"):
+            crp_element_counts(2, group, ts, 10, 1)
+        for x in enumerate_wreath_elements(2, group):
+            prob, log_p = pewens_pmf(x, group, ts), pewens_log_pmf(x, group, ts)
+            assert 0 <= prob <= 1 and log_p <= 0 and math.isfinite(log_p)
 
 
 # non-integer masses with 12-bit numerators and denominators, as in the

@@ -23,7 +23,6 @@ from multiewens.samplers import (
     _CHUNK_RUNS,
     _KERNEL_STEPS,
     FrequencyRanked,
-    _uniforms,
     _urn_batch,
     _urn_kernel,
     coalescent_rates,
@@ -35,7 +34,6 @@ from multiewens.samplers import (
     paintbox_pmf,
     paintbox_sample,
     pd_sample,
-    power_sums_of,
 )
 
 from oracles import (
@@ -51,6 +49,12 @@ F = Fraction
 
 def mp(*rows_lists):
     return MultiplePartition(tuple(YoungDiagram(tuple(r)) for r in rows_lists))
+
+
+def power_sums_of(xs, max_power):
+    """{m: sum_i x_i^m for m = 1..max_power}, the input of monomial_symmetric."""
+    arr = np.asarray(xs, dtype=float)
+    return {m: float(np.sum(arr**m)) for m in range(1, max_power + 1)}
 
 
 class TestSeedDerivation:
@@ -238,19 +242,11 @@ class TestUrnTopDraw:
 class TestUrnKernel:
     """The array engines against the one-draw loop on the same uniforms."""
 
-    @pytest.mark.parametrize("n", [1, 2, 1000])
-    def test_uniforms_are_those_of_random(self, n):
-        # pins CPython's word order inside getrandbits and random()
-        for seed in (0, 1, 7, 2**70):
-            rng = random.Random(seed)
-            assert _uniforms(random.Random(seed), n).tolist() == [rng.random() for _ in range(n)]
-
     def test_kernel_equals_loop_at_every_n(self):
         for n in range(1, _KERNEL_STEPS + 20):
             for ts in ([0.7, 1.3], [0.05, 1 / 7, 2.0], [n / 2, n / 2], [1e300]):
-                seed = 1000 * n + len(ts)
-                u = _uniforms(random.Random(seed), n)
-                assert _urn_kernel(ts, u) == _urn_run(n, ts, random.Random(seed))
+                u = np.random.default_rng(1000 * n + len(ts)).random(n)
+                assert _urn_kernel(ts, u) == _urn_run(n, ts, TestUrnTopDraw.Scripted(u.tolist()))
 
     def test_kernel_equals_loop_on_top_draws(self):
         top = TestUrnTopDraw.TOP
@@ -258,6 +254,30 @@ class TestUrnKernel:
             for ts in ([0.05, 1 / 7], [0.05, 1 / 7, 2.0]):
                 expected = _urn_run(n, ts, TestUrnTopDraw.Scripted([top] * n))
                 assert _urn_kernel(ts, np.full(n, top)) == expected
+
+    @staticmethod
+    def _draw(n, run, k):
+        """The partition and the labelled blocks that hoppe_urn_sample builds
+        from a run (classes, counts, founder) of the urn."""
+        classes, counts, founder = run
+        members = [set() for _ in counts]
+        for j, idx in enumerate(founder, start=1):
+            members[idx].add(j)
+        blocks = tuple((cls + 1, frozenset(m)) for cls, m in zip(classes, members))
+        return _from_alleles(zip(classes, counts), k), LabeledSetPartition(blocks, n=n)
+
+    def test_sampler_uses_the_kernel_above_the_cutoff(self):
+        # below the cutoff the loop on random.Random(seed); from it the kernel
+        # on numpy's first n uniforms, which the loop replays
+        ts, seed = [0.7, 1.3], 9
+        n = _KERNEL_STEPS - 1
+        want = self._draw(n, _urn_run(n, ts, random.Random(seed)), 2)
+        assert hoppe_urn_sample(n, ts, seed) == want
+        n = _KERNEL_STEPS
+        u = np.random.default_rng(seed).random(n)
+        run = _urn_kernel(ts, u)
+        assert run == _urn_run(n, ts, TestUrnTopDraw.Scripted(u.tolist()))
+        assert hoppe_urn_sample(n, ts, seed) == self._draw(n, run, 2)
 
 
 class TestUrnClassBoundary:

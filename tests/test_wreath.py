@@ -16,6 +16,7 @@ from multiewens.wreath import (
     _crp_assemble,
     _crp_codes,
     _crp_run,
+    _entry_weights,
     crp_element_counts,
     crp_wreath_sample,
     cycle_type,
@@ -29,7 +30,7 @@ from multiewens.wreath import (
     wreath_multiply,
 )
 
-from multiewens.samplers import _CHUNK_RUNS, _KERNEL_STEPS, _uniforms
+from multiewens.samplers import _CHUNK_RUNS, _KERNEL_STEPS
 
 from oracles import chi_square_p, refuse_validation, tv_distance, tv_noise
 
@@ -341,7 +342,7 @@ class TestRestaurantProcess:
         ts = [4 / 7, 1 / 3]
         d_new = sum(ts)
         assert int((1.0 - 2.0**-53) * (d_new + 3 * g.order) - d_new) == 3 * g.order
-        gv, sv = _crp_run(4, g, ts, TopDraw())
+        gv, sv = _crp_run(4, g, _entry_weights(g, ts), TopDraw())
         assert sorted(sv) == [0, 1, 2, 3]
         assert all(0 <= e < g.order for e in gv)
 
@@ -394,9 +395,8 @@ class TestRestaurantEnginesAgainstExactLaw:
 
     @pytest.mark.parametrize("group,ts,reps", CASES)
     def test_one_draw_engine(self, group, ts, reps):
-        rng = random.Random(8201)
-        raw = Counter(tuple(map(tuple, _crp_run(3, group, [float(t) for t in ts], rng)))
-                      for _ in range(reps))
+        rng, cum = random.Random(8201), _entry_weights(group, ts)
+        raw = Counter(tuple(map(tuple, _crp_run(3, group, cum, rng))) for _ in range(reps))
         counts = Counter({WreathElement(gv, sv): c for (gv, sv), c in raw.items()})
         self._check(counts, group, ts, reps)
 
@@ -413,8 +413,9 @@ class TestRestaurantEnginesAgainstExactLaw:
                 return 1.0 - 2.0**-53
 
         for group, ts in ((cyclic_group(2), [4 / 7, 1 / 3]), (symmetric_group_3(), [0.2, 0.5, 3.0])):
-            g, s = _crp_assemble(group, _crp_codes(group, ts, np.full((4, 2), 1.0 - 2.0**-53)))
-            gv, sv = _crp_run(4, group, ts, TopDraw())
+            cum = _entry_weights(group, ts)
+            g, s = _crp_assemble(group, _crp_codes(group, cum, np.full((4, 2), 1.0 - 2.0**-53)))
+            gv, sv = _crp_run(4, group, cum, TopDraw())
             assert g.tolist() == [gv, gv] and s.tolist() == [sv, sv]
             assert sorted(sv) == [0, 1, 2, 3]
 
@@ -432,22 +433,24 @@ class TestRestaurantKernel:
 
     @pytest.mark.parametrize("group,ts", CASES)
     def test_loop_kernel_and_batch_agree(self, group, ts):
+        cum = _entry_weights(group, ts)
         for n in list(range(1, 40)) + [_KERNEL_STEPS, 3000]:
-            seeds = [100 * n + group.order + c for c in range(3 if n < 40 else 2)]
-            u = np.column_stack([_uniforms(random.Random(seed), n) for seed in seeds])
-            g, s = _crp_assemble(group, _crp_codes(group, ts, u))
-            assert g.shape == s.shape == (len(seeds), n)
-            for gv, sv, seed in zip(g.tolist(), s.tolist(), seeds):
-                assert (gv, sv) == _crp_run(n, group, ts, random.Random(seed))
+            runs = 3 if n < 40 else 2
+            u = np.random.default_rng(100 * n + group.order).random((n, runs))
+            g, s = _crp_assemble(group, _crp_codes(group, cum, u))
+            assert g.shape == s.shape == (runs, n)
+            for gv, sv, col in zip(g.tolist(), s.tolist(), u.T):
+                assert (gv, sv) == _crp_run(n, group, cum, _Replay(col))
 
     def test_kernel_without_insertions(self):
         # weights so large that every step opens its own cycle
-        group, n, seeds = cyclic_group(2), _KERNEL_STEPS, (3, 4)
-        u = np.column_stack([_uniforms(random.Random(seed), n) for seed in seeds])
-        g, s = _crp_assemble(group, _crp_codes(group, [1e300, 1e300], u))
+        group, n = cyclic_group(2), _KERNEL_STEPS
+        cum = _entry_weights(group, [1e300, 1e300])
+        u = np.random.default_rng(3).random((n, 2))
+        g, s = _crp_assemble(group, _crp_codes(group, cum, u))
         assert s.tolist() == [list(range(n))] * 2
-        for gv, sv, seed in zip(g.tolist(), s.tolist(), seeds):
-            assert (gv, sv) == _crp_run(n, group, [1e300, 1e300], random.Random(seed))
+        for gv, sv, col in zip(g.tolist(), s.tolist(), u.T):
+            assert (gv, sv) == _crp_run(n, group, cum, _Replay(col))
 
     @pytest.mark.parametrize("group", [trivial_group(), cyclic_group(2), symmetric_group_3()])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -461,10 +464,19 @@ class TestRestaurantKernel:
         assert built == set(enumerate_wreath_elements(n, group))
 
     def test_sampler_uses_the_kernel_above_the_cutoff(self):
-        group, ts = symmetric_group_3(), (1.0, 2.0, 0.5)
-        for n in (_KERNEL_STEPS - 1, _KERNEL_STEPS):
-            g, s = _crp_run(n, group, list(ts), random.Random(9))
-            assert crp_wreath_sample(n, group, ts, 9) == WreathElement(g, s)
+        # below the cutoff the loop on random.Random(seed); from it the kernel
+        # on numpy's first n uniforms, which the loop replays
+        group, ts, seed = symmetric_group_3(), [1.0, 2.0, 0.5], 9
+        cum = _entry_weights(group, ts)
+        n = _KERNEL_STEPS - 1
+        want = WreathElement(*_crp_run(n, group, cum, random.Random(seed)))
+        assert crp_wreath_sample(n, group, ts, seed) == want
+        n = _KERNEL_STEPS
+        u = np.random.default_rng(seed).random((n, 1))
+        g, s = _crp_assemble(group, _crp_codes(group, cum, u))
+        want = WreathElement(g[0].tolist(), s[0].tolist())
+        assert WreathElement(*_crp_run(n, group, cum, _Replay(u[:, 0]))) == want
+        assert crp_wreath_sample(n, group, ts, seed) == want
 
 
 class _Replay:
@@ -480,9 +492,10 @@ class TestCrpCountingEdges:
     def test_counts_replay_the_loop_on_the_same_uniforms(self, group, ts, n):
         # the counting sampler's numpy stream, chunk by chunk, one column per run
         reps, rng, want = _CHUNK_RUNS + 500, np.random.default_rng(21), Counter()
+        cum = _entry_weights(group, ts)
         for size in (_CHUNK_RUNS, 500):
             for u in rng.random((n, size)).T:
-                want[WreathElement(*_crp_run(n, group, ts, _Replay(u)))] += 1
+                want[WreathElement(*_crp_run(n, group, cum, _Replay(u)))] += 1
         assert crp_element_counts(n, group, ts, reps, seed=21) == want
 
     def test_no_reps_gives_empty_counter(self):
