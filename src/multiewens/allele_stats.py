@@ -47,11 +47,6 @@ class UnsupportedRegimeError(ValueError):
 
 # Bernoulli numbers B_2, B_4, ..., B_16 of the Euler-Maclaurin tails
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
-# estimated bits of the product of the denominators of the largest exact
-# harmonic sum that is built, an upper bound on its lcm denominator; sums near
-# this size take about 0.25 s on a 2-core x86 box (n = 10^6 would take minutes,
-# by extrapolation)
-_EXACT_BITS_CAP = 1 << 20
 # terms per leaf of _lcm_sums, few enough that math.lcm over them is cheap
 _LCM_LEAF = 32
 # uniforms per head block of bernoulli_k_samples (4 MB, cache-sized)
@@ -64,10 +59,10 @@ def harmonic_h(n: int, p: int, x):
     int or Fraction x = a/b is exact: with L the lcm of the d_j = a + jb,
     H^p_n(x) = b^p S_p / L^p for the integer S_p = sum_j (L/d_j)^p, which
     :func:`_lcm_sums` builds by binary splitting, then one Fraction.  A sum
-    whose product denominator prod_j d_j^p would exceed 2**20 bits
-    (n = 3*10^4 at x = 7/3 and p = 2 fits, in about 0.25 s; n = 10^6 does
-    not) raises ValueError before any work; pass a float x for the float
-    route.
+    past the package's exact work guard (see :func:`_harmonic_sums`; at
+    x = 7/3, n = 3*10^4 fits at p = 2, in about 0.15 s, and 4*10^4 at p = 1;
+    n = 10^6 does not) raises ValueError before any work; pass a float x for
+    the float route.
 
     Float x costs O(1): the terms below x = 10p are added directly and the
     rest is zeta(p, x) - zeta(p, x+n) (psi(x+n) - psi(x) at p = 1,
@@ -91,17 +86,13 @@ def harmonic_h(n: int, p: int, x):
 
 
 def _harmonic_sums(n: int, x: Fraction, ps: tuple[int, ...]) -> tuple[int, list[int]]:
-    """:func:`_lcm_sums` over d_j = a + jb, j < n, for x = a/b, after the
-    size guard at the largest power in ps."""
+    """:func:`_lcm_sums` over d_j = a + jb, j < n, for x = a/b, behind the work
+    guard: about n/10 steps on the p n log2(a + nb) bits of prod_j d_j^p >= L^p,
+    p the largest power in ps (class_moments at n = 3*10^4, x = 7/3: 0.25 s)."""
     a, b = x.numerator, x.denominator
-    p = ps[-1]
-    bits = p * n * (a + (n - 1) * b).bit_length()
-    if bits > _EXACT_BITS_CAP:
-        raise ValueError(
-            f"the exact harmonic sum at n={n}, x={x}, p={p} needs a denominator of"
-            f" about {bits} bits (limit {_EXACT_BITS_CAP}); pass decimal masses"
-            " such as 0.3333 for the float route"
-        )
+    bits = ps[-1] * n * (a + (n - 1) * b).bit_length()
+    _exact_work_guard(f"the exact harmonic sum at n={n}, x={x}, p={ps[-1]}", n // 10, bits,
+                      "pass decimal masses such as 0.3333 for the float route")
     return _lcm_sums(a, b, 0, n, ps)
 
 

@@ -10,6 +10,7 @@ samplers.derive_seed), so fan-out across workers cannot change the output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -321,10 +322,14 @@ def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
     pop = wf_sim.Population.founding(two_n, thetas.k)
     rng = samplers._numpy_rng(seed)
     samples = wf_sim.stationary_samples(pop, thetas, sample_size, reps, rng, gens, thin)
-    for part in samples:
-        click.echo(json.dumps(multipartition_to_lists(part)))
-    if dump_path:
-        with open(dump_path, "w") as fh:
+    try:  # before any sample, once every other input is checked
+        dump = open(dump_path, "w") if dump_path else contextlib.nullcontext()
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {dump_path!r}: {exc.strerror}") from exc
+    with dump as fh:
+        for part in samples:
+            click.echo(json.dumps(multipartition_to_lists(part)))
+        if dump_path:
             json.dump(pop.to_json_dict(), fh)
 
 

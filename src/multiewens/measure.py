@@ -246,6 +246,13 @@ def _stirling_remainder(z: float) -> float:
     return (1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r * (1/1188 - r * 691/360360))))) / z
 
 
+def _log_law(log_num: float, w, n: int) -> float:
+    """log_num - log (w)_n, the log of a float law over the rising factorial,
+    at most 0: a near-sure state may round above it.  A NaN passes through."""
+    log_p = log_num - _log_rising(w, n)
+    return 0.0 if log_p > 0 else log_p
+
+
 def _log_esf(components, thetas, w) -> float:
     """log of n!/(w)_n * prod_{l,j} (theta_l/j)^{a_j^(l)} / a_j^(l)!, read from
     the row multiplicities a_j^(l) of each component."""
@@ -256,8 +263,7 @@ def _log_esf(components, thetas, w) -> float:
         total += comp.n_rows * log(th)
         for j, a in comp.multiplicities().items():
             total -= a * log(j) + lgamma(a + 1)
-    log_p = total + lgamma(n + 1) - _log_rising(w, n)
-    return 0.0 if log_p > 0 else log_p  # a near-sure state may round above 0
+    return _log_law(total + lgamma(n + 1), w, n)
 
 
 def _esf_numerator(components, q: int, scaled) -> int:
@@ -480,8 +486,7 @@ def labeled_set_partition_pmf(s: LabeledSetPartition, theta) -> Numeric:
         q, scaled, d_n = _common(params.thetas, s.n)
         return Fraction(_set_partition_numerator(s, q, scaled), d_n)
     logs = [math.log(params.thetas[label - 1]) + math.lgamma(len(e)) for label, e in s.blocks]
-    log_p = sum(logs) - _log_rising(params.w, s.n)
-    return math.exp(0.0 if log_p > 0 else log_p)
+    return math.exp(_log_law(sum(logs), params.w, s.n))
 
 
 def _set_partition_numerator(s: LabeledSetPartition, q: int, scaled) -> int:

@@ -311,15 +311,15 @@ def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiplePartition]:
 _EXACT_WORK_CAP = 50_000_000
 
 
-def _exact_work_guard(what: str, steps: int, bits: float):
+def _exact_work_guard(what: str, steps: int, bits: float, remedy: str = "choose a smaller n"):
     """Refuse, before any work, an exact table of about `steps` big-integer
-    steps on integers of up to `bits` bits.  A step costs about as much as 8
-    limb operations of interpreter overhead, plus one per 64 bits."""
+    steps on integers of up to `bits` bits, with `remedy` ending the message.
+    A step costs about 8 limb operations of overhead, plus one per 64 bits."""
     work = steps * (8 + int(bits) // 64)
     if work > _EXACT_WORK_CAP:
         raise ValueError(
             f"{what} is too large to compute exactly: about {work:.1e} units of"
-            f" big-integer work, over the limit of {_EXACT_WORK_CAP:.0e}; choose a smaller n"
+            f" big-integer work, over the limit of {_EXACT_WORK_CAP:.0e}; {remedy}"
         )
 
 

@@ -20,13 +20,13 @@ The urn's set partition and the Poisson-Dirichlet frequencies are valid by
 construction and skip their constructors' checks through
 ``partitions._trusted``, with the field types of a validated instance.
 
-Seeding contract: every sampler takes a 64-bit integer seed and is bit
+Seeding contract: every sampler takes a seed in [0, 2**64) and is bit
 deterministic for a fixed platform and library version.  Parallel workers
 should derive child seeds with :func:`derive_seed`, which applies the
 SplitMix64 mixer to (seed, worker index): child = mix(mix(seed) + 1 + index).
-The samplers take their generator from :func:`_numpy_rng` or
-:func:`_python_rng`, which refuse a seed that is not an integer >= 0: the
-urn and restaurant step loops read ``random.Random``, all else numpy.
+:func:`derive_seed`, :func:`_numpy_rng` and :func:`_python_rng` apply the one
+seed rule, :func:`_checked_seed`; the urn and restaurant step loops read
+``random.Random``, all else numpy.
 """
 
 from __future__ import annotations
@@ -70,17 +70,17 @@ def _splitmix64(z: int) -> int:
 
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for worker `index`: SplitMix64(SplitMix64(seed) + 1 + index)."""
-    return _splitmix64((_splitmix64(seed & _MASK64) + 1 + index) & _MASK64)
+    return _splitmix64((_splitmix64(_checked_seed(seed)) + 1 + index) & _MASK64)
 
 
 def _checked_seed(seed) -> int:
-    """seed as an int, after the one check that every entry point shares:
-    the seed is an integer >= 0, numpy integers included.  A plain int is
-    passed first, since the Integral check is slow against a desk-size draw."""
-    if type(seed) is int and seed >= 0:
+    """seed as an int, after the one seed rule: an integer in [0, 2**64),
+    numpy integers included.  A plain int is passed first, since the
+    Integral check is slow against a desk-size draw."""
+    if type(seed) is int and 0 <= seed <= _MASK64:
         return seed
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
 
 

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .measure import _common_of_ratios, _finite_total, _is_exact, _log_rising, _positive_finite
+from .measure import _common_of_ratios, _finite_total, _is_exact, _log_law, _positive_finite
 from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _trusted
 from .samplers import (
     _KERNEL_STEPS, _batched_counts, _classes, _numpy_rng, _python_rng, _roots, _steps,
@@ -295,12 +295,10 @@ def _class_counts(x: WreathElement, group: GroupTable) -> list[int]:
 
 
 def _log_pewens(n: int, group: GroupTable, params: WreathParams, counts) -> float:
-    """The log-sum of :func:`pewens_log_pmf` for the cycle counts of each class,
-    at most 0, as in ``measure._log_esf``."""
+    """The log-sum of :func:`pewens_log_pmf` for the cycle counts of each class."""
     w = sum(params.thetas(group))  # also checks one weight per class
     total = sum([c * math.log(t) for t, c in zip(params.ts, counts)])
-    log_p = total - n * math.log(group.order) - _log_rising(w, n)
-    return 0.0 if log_p > 0 else log_p
+    return _log_law(total - n * math.log(group.order), w, n)
 
 
 def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:

@@ -198,8 +198,9 @@ class TestMoments:
         assert var_k(np.int64(10), th, np.int32(2)) == var_k(10, th, 2)
 
     def test_guard_boundary_at_n_31000(self):
-        # p = 1 needs 31000 * 17 = 527,000 bits and fits under 2**20; p = 2
-        # needs twice that, so a variance is refused before any work
+        # the work guard weighs n/10 steps on 31000 * 17 = 527,000 bits at
+        # p = 1, 2.6e7 units, which fits under 5e7; p = 2 doubles the bits,
+        # 5.1e7 units, so a variance is refused before any work
         th = (F(1, 3), F(2))
         e = expected_k(31_000, th, 1)
         assert type(e) is F

@@ -192,6 +192,10 @@ class TestSampling:
         assert res.exit_code == 0
         snap = json.loads(path.read_text())
         assert len(snap["ids"]) == 50
+        # the library's snapshot of the same run, byte for byte
+        pop = Population.founding(50, 1)
+        list(stationary_samples(pop, (1.0,), 2, 1, np.random.default_rng(0), 5, None))
+        assert path.read_text() == json.dumps(pop.to_json_dict())
 
 
 class TestTables:
@@ -553,3 +557,29 @@ class TestErrorBoundary:
         assert any(line.startswith("Error:") for line in res.output.splitlines())
         assert "Traceback" not in res.output
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("args,seed", [
+        (["sample-urn", "--n", "3", "--theta", "1,2"], "-1"),
+        (["sample-crp", "--n", "3", "--group", "z2", "--t", "1,2"], "-1"),
+        (["sample-pd", "--theta", "1,2"], "-1"),
+        (["stats-k", "--n", "5", "--theta", "1,2", "--mc-reps", "3"], "-1"),
+        (["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "1", "--sample-size", "2"], "-1"),
+        (["sample-urn", "--n", "3", "--theta", "1,2"], "18446744073709551616"),
+        (["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "1", "--sample-size", "2"],
+         "18446744073709551616"),
+    ])
+    def test_seed_outside_64_bits_is_one_error_line(self, runner, args, seed):
+        res = runner.invoke(main, [*args, "--seed", seed])
+        assert res.exit_code == 1 and res.stdout == ""
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: seed must be an integer in [0, 2**64), got {seed}"]
+
+    def test_unopenable_dump_state_is_one_error_line(self, runner, tmp_path):
+        path = tmp_path / "missing" / "pop.json"
+        res = runner.invoke(main, ["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "1",
+                                   "--sample-size", "2", "--reps", "3",
+                                   "--dump-state", str(path)])
+        assert res.exit_code == 1 and res.stdout == ""  # no sample before the error
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and str(path) in errors[0]
+        assert "Traceback" not in res.output and not path.exists()

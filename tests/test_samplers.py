@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -72,11 +73,26 @@ class TestSeedDerivation:
         for i in range(50):
             assert 0 <= derive_seed(123456789, i) < 2**64
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        message = f"seed must be an integer in [0, 2**64), got {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            derive_seed(seed, 0)
+
+    @pytest.mark.parametrize("seed,children", [
+        (0, [3069472533636442495, 9405607414650848140, 9847920306284509831]),
+        (42, [18036798128018490698, 8238092213399105094, 17569751630818277803]),
+        (2**64 - 1, [7521888212171461645, 5886236958684341581, 5236422289148167227]),
+    ])
+    def test_children_pinned(self, seed, children):
+        # values of the 0.9.0 mixer at indices 0, 1 and 7
+        assert [derive_seed(seed, i) for i in (0, 1, 7)] == children
+
 
 class TestSeedDomain:
     """Every seeded entry point, numpy or random.Random, refuses a seed
-    outside the integers >= 0 with one message that names the seed and its
-    value."""
+    outside the integers in [0, 2**64) with one message that names the seed
+    and its value."""
 
     @staticmethod
     def _entry_points():
@@ -100,16 +116,17 @@ class TestSeedDomain:
                 10, (0.5, 1.0), 2, 1, s),
         }
 
-    @pytest.mark.parametrize("seed", [-1, 2.0, True, "3"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, np.int64(-1), 2.0, True, "3"])
     def test_bad_seed_named(self, seed):
         for name, draw in self._entry_points().items():
-            with pytest.raises(ValueError, match=f"nonnegative integer, got {seed!r}"):
+            with pytest.raises(ValueError, match=re.escape(f"in [0, 2**64), got {seed!r}")):
                 draw(seed)
 
     def test_numpy_and_large_seeds_accepted(self):
         for draw in self._entry_points().values():
             draw(np.int64(7))
-            draw(2**70)
+            draw(np.uint64(2**64 - 1))
+            draw(2**64 - 1)
 
 
 class TestHoppeUrn:

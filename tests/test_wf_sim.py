@@ -570,7 +570,7 @@ class TestStationaryGenealogy:
         (10, 0, 1, 0, "must be in 1..10"),
         (10, 11, 1, 0, "must be in 1..10"),
         (10, 2, -1, 0, "reps must be >= 0"),
-        (10, 2, 1, -1, "nonnegative integer"),
+        (10, 2, 1, -1, r"integer in \[0, 2\*\*64\)"),
     ], ids=["odd", "empty", "no-genes", "too-many-genes", "negative-reps", "bad-seed"])
     def test_refusals(self, two_n, sample_size, reps, seed, message):
         with pytest.raises(ValueError, match=message):
