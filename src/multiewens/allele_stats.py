@@ -60,7 +60,7 @@ def harmonic_h(n: int, p: int, x):
     H^p_n(x) = b^p S_p / L^p for the integer S_p = sum_j (L/d_j)^p, which
     :func:`_lcm_sums` builds by binary splitting, then one Fraction.  A sum
     past the package's exact work guard (see :func:`_harmonic_sums`; at
-    x = 7/3, n = 3*10^4 fits at p = 2, in about 0.15 s, and 4*10^4 at p = 1;
+    x = 7/3, n = 3*10^4 fits at p = 2, in about 0.15 s, and 5.8*10^4 at p = 1;
     n = 10^6 does not) raises ValueError before any work; pass a float x for
     the float route.
 
@@ -86,12 +86,12 @@ def harmonic_h(n: int, p: int, x):
 
 
 def _harmonic_sums(n: int, x: Fraction, ps: tuple[int, ...]) -> tuple[int, list[int]]:
-    """:func:`_lcm_sums` over d_j = a + jb, j < n, for x = a/b, behind the work
-    guard: about n/10 steps on the p n log2(a + nb) bits of prod_j d_j^p >= L^p,
-    p the largest power in ps (class_moments at n = 3*10^4, x = 7/3: 0.25 s)."""
+    """:func:`_lcm_sums` over d_j = a + jb, j < n, for x = a/b, refused once the
+    p n log2(a + nb) bits of prod_j d_j^p >= L^p pass 2**20 (within 127), for
+    the largest p in ps: 3,050 guard steps (class_moments, n = 3*10^4: 0.25 s)."""
     a, b = x.numerator, x.denominator
-    bits = ps[-1] * n * (a + (n - 1) * b).bit_length()
-    _exact_work_guard(f"the exact harmonic sum at n={n}, x={x}, p={ps[-1]}", n // 10, bits,
+    _exact_work_guard(f"the exact harmonic sum at n={n}, x={x}, p={ps[-1]}", 3_050,
+                      ps[-1] * n * (a + (n - 1) * b).bit_length(),
                       "pass decimal masses such as 0.3333 for the float route")
     return _lcm_sums(a, b, 0, n, ps)
 

@@ -322,14 +322,15 @@ def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
     pop = wf_sim.Population.founding(two_n, thetas.k)
     rng = samplers._numpy_rng(seed)
     samples = wf_sim.stationary_samples(pop, thetas, sample_size, reps, rng, gens, thin)
-    try:  # before any sample, once every other input is checked
-        dump = open(dump_path, "w") if dump_path else contextlib.nullcontext()
+    try:  # before any sample; "a" keeps an old snapshot until the run has ended
+        dump = open(dump_path, "a") if dump_path else contextlib.nullcontext()
     except OSError as exc:
         raise click.ClickException(f"cannot write {dump_path!r}: {exc.strerror}") from exc
     with dump as fh:
         for part in samples:
             click.echo(json.dumps(multipartition_to_lists(part)))
         if dump_path:
+            fh.truncate(0)
             json.dump(pop.to_json_dict(), fh)
 
 

@@ -247,8 +247,7 @@ def _stirling_remainder(z: float) -> float:
 
 
 def _log_law(log_num: float, w, n: int) -> float:
-    """log_num - log (w)_n, the log of a float law over the rising factorial,
-    at most 0: a near-sure state may round above it.  A NaN passes through."""
+    """log_num - log (w)_n, clamped at 0 (a near-sure state may round above); NaN passes."""
     log_p = log_num - _log_rising(w, n)
     return 0.0 if log_p > 0 else log_p
 

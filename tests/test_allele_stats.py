@@ -198,9 +198,9 @@ class TestMoments:
         assert var_k(np.int64(10), th, np.int32(2)) == var_k(10, th, 2)
 
     def test_guard_boundary_at_n_31000(self):
-        # the work guard weighs n/10 steps on 31000 * 17 = 527,000 bits at
-        # p = 1, 2.6e7 units, which fits under 5e7; p = 2 doubles the bits,
-        # 5.1e7 units, so a variance is refused before any work
+        # the work guard weighs 3,050 steps on 31000 * 17 = 527,000 bits at
+        # p = 1, 2.5e7 units, which fits under 5e7; p = 2 doubles the bits,
+        # 5.02e7 units, so a variance is refused before any work
         th = (F(1, 3), F(2))
         e = expected_k(31_000, th, 1)
         assert type(e) is F
@@ -209,6 +209,17 @@ class TestMoments:
             var_k(31_000, th, 1)
         with pytest.raises(ValueError, match="float route"):
             class_moments(31_000, th)
+
+    def test_mean_accepted_at_n_50000(self):
+        # 50000 * 18 = 900,000 bits, under the guard's 2**20
+        e = expected_k(50_000, (F(1, 3), F(2)), 1)
+        assert type(e) is F
+        assert float(e) == pytest.approx(float(expected_k(50_000, (1 / 3, 2.0), 1)), rel=1e-12)
+
+    def test_long_mass_refused_at_small_n(self):
+        # the bits of a 4,001-digit denominator, not n, pass the guard
+        with pytest.raises(ValueError, match="float route"):
+            expected_k(100, (F(1, 10**4000), F(1)), 1)
 
     def test_moments_match_urn_mc(self):
         th = (0.7, 1.3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from multiewens import allele_stats, measure, wreath
+from multiewens import allele_stats, measure, wf_sim, wreath
 from multiewens.cli import main
 from multiewens.partitions import (
     count_multipartitions,
@@ -196,6 +196,23 @@ class TestSampling:
         pop = Population.founding(50, 1)
         list(stationary_samples(pop, (1.0,), 2, 1, np.random.default_rng(0), 5, None))
         assert path.read_text() == json.dumps(pop.to_json_dict())
+
+    def test_wf_dump_state_replaced_only_when_the_run_ends(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "pop.json"
+        path.write_text("old snapshot")
+        args = ["wf-sim", "--N", "50", "--theta", "1.0", "--gens", "5",
+                "--sample-size", "2", "--dump-state", str(path)]
+
+        def interrupted(*a):
+            yield next(stationary_samples(*a))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(wf_sim, "stationary_samples", interrupted)
+        assert runner.invoke(main, args).exit_code == 1
+        assert path.read_text() == "old snapshot"
+        monkeypatch.undo()
+        assert runner.invoke(main, args).exit_code == 0
+        assert json.loads(path.read_text())["ids"]  # replaced, not appended to
 
 
 class TestTables:
