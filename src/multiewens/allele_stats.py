@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import (CheckReport, _common, _exact_common, _exact_params, _params,
-                      _positive_finite, _sum_report)
+                      _positive_finite, _shown, _sum_report)
 from .partitions import _at_least, _exact_work_guard, compositions_of
 from .samplers import _numpy_rng
 
@@ -73,7 +73,7 @@ def harmonic_h(n: int, p: int, x):
     """
     n, p = _at_least(n, 1, "n"), _at_least(p, 1, "p")
     if not 0 < x < math.inf:  # also rejects NaN
-        raise ValueError(f"x must be positive and finite, got {x}")
+        raise ValueError(f"x must be positive and finite, got {_shown(x)}")
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
         lcm, (s,) = _harmonic_sums(n, x, (p,))
@@ -90,7 +90,7 @@ def _harmonic_sums(n: int, x: Fraction, ps: tuple[int, ...]) -> tuple[int, list[
     p n log2(a + nb) bits of prod_j d_j^p >= L^p pass 2**20 (within 127), for
     the largest p in ps: 3,050 guard steps (class_moments, n = 3*10^4: 0.25 s)."""
     a, b = x.numerator, x.denominator
-    _exact_work_guard(f"the exact harmonic sum at n={n}, x={x}, p={ps[-1]}", 3_050,
+    _exact_work_guard(f"the exact harmonic sum at n={n}, x={_shown(x)}, p={ps[-1]}", 3_050,
                       ps[-1] * n * (a + (n - 1) * b).bit_length(),
                       "pass decimal masses such as 0.3333 for the float route")
     return _lcm_sums(a, b, 0, n, ps)

@@ -120,6 +120,11 @@ def _prob_record(value, log_law=None, *args) -> dict:
     return {"prob": float(value), "log_prob": None if log_law is None else log_law(*args)}
 
 
+# checked by the library's seed rule as it is read, also where nothing is drawn
+_seed_option = click.option("--seed", default=0, type=int, show_default=True,
+                            callback=lambda ctx, param, seed: samplers._checked_seed(seed))
+
+
 class _ErrorBoundary(click.Group):
     """Reports a library ValueError as one ``Error: ...`` line, exit 1."""
 
@@ -208,7 +213,7 @@ def cmd_enumerate(n, k, count):
 @click.option("--n", required=True, type=int)
 @click.option("--theta", required=True)
 @click.option("--reps", default=1, type=click.IntRange(min=0), show_default=True)
-@click.option("--seed", default=0, type=int, show_default=True)
+@_seed_option
 @click.option("--set-partitions", "with_blocks", is_flag=True,
               help="also emit the labelled set partition of draw indices")
 def cmd_sample_urn(n, theta, reps, seed, with_blocks):
@@ -236,7 +241,7 @@ def cmd_sample_urn(n, theta, reps, seed, with_blocks):
 @click.option("--group", "group_name", required=True)
 @click.option("--t", "t_text", required=True, help="comma list of class weights")
 @click.option("--reps", default=1, type=click.IntRange(min=0), show_default=True)
-@click.option("--seed", default=0, type=int, show_default=True)
+@_seed_option
 @click.option("--project", is_flag=True, help="emit cycle-type partitions instead")
 def cmd_sample_crp(n, group_name, t_text, reps, seed, project):
     """Stream wreath restaurant-process draws as JSON lines."""
@@ -254,7 +259,7 @@ def cmd_sample_crp(n, group_name, t_text, reps, seed, project):
 @click.option("--theta", required=True)
 @click.option("--eps", default=1e-8, type=float, show_default=True)
 @click.option("--reps", default=1, type=click.IntRange(min=0), show_default=True)
-@click.option("--seed", default=0, type=int, show_default=True)
+@_seed_option
 def cmd_sample_pd(theta, eps, reps, seed):
     """Stream ranked-frequency draws from the multiple Poisson-Dirichlet law."""
     thetas = _parse_theta(theta)
@@ -271,7 +276,7 @@ def cmd_sample_pd(theta, eps, reps, seed):
 @click.option("--theta", required=True)
 @click.option("--mc-reps", default=0, type=click.IntRange(min=0), show_default=True,
               help="append Monte Carlo mean/var columns from the Bernoulli-sum simulator")
-@click.option("--seed", default=0, type=int, show_default=True)
+@_seed_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 def cmd_stats_k(n, theta, mc_reps, seed, fmt):
@@ -313,15 +318,14 @@ def cmd_poisson_tv(n, m, theta, fmt):
 @click.option("--reps", default=1, type=click.IntRange(min=0), show_default=True)
 @click.option("--thin", default=None, type=int,
               help="generations between samples [default: N]")
-@click.option("--seed", default=0, type=int, show_default=True)
+@_seed_option
 @click.option("--dump-state", "dump_path", default=None, type=click.Path(),
               help="write the final population snapshot as JSON")
 def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
     """Evolve a Wright-Fisher population and stream sample compositions."""
     thetas = _parse_theta(theta)
     pop = wf_sim.Population.founding(two_n, thetas.k)
-    rng = samplers._numpy_rng(seed)
-    samples = wf_sim.stationary_samples(pop, thetas, sample_size, reps, rng, gens, thin)
+    samples = wf_sim.stationary_samples(pop, thetas, sample_size, reps, seed, gens, thin)
     try:  # before any sample; "a" keeps an old snapshot until the run has ended
         dump = open(dump_path, "a") if dump_path else contextlib.nullcontext()
     except OSError as exc:

@@ -88,7 +88,7 @@ class MutationParams:
         if len(thetas) < 1:
             raise ValueError("need at least one mutation class")
         if not _positive_finite(thetas):
-            shown = ", ".join(map(str, thetas))
+            shown = ", ".join(map(_shown, thetas))
             raise ValueError(f"mutation masses must be positive and finite, got ({shown})")
         if not _is_exact(thetas):  # only a float sum can overflow
             _finite_total(thetas)
@@ -123,6 +123,17 @@ def _positive_finite(values) -> bool:
         if not (v.numerator > 0 if type(v) is Fraction else 0 < v < math.inf):
             return False
     return True
+
+
+def _shown(value) -> str:
+    """value as a message shows it: in full, or, for a rational past Python's
+    int-to-string digit limit, by its sign and the bit lengths of its two parts."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = value.numerator, value.denominator
+        sign = "-" if num < 0 else ""
+        return f"{sign}<{num.bit_length()}-bit numerator>/<{den.bit_length()}-bit denominator>"
 
 
 def _finite_total(values) -> None:

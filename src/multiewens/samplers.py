@@ -20,13 +20,14 @@ The urn's set partition and the Poisson-Dirichlet frequencies are valid by
 construction and skip their constructors' checks through
 ``partitions._trusted``, with the field types of a validated instance.
 
-Seeding contract: every sampler takes a seed in [0, 2**64) and is bit
-deterministic for a fixed platform and library version.  Parallel workers
+Seeding contract: every sampler but ``wf_sim.wf_step`` (one step of a chain
+its caller drives) takes a seed in [0, 2**64) and is bit deterministic for a
+fixed platform and library version.  Parallel workers
 should derive child seeds with :func:`derive_seed`, which applies the
 SplitMix64 mixer to (seed, worker index): child = mix(mix(seed) + 1 + index).
-:func:`derive_seed`, :func:`_numpy_rng` and :func:`_python_rng` apply the one
-seed rule, :func:`_checked_seed`; the urn and restaurant step loops read
-``random.Random``, all else numpy.
+:func:`derive_seed`, :func:`_numpy_rng`, :func:`_python_rng` and the command
+line's ``--seed`` apply the one seed rule, :func:`_checked_seed`; the urn and
+restaurant step loops read ``random.Random``, all else numpy.
 """
 
 from __future__ import annotations

@@ -30,6 +30,10 @@ each finite and nonnegative, with sum below 1.  Both engines and
 :func:`transition_prob` apply it, with one message.  All three take 2N only
 as a positive even integer, and both engines a sample of at least one gene.
 
+Every sampler here takes a seed under the package's one seed rule and reads
+numpy's generator for it, but :func:`wf_step`, one step of a chain that its
+caller drives, which takes the generator.
+
 The ancestral line-counting process is exposed through its exact finite-N
 transition probabilities and its limiting generator.
 """
@@ -64,7 +68,10 @@ __all__ = [
 
 @dataclass
 class Population:
-    """2N genes, each an (allele id, class label) pair; ids are per-class serials."""
+    """2N genes, each an (allele id, class label) pair; ids are per-class serials.
+
+    The constructor checks 2N by the population-size rule, k >= 1, and that
+    ids and classes are integer arrays with every class in 0..k-1."""
 
     ids: np.ndarray
     classes: np.ndarray
@@ -73,8 +80,15 @@ class Population:
     next_ids: np.ndarray = field(default=None)  # fresh serial per class
 
     def __post_init__(self):
-        if self.ids.shape != self.classes.shape or self.ids.ndim != 1:
+        ids, classes = self.ids, self.classes
+        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in (ids, classes)):
+            raise ValueError("ids and classes must be integer arrays")
+        if ids.shape != classes.shape or ids.ndim != 1:
             raise ValueError("ids and classes must be equal-length vectors")
+        _check_size(ids.size)
+        self.k = _at_least(self.k, 1, "k")
+        if classes.min() < 0 or classes.max() >= self.k:
+            raise ValueError(f"classes must be in 0..{self.k - 1}")
         if self.next_ids is None:
             self.next_ids = np.zeros(self.k, dtype=np.int64)
             for l in range(self.k):
@@ -90,7 +104,7 @@ class Population:
     @classmethod
     def founding(cls, two_n: int, k: int) -> "Population":
         """Monomorphic start: everyone carries allele 0 of class 1."""
-        two_n, k = _check_size(two_n), _at_least(k, 1, "k")
+        two_n = _check_size(two_n)
         return cls(
             ids=np.zeros(two_n, dtype=np.int64),
             classes=np.zeros(two_n, dtype=np.int64),
@@ -145,17 +159,12 @@ def wf_step(pop: Population, mus: Sequence[float], rng: np.random.Generator) -> 
     return pop
 
 
-def sample_composition(pop: Population, n: int, seed_or_rng) -> MultiplePartition:
+def sample_composition(pop: Population, n: int, seed: int) -> MultiplePartition:
     """Allelic composition of a uniform sample of n >= 1 genes without replacement."""
     n = _at_least(n, 1, "n")
     if n > pop.size:
         raise ValueError(f"sample size {n} exceeds population size {pop.size}")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else _numpy_rng(seed_or_rng)
-    )
-    picks = rng.choice(pop.size, size=n, replace=False)
+    picks = _numpy_rng(seed).choice(pop.size, size=n, replace=False)
     genes = Counter(zip(pop.classes[picks].tolist(), pop.ids[picks].tolist()))
     return _from_alleles(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
@@ -323,18 +332,19 @@ class _AlleleCounts:
 
 
 def stationary_samples(
-    pop: Population, theta, sample_size: int, reps: int, rng: np.random.Generator,
+    pop: Population, theta, sample_size: int, reps: int, seed: int,
     burn_gens: int | None = None, thin_gens: int | None = None,
 ) -> Iterator[MultiplePartition]:
     """Burn pop in for burn_gens generations (default 20N, 2N = pop.size) with
     mu_l = theta_l/(4N), then yield `reps` sample compositions drawn every
-    thin_gens generations (default N).
+    thin_gens generations (default N), all from numpy's generator for seed.
 
     Runs the count-level engine; pop holds the current state as 2N genes
-    (grouped by allele) at every yield and at the end.  Every input is
-    checked at the call, before the generator is returned.
+    (grouped by allele) at every yield and at the end.  Every input, the
+    seed included, is checked at the call, before the generator is returned.
     """
     sample_size, reps = _check_draws(pop.size, sample_size, reps)
+    rng = _numpy_rng(seed)
     half_n = pop.size // 2
     burn_gens = 20 * half_n if burn_gens is None else _at_least(burn_gens, 0, "burn-in generations")
     thin_gens = half_n if thin_gens is None else _at_least(thin_gens, 0, "thinning generations")

@@ -38,7 +38,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .measure import _common_of_ratios, _finite_total, _is_exact, _log_law, _positive_finite
+from .measure import (_common_of_ratios, _finite_total, _is_exact, _log_law, _positive_finite,
+                      _shown)
 from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _trusted
 from .samplers import (
     _KERNEL_STEPS, _batched_counts, _classes, _numpy_rng, _python_rng, _roots, _steps,
@@ -201,7 +202,7 @@ class WreathParams:
         ts = tuple(self.ts)
         object.__setattr__(self, "ts", ts)
         if not _positive_finite(ts):
-            shown = ", ".join(map(str, ts))
+            shown = ", ".join(map(_shown, ts))
             raise ValueError(f"all weights must be positive and finite, got ({shown})")
 
     def thetas(self, group: GroupTable) -> tuple:
@@ -233,12 +234,22 @@ def cycle_type(x: WreathElement, group: GroupTable) -> MultiplePartition:
     return _from_alleles(_cycle_classes(x, group), group.k)
 
 
+def _in_group(group: GroupTable, x: WreathElement, *others: WreathElement) -> int:
+    """The n of x, after checking that every entry of g of x and others
+    indexes an element of the group and that all have the same n."""
+    for y in (x, *others):
+        if y.n != x.n:
+            raise ValueError(f"wreath elements must have the same n, got {x.n} and {y.n}")
+        if y.g and (min(y.g) < 0 or max(y.g) >= group.order):
+            raise ValueError(f"entries of g must be in 0..{group.order - 1}")
+    return x.n
+
+
 def _cycle_classes(x: WreathElement, group: GroupTable) -> Iterator[tuple[int, int]]:
     """(conjugacy class index, length) of every cycle of x, after checking
     that every entry of g indexes an element of the group."""
+    _in_group(group, x)
     g, s = x.g, x.s
-    if g and (min(g) < 0 or max(g) >= group.order):
-        raise ValueError(f"entries of g must be in 0..{group.order - 1}")
     table, class_of, identity = group.table, group.class_of, group.identity
     seen = [False] * len(s)
     for start in range(len(s)):
@@ -456,7 +467,7 @@ def enumerate_wreath_elements(n: int, group: GroupTable) -> Iterator[WreathEleme
 
 def wreath_multiply(x: WreathElement, y: WreathElement, group: GroupTable) -> WreathElement:
     """(g, s)(h, u) = ((g_i h_{s^{-1}(i)}), s o u) with (s o u)(i) = s(u(i))."""
-    n = x.n
+    n = _in_group(group, x, y)
     s_inv = [0] * n
     for i, v in enumerate(x.s):
         s_inv[v] = i
@@ -466,7 +477,7 @@ def wreath_multiply(x: WreathElement, y: WreathElement, group: GroupTable) -> Wr
 
 
 def wreath_inverse(x: WreathElement, group: GroupTable) -> WreathElement:
-    n = x.n
+    n = _in_group(group, x)
     s_inv = [0] * n
     for i, v in enumerate(x.s):
         s_inv[v] = i

@@ -79,8 +79,7 @@ def _sha(x) -> str:
 
 def _stationary(seed):
     pop = wf_sim.Population.founding(40, 2)
-    rng = np.random.default_rng(seed)
-    samples = list(wf_sim.stationary_samples(pop, (0.5, 1.0), 4, 5, rng, 200, 20))
+    samples = list(wf_sim.stationary_samples(pop, (0.5, 1.0), 4, 5, seed, 200, 20))
     return samples, pop  # the population is written back at the end
 
 

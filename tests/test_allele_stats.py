@@ -221,6 +221,14 @@ class TestMoments:
         with pytest.raises(ValueError, match="float route"):
             expected_k(100, (F(1, 10**4000), F(1)), 1)
 
+    def test_refusal_of_a_mass_past_the_digit_limit(self):
+        # 100,001 digits cannot be printed, so the message gives bit lengths
+        with pytest.raises(ValueError, match="float route") as refused:
+            expected_k(5, (F(1, 10**100000), 1), 1)
+        assert "<332193-bit denominator>" in str(refused.value)
+        with pytest.raises(ValueError, match="x must be positive and finite, got -<1-bit"):
+            harmonic_h(5, 1, F(-1, 10**5000))
+
     def test_moments_match_urn_mc(self):
         th = (0.7, 1.3)
         n, reps = 50, 30_000

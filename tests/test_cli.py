@@ -178,8 +178,7 @@ class TestSampling:
         assert res.exit_code == 0
         got = [json.loads(l) for l in res.stdout.strip().splitlines()]
         samples = stationary_samples(
-            Population.founding(40, 2), (0.5, 1.5), 5, 6,
-            np.random.default_rng(11), burn_gens=120, thin_gens=7,
+            Population.founding(40, 2), (0.5, 1.5), 5, 6, 11, burn_gens=120, thin_gens=7,
         )
         assert got == [multipartition_to_lists(p) for p in samples]
 
@@ -194,7 +193,7 @@ class TestSampling:
         assert len(snap["ids"]) == 50
         # the library's snapshot of the same run, byte for byte
         pop = Population.founding(50, 1)
-        list(stationary_samples(pop, (1.0,), 2, 1, np.random.default_rng(0), 5, None))
+        list(stationary_samples(pop, (1.0,), 2, 1, 0, 5, None))
         assert path.read_text() == json.dumps(pop.to_json_dict())
 
     def test_wf_dump_state_replaced_only_when_the_run_ends(self, runner, tmp_path, monkeypatch):
@@ -584,6 +583,13 @@ class TestErrorBoundary:
         (["sample-urn", "--n", "3", "--theta", "1,2"], "18446744073709551616"),
         (["wf-sim", "--N", "10", "--theta", "1,2", "--gens", "1", "--sample-size", "2"],
          "18446744073709551616"),
+        # checked as --seed is read, so also where nothing is drawn
+        (["sample-urn", "--n", "3", "--theta", "1,2", "--reps", "0"], "-1"),
+        (["sample-crp", "--n", "3", "--group", "z2", "--t", "1,2", "--reps", "0"],
+         "18446744073709551616"),
+        (["sample-pd", "--theta", "1,2", "--reps", "0"], "18446744073709551616"),
+        (["stats-k", "--n", "5", "--theta", "1,2"], "-1"),
+        (["stats-k", "--n", "5", "--theta", "1,2"], "18446744073709551616"),
     ])
     def test_seed_outside_64_bits_is_one_error_line(self, runner, args, seed):
         res = runner.invoke(main, [*args, "--seed", seed])

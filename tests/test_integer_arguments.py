@@ -25,8 +25,7 @@ def _first(gen):
 
 def _stationary(pop_size=10, sample_size=2, reps=1, burn=3, thin=1):
     pop = wf_sim.Population.founding(pop_size, 2)
-    gen = wf_sim.stationary_samples(pop, FTH, sample_size, reps, np.random.default_rng(0),
-                                    burn, thin)
+    gen = wf_sim.stationary_samples(pop, FTH, sample_size, reps, 0, burn, thin)
     return _first(gen)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -105,6 +106,12 @@ class TestMutationParams:
             MutationParams((F(-1, 2), F(1)))
         with pytest.raises(ValueError, match="positive and finite"):
             refined_esf_pmf(mp([1], []), (F(-1, 2), 1))
+
+    def test_refusal_of_a_mass_past_the_digit_limit(self):
+        # a denominator of 5,001 digits is shown by its bit length
+        with pytest.raises(ValueError, match=re.escape(
+                "positive and finite, got (-<1-bit numerator>/<16610-bit denominator>, 1)")):
+            MutationParams((F(-1, 10**5000), 1))
 
     @pytest.mark.parametrize("first", ["exact", "float"])
     def test_backend_follows_mass_type(self, first):

@@ -249,7 +249,7 @@ _PRODUCERS = {
     "sample_composition": lambda: [wf_sim.sample_composition(_evolved_population(), n, 3)
                                    for n in (1, 7, 40)],
     "stationary samples": lambda: list(wf_sim.stationary_samples(
-        wf_sim.Population.founding(40, 2), _TH, 8, 5, np.random.default_rng(4), 50, 5)),
+        wf_sim.Population.founding(40, 2), _TH, 8, 5, 4, 50, 5)),
     "stationary counts": lambda: list(wf_sim.stationary_partition_counts(
         100, (0.5, 1.0), 10, 50, 5)),
     "count matrix": lambda: [matrix_to_multipartition(multipartition_to_matrix(p))

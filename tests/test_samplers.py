@@ -112,11 +112,13 @@ class TestSeedDomain:
             "bernoulli_k_samples": lambda s: allele_stats.bernoulli_k_samples(5, (1, 2), 1, 3, s),
             "poisson_matrix_sample": lambda s: poisson.poisson_matrix_sample(2, (1, 2), s),
             "sample_composition": lambda s: wf_sim.sample_composition(pop, 2, s),
+            "stationary_samples": lambda s: wf_sim.stationary_samples(pop, (0.5, 1.0), 2, 1, s),
             "stationary_partition_counts": lambda s: wf_sim.stationary_partition_counts(
                 10, (0.5, 1.0), 2, 1, s),
         }
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, np.int64(-1), 2.0, True, "3"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, np.int64(-1), 2.0, True, "3",
+                                      np.random.default_rng(0)])
     def test_bad_seed_named(self, seed):
         for name, draw in self._entry_points().items():
             with pytest.raises(ValueError, match=re.escape(f"in [0, 2**64), got {seed!r}")):

@@ -38,6 +38,19 @@ class TestPopulation:
         with pytest.raises(ValueError):
             Population.founding(99, 1)
 
+    @pytest.mark.parametrize("ids,classes,k,message", [
+        ([0, 0, 0, 0], [0, 0, 0, -1], 2, r"classes must be in 0\.\.1"),
+        ([0, 0, 0, 0], [0, 0, 0, 2], 2, r"classes must be in 0\.\.1"),
+        ([0, 0, 0], [0, 0, 0], 2, "population size 2N must be a positive even integer"),
+        ([0, 0, 0, 0], [0, 0, 0, 0], 0, "k must be >= 1"),
+        ([0.0, 0.0, 0.0, 0.0], [0, 0, 0, 0], 2, "ids and classes must be integer arrays"),
+        ([0, 0, 0, 0], [0.0, 0.0, 0.0, 0.0], 2, "ids and classes must be integer arrays"),
+    ], ids=["class-minus-one", "class-k", "odd-2n", "k-zero", "float-ids", "float-classes"])
+    def test_constructor_checks_its_fields(self, ids, classes, k, message):
+        # a class of -1 was once sampled as the last class
+        with pytest.raises(ValueError, match=message):
+            Population(ids=np.array(ids), classes=np.array(classes), k=k)
+
     def test_json_snapshot(self):
         pop = Population.founding(10, 2)
         snap = pop.to_json_dict()
@@ -119,7 +132,7 @@ class TestSampleComposition:
         for _ in range(100):
             wf_step(pop, [0.02, 0.03], rng)
         for n in (1, 5, 30, 60):
-            part = sample_composition(pop, n, rng)
+            part = sample_composition(pop, n, n)
             assert part.n == n and part.k == 2
 
     def test_oversample_rejected(self):
@@ -229,7 +242,7 @@ class TestStationarySmoke:
         from oracles import tv_distance
 
         samples = stationary_samples(
-            Population.founding(200, 2), (0.5, 1.0), 3, 1500, np.random.default_rng(17),
+            Population.founding(200, 2), (0.5, 1.0), 3, 1500, 17,
             burn_gens=2000, thin_gens=100,
         )
         counts = Counter(samples)
@@ -357,7 +370,7 @@ class TestCountLevelEngine:
         dead: set = set()
         alive: set = set()
         samples = stationary_samples(
-            pop, (1.0, 2.0), 5, reps, np.random.default_rng(33), burn_gens=burn, thin_gens=thin
+            pop, (1.0, 2.0), 5, reps, 33, burn_gens=burn, thin_gens=thin
         )
         for r, part in enumerate(samples, start=1):
             assert part.n == 5 and part.k == 2
@@ -372,7 +385,7 @@ class TestCountLevelEngine:
 
     def test_no_samples_still_burns_in(self):
         pop = Population.founding(20, 1)
-        assert list(stationary_samples(pop, (1.0,), 2, 0, np.random.default_rng(0), 15)) == []
+        assert list(stationary_samples(pop, (1.0,), 2, 0, 0, 15)) == []
         assert pop.size == 20 and pop.generation == 15
 
     @pytest.mark.parametrize("mus", [[0.1], [0.6, 0.5], [-0.1, 0.2], [math.nan, 0.1]])
@@ -387,8 +400,7 @@ class TestCountLevelEngine:
     def test_rejects_bad_input_before_burn_in(self, sample_size, burn, thin):
         pop = Population.founding(10, 2)
         with pytest.raises(ValueError):
-            next(stationary_samples(pop, (1.0, 2.0), sample_size, 3,
-                                    np.random.default_rng(0), burn, thin))
+            next(stationary_samples(pop, (1.0, 2.0), sample_size, 3, 0, burn, thin))
         assert pop.generation == 0
 
     @pytest.mark.parametrize("theta,message", [
@@ -400,21 +412,28 @@ class TestCountLevelEngine:
         # a generator would check nothing until its first next()
         pop = Population.founding(10, 2)
         with pytest.raises(ValueError, match=message):
-            stationary_samples(pop, theta, 2, 1, np.random.default_rng(0))
+            stationary_samples(pop, theta, 2, 1, 0)
         assert pop.generation == 0
 
     def test_rejects_negative_reps_at_the_call(self):
         pop = Population.founding(10, 2)
         with pytest.raises(ValueError, match="reps must be >= 0"):
-            stationary_samples(pop, (1.0, 2.0), 2, -1, np.random.default_rng(0))
+            stationary_samples(pop, (1.0, 2.0), 2, -1, 0)
         assert pop.generation == 0
         with pytest.raises(ValueError, match="reps must be >= 0"):
             stationary_partition_counts(20, (1.0, 2.0), 2, -3, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.0, True, "3", np.random.default_rng(0)],
+                             ids=["negative", "2**64", "float", "bool", "str", "generator"])
+    def test_rejects_bad_seed_at_the_call(self, seed):
+        pop = Population.founding(10, 2)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            stationary_samples(pop, (1.0, 2.0), 2, 1, seed)
+        assert pop.generation == 0
+
     def test_stream_follows_the_burn_in(self):
         pop = Population.founding(20, 2)
-        rng = np.random.default_rng(5)
-        samples = stationary_samples(pop, (1.0, 2.0), 4, 3, rng, 7, 2)
+        samples = stationary_samples(pop, (1.0, 2.0), 4, 3, 5, 7, 2)
         assert pop.generation == 0  # nothing runs before the first next()
         got = list(samples)
         alleles = _AlleleCounts(Population.founding(20, 2), [1.0 / 40, 2.0 / 40])
@@ -430,7 +449,7 @@ class TestCountLevelEngine:
     def test_rejects_bad_masses_before_burn_in(self, theta):
         pop = Population.founding(10, 2)
         with pytest.raises(ValueError, match="positive and finite"):
-            next(stationary_samples(pop, theta, 2, 3, np.random.default_rng(0)))
+            next(stationary_samples(pop, theta, 2, 3, 0))
         assert pop.generation == 0
 
 

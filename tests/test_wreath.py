@@ -135,6 +135,14 @@ class TestWreathElement:
             assert ident.s == (0, 1, 2)
             assert all(v == g.identity for v in ident.g)
 
+    @pytest.mark.parametrize("op", [wreath_multiply, wreath_conjugate],
+                             ids=["multiply", "conjugate"])
+    def test_operations_refuse_elements_of_different_n(self, op):
+        g, x, y = cyclic_group(2), WreathElement((1, 0), (1, 0)), WreathElement((1,), (0,))
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="wreath elements must have the same n"):
+                op(a, b, g)
+
     def test_enumeration_size(self):
         z2 = cyclic_group(2)
         assert sum(1 for _ in enumerate_wreath_elements(3, z2)) == 2**3 * 6
@@ -164,11 +172,13 @@ class TestCycleType:
         # -1 would otherwise index the last element, 5 past the table
         g = cyclic_group(2)
         for entries in ((5,), (-1,), (0, 2)):
-            x = WreathElement(entries, tuple(range(len(entries))))
-            with pytest.raises(ValueError):
-                cycle_type(x, g)
-            with pytest.raises(ValueError):
-                pewens_pmf(x, g, (1, 2))
+            s = tuple(range(len(entries)))
+            x, y = WreathElement(entries, s), WreathElement((1,) * len(s), s)
+            for call in (lambda: cycle_type(x, g), lambda: pewens_pmf(x, g, (1, 2)),
+                         lambda: wreath_multiply(y, x, g), lambda: wreath_inverse(x, g),
+                         lambda: wreath_conjugate(y, x, g)):
+                with pytest.raises(ValueError, match=r"entries of g must be in 0\.\.1"):
+                    call()
 
     def test_total_size(self):
         g = symmetric_group_3()
@@ -269,6 +279,12 @@ class TestWreathMeasure:
             WreathParams((1.0, bad))
         with pytest.raises(ValueError, match="positive and finite"):
             pewens_pmf(WreathElement((0,), (0,)), cyclic_group(2), (1.0, bad))
+
+    def test_refusal_of_a_weight_past_the_digit_limit(self):
+        # a denominator of 5,001 digits is shown by its bit length
+        with pytest.raises(ValueError, match="positive and finite, got "
+                                             r"\(-<1-bit numerator>/<16610-bit denominator>, 1\)"):
+            WreathParams((F(-1, 10**5000), 1))
 
     @pytest.mark.parametrize("ts", [(F(1),), (F(1), F(2), F(3))])
     def test_rejects_wrong_weight_count(self, ts):
