@@ -355,9 +355,10 @@ class RegimeSpec:
         alphas = tuple(self.alphas)
         object.__setattr__(self, "alphas", alphas)
         if not self.beta >= 0:  # also rejects NaN
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+            raise ValueError(f"beta must be >= 0, got {_shown(self.beta)}")
         if not _positive_finite(alphas):
-            raise ValueError(f"all alphas must be positive and finite, got {alphas}")
+            shown = ", ".join(map(_shown, alphas))
+            raise ValueError(f"all alphas must be positive and finite, got ({shown})")
 
     @property
     def k(self) -> int:

@@ -127,12 +127,14 @@ def _positive_finite(values) -> bool:
 
 def _shown(value) -> str:
     """value as a message shows it: in full, or, for a rational past Python's
-    int-to-string digit limit, by its sign and the bit lengths of its two parts."""
+    int-to-string digit limit, by its sign and the bit lengths of its parts."""
     try:
         return str(value)
     except ValueError:
         num, den = value.numerator, value.denominator
         sign = "-" if num < 0 else ""
+        if den == 1:
+            return f"{sign}<{num.bit_length()}-bit integer>"
         return f"{sign}<{num.bit_length()}-bit numerator>/<{den.bit_length()}-bit denominator>"
 
 

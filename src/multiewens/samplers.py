@@ -6,16 +6,18 @@ per-step rates it realises, and the paintbox over class-weighted ranked
 frequencies drawn from the multiple Poisson-Dirichlet law.  The urn and the
 paintbox end with the alleles they drew as (class, count) pairs, which
 ``partitions._from_alleles`` groups into the sample's multiple partition.
-The urn has three engines.  One draw of fewer than ``_KERNEL_STEPS`` steps
+The urn has two engines.  One draw of fewer than ``_KERNEL_STEPS`` steps
 runs in the interpreted loop ``_urn_run``; a longer one is built from all its
 uniforms at once by ``_urn_kernel``, which makes the same choices on the same
-uniforms.  The counting sampler runs many replicates at once in
-``_urn_batch``.  These two and the restaurant's array engine (``wreath``)
-read every step from :func:`_steps`, and all five engines open a class by
-one rule: the number of partial sums of the masses below their total that
-lie at or below the scaled uniform (``bisect_right`` in the loops,
-:func:`_classes` in the arrays).  Both urn array engines find each draw's
-colour by pointer doubling (:func:`_roots`).
+uniforms.  The array engine turns each uniform into a step code
+(:func:`_codes`, shared with the restaurant in ``wreath``) and finds each
+draw's colour from the codes by pointer doubling (:func:`_urn_founders`).
+Both loops and :func:`_codes` open a class by one rule: the number of
+partial sums of the masses below their total that lie at or below the
+scaled uniform (``bisect_right`` in the loops).  Both counting samplers,
+the urn's and the restaurant's, tally their runs by the step codes packed
+into int64 words (:func:`_batched_counts`) and build only the distinct runs,
+the urn's through :func:`_urn_founders`.
 The urn's set partition and the Poisson-Dirichlet frequencies are valid by
 construction and skip their constructors' checks through
 ``partitions._trusted``, with the field types of a validated instance.
@@ -44,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import _params
+from .measure import _params, _shown
 from .partitions import LabeledSetPartition, MultiplePartition, _at_least, _from_alleles, _trusted
 
 __all__ = [
@@ -77,11 +79,17 @@ def derive_seed(seed: int, index: int) -> int:
 def _checked_seed(seed) -> int:
     """seed as an int, after the one seed rule: an integer in [0, 2**64),
     numpy integers included.  A plain int is passed first, since the
-    Integral check is slow against a desk-size draw."""
+    Integral check is slow against a desk-size draw.  A refused seed is
+    shown by its repr, or past Python's int-to-string digit limit by its bit
+    length (``measure._shown``)."""
     if type(seed) is int and 0 <= seed <= _MASK64:
         return seed
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        try:
+            shown = repr(seed)
+        except ValueError:
+            shown = _shown(seed)
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {shown}")
     return int(seed)
 
 
@@ -118,7 +126,7 @@ def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
 
     Returns (classes, counts, founder): 0-based class and count per color in
     creation order, and for each draw j the index of the color it joined
-    (or founded).  Each draw takes the step of :func:`_steps` with m = 1 on
+    (or founded).  Each draw takes the step of :func:`_codes` with m = 1 on
     the cumulative class masses; copying the color of a uniform earlier
     draw joins each color with probability count / j."""
     cum = list(itertools.accumulate(thetas))
@@ -140,48 +148,45 @@ def _urn_run(n: int, thetas: Sequence[float], rng: random.Random):
     return classes, counts, founder
 
 
-def _steps(u: np.ndarray, cum, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step of the urn and the restaurant on every uniform of u at once,
-    one step per row; the columns of a 2-D u are independent runs.
+def _codes(u: np.ndarray, cum, m: int) -> np.ndarray:
+    """The step code of the urn and the restaurant on every uniform of u at
+    once, one step per row; the columns of a 2-D u are independent runs.
 
     cum holds the cumulative weights of opening, the last being their total
     D, and each earlier draw offers m slots.  Step j scales its uniform to x
-    in [0, D + j m).  Where x < D it opens and takes its own first slot j m;
-    any other step takes slot min(int(x - D), j m - 1), clamped since x
-    rounds up to D + j m when random() returns 1 - 2**-53.  Returns x, the
-    opening mask and the slots.
+    in [0, D + j m).  Where x < D it opens, with code j m plus the number of
+    entries of cum[:-1] at or below x (``bisect_right`` in the step loops);
+    any other step's code is the slot it takes, min(int(x - D), j m - 1),
+    clamped since x rounds up to D + j m when random() returns 1 - 2**-53.
+    So step j has m j + len(cum) codes.  Every step is compared with every
+    entry, which costs less than gathering the opening steps of a desk batch.
     """
     d, n = cum[-1], len(u)
     slots = m * np.arange(n).reshape((n,) + (1,) * (u.ndim - 1))
     x = u * (d + slots)
-    opens = x < d
-    pair = np.minimum(np.maximum(x - d, 0.0).astype(np.intp), slots - 1)
-    return x, opens, np.where(opens, slots, pair)
+    pair = np.clip(x - d, 0.0, slots - 1).astype(np.intp)
+    return np.where(x < d, sum((x >= b for b in cum[:-1]), slots), pair)
 
 
-def _classes(x: np.ndarray, opens: np.ndarray, cum) -> np.ndarray:
-    """The class each step opens, 0 where it opens none: the number of
-    entries of cum[:-1] at or below its scaled uniform x, as bisect_right
-    gives in the step loops.  Every step is compared, one pass per entry,
-    which costs less than gathering the opening steps of a desk batch."""
-    return sum(x >= b for b in cum[:-1]) * opens
-
-
-def _urn_founders(cum: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The urn's steps (:func:`_steps`, m = 1) on the uniforms u for the
-    cumulative class masses cum, where a founding draw copies itself.
-    Returns every draw's 0-based class (0 if it joins a color) and the flat
-    index into u of the draw that founded its color, found by pointer
-    doubling (:func:`_roots`)."""
-    x, opens, pick = _steps(u, cum, 1)
-    parent = pick * u[0].size + np.arange(u[0].size).reshape(u.shape[1:])
-    return _classes(x, opens, cum), _roots(parent.ravel()).reshape(u.shape)
+def _urn_founders(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The urn's draws from their step codes (:func:`_codes`, m = 1), one run
+    per row of codes and one draw per column: draw j with code c >= j founds
+    a color of class c - j and any other draw copies draw c.  Returns every
+    draw's 0-based class (0 if it joins a color) and the flat index into
+    codes of the draw that founded its color, found by pointer doubling
+    (:func:`_roots`) with each run's draws side by side."""
+    n = codes.shape[-1]
+    slots = np.arange(n)
+    parent = np.minimum(codes, slots)
+    parent += n * np.arange(codes.size // n).reshape(codes.shape[:-1] + (1,))
+    classes = codes - slots
+    return classes.clip(0, out=classes), _roots(parent.ravel()).reshape(codes.shape)
 
 
 def _urn_kernel(thetas: Sequence[float], u: np.ndarray):
     """:func:`_urn_run` on the uniforms u, with no loop over the steps; on
     the same uniforms the result is identical."""
-    classes, root = _urn_founders(np.cumsum(thetas), u)
+    classes, root = _urn_founders(_codes(u, np.cumsum(thetas), 1))
     new = root == np.arange(len(u))
     founder = (np.cumsum(new) - 1)[root]
     return classes[new].tolist(), np.bincount(founder).tolist(), founder.tolist()
@@ -222,45 +227,109 @@ def hoppe_urn_sample(
 # 2,048 runs of a desk-size n run as fast as 4,096 with half the memory
 _CHUNK_RUNS = 2048
 _CHUNK_CELLS = 1 << 17
+# the largest product of radices that one int64 key word holds
+_WORD = 1 << 63
 
 
-def _batched_counts(n: int, reps: int, seed: int, keys_of) -> Counter:
-    """Tally `reps` runs of n steps each, in chunks off one numpy stream.
+def _word_layout(n: int, m: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pack runs of n steps, step j with radix m j + c, into int64 words in
+    mixed radix: each word takes the next steps while the product of their
+    radices stays within 2**63.  Returns the radices, the first step of
+    every word and each step's place value within its word.
+
+    The radices grow with j, so the word lengths never grow: words of the
+    length that fits at j fit at every start below the first whose product
+    passes 2**63, found by bisection, and are laid out at once.
+    """
+    radix = m * np.arange(n, dtype=np.int64) + c
+    stride = np.ones(n, dtype=np.int64)
+    runs, j = [], 0
+    while j < n:
+        length, room = 1, _WORD // (m * j + c)
+        while j + length < n and m * (j + length) + c <= room:
+            room //= m * (j + length) + c
+            length += 1
+        full = range(j, n - length + 1)  # the starts of words that end by step n
+        past = bisect.bisect_left(
+            full, True, key=lambda p: math.prod(range(m * p + c, m * (p + length) + c, m)) > _WORD)
+        runs.append(np.arange(j, j + past if past < len(full) else n, length))
+        block = np.ones((len(runs[-1]), length), dtype=np.int64)  # place values, a word per row
+        end = min(j + block.size, n)
+        steps = np.r_[radix[j:end], np.ones(j + block.size - end, np.int64)]
+        np.cumprod(steps.reshape(block.shape)[:, :-1], axis=1, out=block[:, 1:])
+        stride[j:end] = block.ravel()[:end - j]
+        j = end
+    return radix, np.concatenate(runs), stride
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D int64 array as one key that np.unique can sort: the
+    int64 itself for one column, the bytes of the row otherwise."""
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    return rows.view((np.void, rows.itemsize * rows.shape[1]))[:, 0]
+
+
+def _grouped(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the summed counts of each.  The sort is
+    stable, which merges keys that come as sorted runs, such as a table and
+    the chunks pending, in close to linear time."""
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    first = np.flatnonzero(np.r_[len(keys) > 0, keys[1:] != keys[:-1]])
+    return keys[first], np.add.reduceat(counts, first)
+
+
+def _batched_counts(n: int, reps: int, seed: int, cum, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tally `reps` runs of n steps each by their step codes, in chunks off
+    one numpy stream; returns the codes of the distinct runs, one run per
+    row, and how many times each was drawn.
 
     A chunk of r runs draws one uniform per step and run, as an (n, r)
-    block, and keys_of maps that block to an (r, m) integer array whose
-    row i is the canonical key of run i.  Chunks hold at most _CHUNK_RUNS
-    runs and _CHUNK_CELLS run-steps, which bounds the memory at any n.
-    Rows are grouped by a lexicographic sort, exact at any n and key
-    range; the result counts each distinct row as a tuple of ints.  The
-    caller has checked n.
+    block, and takes their codes (:func:`_codes` with the weights cum and m
+    slots per step).  Each run is packed into int64 words in mixed radix
+    (:func:`_word_layout`), where step j has radix m j + len(cum); at desk n
+    that is one word.  A chunk's distinct runs are found by ``np.unique``,
+    on the int64 itself when a run fits one word and on the bytes of its
+    words otherwise, and the chunks' (key, count) pairs merge into a running
+    table whenever they outgrow it, so the memory is that of the distinct
+    runs and one chunk.  The distinct keys are decoded back to codes at the
+    end, one divmod per step position within a word.  Chunks hold at most
+    _CHUNK_RUNS runs and _CHUNK_CELLS run-steps.  The caller has checked n.
     """
     reps = _at_least(reps, 0, "reps")
     rng = _numpy_rng(seed)
     size = max(1, min(_CHUNK_RUNS, _CHUNK_CELLS // n))
-    raw: Counter = Counter()
+    radix, starts, stride = _word_layout(n, m, len(cum))
+    keys, counts = _row_keys(np.empty((0, len(starts)), np.int64)), np.empty(0, np.int64)
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
     for start in range(0, reps, size):
-        keys = keys_of(rng.random((n, min(size, reps - start))))
-        if len(keys) > 1:  # one run, as in every chunk past n = _CHUNK_CELLS / 2, is grouped
-            keys = keys[np.lexsort(keys.T)]
-        first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-        counts = np.diff(np.r_[first, len(keys)])
-        raw.update(dict(zip(map(tuple, keys[first].tolist()), counts.tolist())))
-    return raw
+        codes = _codes(rng.random((n, min(size, reps - start))), cum, m)
+        pending.append(np.unique(_row_keys(np.add.reduceat(codes * stride[:, None], starts).T),
+                                 return_counts=True))
+        if sum(len(k) for k, _ in pending) > len(keys) or start + size >= reps:
+            keys, counts = _grouped(*map(np.concatenate, zip((keys, counts), *pending)))
+            pending = []
+    rest = keys.view(np.int64).reshape(len(keys), len(starts)).copy()
+    lengths = np.diff(starts, append=n)
+    codes = np.empty((len(keys), n), dtype=np.int64)
+    for i in range(lengths[0]):  # the words holding a step at place i are the first ones
+        at = starts[:np.count_nonzero(lengths > i)] + i
+        rest[:, :len(at)], codes[:, at] = np.divmod(rest[:, :len(at)], radix[at])
+    return codes, counts
 
 
-def _urn_batch(n: int, thetas: Sequence[float], u: np.ndarray) -> np.ndarray:
-    """Run the urn on each column of the (n, r) uniforms u at once.
-
-    Returns one row per run: the sorted codes class * (n + 1) + count of
-    its colors (:func:`_urn_founders`), each named by its founding draw,
-    padded with zeros to n entries by the draws that found no color.
-    """
-    codes, founder = _urn_founders(np.cumsum(thetas), u)
-    codes *= n + 1  # in place, which keeps few chunk-sized arrays alive
-    codes += np.bincount(founder.ravel(), minlength=u.size).reshape(u.shape)
-    codes.sort(axis=0)
-    return codes.T
+def _urn_keys(codes: np.ndarray) -> np.ndarray:
+    """The urn's runs from their step codes, one run per row: the codes
+    class * (n + 1) + count of each run's colors, sorted, with a 0 for each
+    draw that founds no color."""
+    n = codes.shape[-1]
+    classes, root = _urn_founders(codes)
+    classes *= n + 1  # in place, which keeps few run-sized arrays alive
+    classes += np.bincount(root.ravel(), minlength=codes.size).reshape(codes.shape)
+    classes.sort(axis=-1)
+    return classes
 
 
 def hoppe_urn_partition_counts(
@@ -269,18 +338,21 @@ def hoppe_urn_partition_counts(
     """Empirical counts of urn multiple partitions over `reps` runs.
 
     The urn of :func:`hoppe_urn_sample`, run on many replicates at once off
-    one numpy stream (:func:`_urn_batch`), so its stream is not that of
-    the one-draw sampler; keys are MultiplePartition.  A run is tallied
-    under its sorted (class, count) codes, and each distinct key is built
-    into a partition once.
+    one numpy stream, so its stream is not that of the one-draw sampler;
+    keys are MultiplePartition.  Runs are tallied by their step codes
+    (:func:`_batched_counts`) and only the distinct ones are built
+    (:func:`_urn_keys`).  Their partitions are grouped by the nonzero
+    (class, count) codes, largest first, and each is built once.
     """
     params = _params(theta)
-    thetas = [float(t) for t in params.thetas]
     n = _at_least(n, 1, "n")
-    raw = _batched_counts(n, reps, seed, lambda u: _urn_batch(n, thetas, u))
+    codes, counts = _batched_counts(n, reps, seed, np.cumsum([float(t) for t in params.thetas]), 1)
+    alleles = _urn_keys(codes)[:, ::-1]  # largest first, so each row starts with its colors
+    width = np.count_nonzero(alleles, axis=1).max(initial=1)  # the most colors of any run
+    keys, counts = _grouped(_row_keys(alleles[:, :width]), counts)
     return Counter({
         _from_alleles((divmod(code, n + 1) for code in key if code), params.k): c
-        for key, c in raw.items()
+        for key, c in zip(keys.view(np.int64).reshape(len(keys), width).tolist(), counts.tolist())
     })
 
 

@@ -50,7 +50,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .measure import _params
+from .measure import _params, _shown
 from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _stirling_second
 from .samplers import _numpy_rng
 
@@ -129,8 +129,9 @@ def _mutation_probs(mus: Sequence, k: int | None = None) -> tuple:
     if k is not None and len(mus) != k:
         raise ValueError(f"need k={k} mutation probabilities")
     if not (all(0 <= m < math.inf for m in mus) and sum(mus) < 1):
+        shown = ", ".join(map(_shown, mus))
         raise ValueError(
-            f"mutation probabilities must be finite and nonnegative with sum < 1, got {mus}"
+            f"mutation probabilities must be finite and nonnegative with sum < 1, got ({shown})"
         )
     return mus
 

@@ -17,12 +17,12 @@ operations build skip that check through ``partitions._trusted``.
 The restaurant process takes one uniform per step and has two engines
 that make the same choices on the same uniforms.  One draw of fewer than
 ``samplers._KERNEL_STEPS`` steps runs in the interpreted loop ``_crp_run``;
-a longer one is rebuilt from its step codes (``_crp_codes``) on numpy's
+a longer one is rebuilt from its step codes (``samplers._codes``) on numpy's
 uniforms by ``_crp_assemble``.  The counting sampler tallies its runs by
-their codes, which name an element one to one, and rebuilds each distinct
-run once.  Both engines take the urn's step with |G| slots per placed
-element (``samplers._steps`` in the arrays), and a new cycle's entry follows
-the urn's class rule over the checked weights of :func:`_entry_weights`.
+their codes (``samplers._batched_counts``), which name an element one to
+one, and rebuilds each distinct run once.  Both engines take the urn's step
+with |G| slots per placed element, and a new cycle's entry follows the urn's
+class rule over the checked weights of :func:`_entry_weights`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .measure import (_common_of_ratios, _finite_total, _is_exact, _log_law, _po
                       _shown)
 from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _trusted
 from .samplers import (
-    _KERNEL_STEPS, _batched_counts, _classes, _numpy_rng, _python_rng, _roots, _steps,
+    _KERNEL_STEPS, _batched_counts, _codes, _numpy_rng, _python_rng, _roots,
 )
 
 __all__ = [
@@ -329,8 +329,8 @@ def crp_wreath_sample(n: int, group: GroupTable, t, seed: int) -> WreathElement:
     if n < _KERNEL_STEPS:
         g, s = _crp_run(n, group, cum, _python_rng(seed))
     else:
-        codes = _crp_codes(group, cum, _numpy_rng(seed).random((n, 1)))
-        g, s = (a[0].tolist() for a in _crp_assemble(group, codes))
+        codes = _codes(_numpy_rng(seed).random(n), cum, group.order)
+        g, s = (a[0].tolist() for a in _crp_assemble(group, codes[None]))
     return _trusted(WreathElement, g=tuple(g), s=tuple(s))
 
 
@@ -353,7 +353,7 @@ def _undo(group: GroupTable) -> list[tuple[int, ...]]:
 def _crp_run(n: int, group: GroupTable, cum: list, rng: random.Random):
     """Run the restaurant process for n steps, one rng.random() each.
 
-    Each step is that of :func:`samplers._steps` with m = |G| on the
+    Each step is that of :func:`samplers._codes` with m = |G| on the
     cumulative weights cum of :func:`_entry_weights`, whose last is D: below D
     it opens a cycle with entry bisect_right of x among the others, and
     otherwise slot pos |G| + entry gives the position and entry of an
@@ -378,22 +378,16 @@ def _crp_run(n: int, group: GroupTable, cum: list, rng: random.Random):
     return g, s
 
 
-def _crp_codes(group: GroupTable, cum: list, u: np.ndarray) -> np.ndarray:
-    """Each step's code on the uniforms u, one step per row, for the weights
-    cum of :func:`_entry_weights` (:func:`samplers._steps`): pos |G| + entry,
-    where a step j that opens a cycle has pos j and the new cycle's entry
-    (:func:`samplers._classes`), and any other step inserts its entry after
-    the earlier element pos.  The n! |G|^n code sequences of n steps are as
-    many as the elements of G wr S(n), each of which some sequence builds, so
-    a run's codes name its element one to one."""
-    x, new, pair = _steps(u, cum, group.order)
-    return pair + _classes(x, new, cum)
-
-
 def _crp_assemble(group: GroupTable, codes: np.ndarray):
-    """:func:`_crp_run` on each column of the (n, r) step codes of
-    :func:`_crp_codes`, with no loop over the steps; returns g and s as
-    (r, n) arrays, one row per run.
+    """:func:`_crp_run` on each row of the (r, n) step codes of
+    :func:`samplers._codes` with m = |G| slots per placed element, with no
+    loop over the steps; returns g and s as (r, n) arrays, one row per run.
+
+    A step j that opens a cycle has code j |G| plus the new cycle's entry,
+    and any other step pos |G| + entry inserts its entry after the earlier
+    element pos.  The n! |G|^n code sequences of n steps are as many as the
+    elements of G wr S(n), each of which some sequence builds, so a run's
+    codes name its element one to one.
 
     The runs are laid end to end, run c's positions offset by c n, so a
     step opens a cycle where its offset position is its own flat index.
@@ -405,9 +399,9 @@ def _crp_assemble(group: GroupTable, codes: np.ndarray):
     (:func:`samplers._roots`).  A host's entry is left-multiplied by its
     insertions' inverse entries in time order, one pass per insertion rank.
     """
-    (n, r), m = codes.shape, group.order
+    (r, n), m = codes.shape, group.order
     size, base = n * r, n * np.arange(r)[:, None]
-    pos, g = np.divmod(codes.T, m)
+    pos, g = np.divmod(codes, m)
     pos, g = (pos + base).ravel(), g.ravel()
     ins = np.flatnonzero(pos != np.arange(size))
     host, placed = np.divmod(np.sort(pos[ins] * size + ins), size)  # by host, then time
@@ -442,18 +436,19 @@ def crp_element_counts(
 
     The process of :func:`crp_wreath_sample`, run on many replicates at
     once off one numpy stream, so its stream is not that of the one-draw
-    sampler.  Runs are tallied by their step codes (:func:`_crp_codes`) and
-    the distinct ones built by one :func:`_crp_assemble`, so the cost is
-    paid once per distinct run: the sampler is intended for desk-scale n
-    where the number of distinct elements is small.
+    sampler.  Runs are tallied by their step codes
+    (:func:`samplers._batched_counts`) and the distinct ones built by one
+    :func:`_crp_assemble`, so the cost is paid once per distinct run: the
+    sampler is intended for desk-scale n where the number of distinct
+    elements is small.
     """
     cum = _entry_weights(group, t)
     n = _at_least(n, 1, "n")
-    raw = _batched_counts(n, reps, seed, lambda u: _crp_codes(group, cum, u).T)
-    g, s = _crp_assemble(group, np.array(list(raw), dtype=np.intp).reshape(-1, n).T)
+    codes, counts = _batched_counts(n, reps, seed, cum, group.order)
+    g, s = _crp_assemble(group, codes)
     return Counter({
         _trusted(WreathElement, g=tuple(gv), s=tuple(sv)): c
-        for gv, sv, c in zip(g.tolist(), s.tolist(), raw.values())
+        for gv, sv, c in zip(g.tolist(), s.tolist(), counts.tolist())
     })
 
 

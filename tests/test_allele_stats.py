@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -470,6 +471,16 @@ class TestRegimes:
     def test_rejects_nan_beta(self):
         with pytest.raises(ValueError, match="beta must be >= 0"):
             RegimeSpec(math.nan, (1.0, 2.0))
+
+    def test_refusal_of_values_past_the_digit_limit(self):
+        # a denominator of 5,001 digits is shown by its bit length
+        long = Fraction(-1, 10**5000)
+        with pytest.raises(ValueError, match=re.escape(
+                "alphas must be positive and finite, got (-<1-bit numerator>/<16610-bit"
+                " denominator>, 1)")):
+            RegimeSpec(0.5, (long, 1))
+        with pytest.raises(ValueError, match=re.escape("beta must be >= 0, got -<1-bit")):
+            RegimeSpec(long, (1, 2))
 
 
 class TestCltScaling:

@@ -24,8 +24,10 @@ from multiewens.samplers import (
     _CHUNK_RUNS,
     _KERNEL_STEPS,
     FrequencyRanked,
-    _urn_batch,
+    _codes,
+    _urn_keys,
     _urn_kernel,
+    _word_layout,
     coalescent_rates,
     derive_seed,
     hoppe_urn_partition_counts,
@@ -50,6 +52,14 @@ F = Fraction
 
 def mp(*rows_lists):
     return MultiplePartition(tuple(YoungDiagram(tuple(r)) for r in rows_lists))
+
+
+def counting_keys(ts, u):
+    """The counting sampler's run keys on each column of the uniforms u: the
+    sorted codes class * (n + 1) + count of the run's colors, padded with
+    zeros to n entries, built from the runs' step codes as the sampler
+    builds its distinct runs."""
+    return _urn_keys(_codes(u, np.cumsum(ts), 1).T).tolist()
 
 
 def power_sums_of(xs, max_power):
@@ -122,6 +132,14 @@ class TestSeedDomain:
     def test_bad_seed_named(self, seed):
         for name, draw in self._entry_points().items():
             with pytest.raises(ValueError, match=re.escape(f"in [0, 2**64), got {seed!r}")):
+                draw(seed)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_seed_past_the_digit_limit_named_by_its_bits(self, sign):
+        # 5,001 digits are past Python's int-to-string limit
+        seed, shown = sign * 10**5000, ("-" if sign < 0 else "") + "<16610-bit integer>"
+        for draw in self._entry_points().values():
+            with pytest.raises(ValueError, match=re.escape(f"in [0, 2**64), got {shown}")):
                 draw(seed)
 
     def test_numpy_and_large_seeds_accepted(self):
@@ -253,9 +271,9 @@ class TestUrnTopDraw:
         ts = [0.05, 1 / 7]
         copy_first = (sum(ts) + 0.5) / (sum(ts) + 2)
         u = np.array([[self.TOP, 0.0, 0.0, self.TOP], [0.0, 0.0, copy_first, self.TOP]]).T
-        assert _urn_batch(4, ts, u).tolist() == [[0, 1, 2, 6], [0, 0, 1, 3]]
+        assert counting_keys(ts, u) == [[0, 1, 2, 6], [0, 0, 1, 3]]
         # the top draw at j = 0 goes to the last of three classes
-        assert _urn_batch(1, [0.05, 1 / 7, 2.0], np.array([[self.TOP]])).tolist() == [[5]]
+        assert counting_keys([0.05, 1 / 7, 2.0], np.array([[self.TOP]])) == [[5]]
 
 
 class TestUrnKernel:
@@ -300,16 +318,16 @@ class TestUrnKernel:
 
 
 class TestUrnClassBoundary:
-    """All three urn engines pick a new colour's class by the cumulative
-    rule: the number of partial sums of the masses, other than their total,
-    at or below the scaled uniform."""
+    """The loop, the kernel and the counting sampler's runs all pick a new
+    colour's class by the cumulative rule: the number of partial sums of the
+    masses, other than their total, at or below the scaled uniform."""
 
     @staticmethod
     def _three_engines(ts, draws):
         n = len(draws)
         run = _urn_run(n, ts, TestUrnTopDraw.Scripted(draws))
         kernel = _urn_kernel(ts, np.array(draws))
-        (key,) = _urn_batch(n, ts, np.array(draws)[:, None]).tolist()
+        (key,) = counting_keys(ts, np.array(draws)[:, None])
         return run, kernel, key
 
     def test_scaled_uniform_on_a_partial_sum(self):
@@ -378,7 +396,7 @@ class TestUrnEnginesAgainstExactLaw:
         ts = [0.4, 1.1, 2.5]
         for n, runs in ((9, 300), (_CHUNK_CELLS // 2 + 4, 1)):
             u = np.random.default_rng(5).random((n, runs))
-            for draws, key in zip(u.T.tolist(), _urn_batch(n, ts, u).tolist()):
+            for draws, key in zip(u.T.tolist(), counting_keys(ts, u)):
                 classes, counts, _ = _urn_run(n, ts, TestUrnTopDraw.Scripted(draws))
                 codes = [cls * (n + 1) + c for cls, c in zip(classes, counts)]
                 assert key == sorted(codes + [0] * (n - len(codes)))
@@ -399,16 +417,110 @@ class TestUrnCountingEdges:
         assert set(counts) <= {mp([1], []), mp([], [1])} and sum(counts.values()) == 4000
         assert abs(counts[mp([1], [])] / 4000 - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 4000)
 
-    def test_one_run_chunks_skip_the_sort(self, monkeypatch):
-        # past n = _CHUNK_CELLS / 2 each chunk holds one run, which is grouped already
+    def test_one_run_chunks_give_the_same_counts(self, monkeypatch):
+        # past n = _CHUNK_CELLS / 2 each chunk holds one run; the counts are
+        # those of the one-draw loop on each chunk's uniforms
         n, th, reps = 6, (1.0, 2.0), 40
         rng, want = np.random.default_rng(7), Counter()
         for _ in range(reps):
-            (key,) = _urn_batch(n, list(th), rng.random((n, 1))).tolist()
-            want[_from_alleles((divmod(c, n + 1) for c in key if c), 2)] += 1
+            draws = TestUrnTopDraw.Scripted(rng.random(n).tolist())
+            classes, counts, _ = _urn_run(n, list(th), draws)
+            want[_from_alleles(zip(classes, counts), 2)] += 1
         monkeypatch.setattr(samplers, "_CHUNK_CELLS", n)
-        monkeypatch.setattr(np, "lexsort", lambda keys: pytest.fail("sorted a one-run chunk"))
         assert hoppe_urn_partition_counts(n, th, reps, seed=7) == want
+
+
+class TestCountingReplaysTheLoops:
+    """Both counting samplers against the one-draw loops replayed on each
+    column of the same chunked uniforms, on both sides of the n where a
+    run's step codes outgrow one int64 word: 19 for the urn with k = 2, 18
+    with k = 3, 16 for the restaurant in Z2 and 12 in S3."""
+
+    @staticmethod
+    def _replay(n, reps, seed, run):
+        """Tally of run(draws) over the columns of the counting samplers' chunks."""
+        size = max(1, min(_CHUNK_RUNS, _CHUNK_CELLS // n))
+        rng, want = np.random.default_rng(seed), Counter()
+        for start in range(0, reps, size):
+            for draws in rng.random((n, min(size, reps - start))).T.tolist():
+                want[run(TestUrnTopDraw.Scripted(draws))] += 1
+        return want
+
+    @pytest.mark.parametrize("reps", [0, 1, _CHUNK_RUNS + 1])
+    @pytest.mark.parametrize("ts", [(0.7, 1.3), (0.4, 1.1, 2.5)])
+    @pytest.mark.parametrize("n", [1, 2, 6, 18, 19, 20, 21, 64, 300])
+    def test_urn(self, n, ts, reps):
+        def run(rng):
+            classes, counts, _ = _urn_run(n, ts, rng)
+            return _from_alleles(zip(classes, counts), len(ts))
+
+        want = self._replay(n, reps, 29, run)
+        assert hoppe_urn_partition_counts(n, ts, reps, seed=29) == want
+
+    @pytest.mark.parametrize("reps", [0, 1, _CHUNK_RUNS + 1])
+    @pytest.mark.parametrize("group", ["z2", "s3"])
+    @pytest.mark.parametrize("n", [1, 3, 4, 12, 13, 16, 17, 64])
+    def test_restaurant(self, n, group, reps):
+        from multiewens import wreath
+
+        group, ts = {"z2": (wreath.cyclic_group(2), (0.3, 4.0)),
+                     "s3": (wreath.symmetric_group_3(), (1.0, 2.0, 0.5))}[group]
+        cum = wreath._entry_weights(group, ts)
+        want = self._replay(n, reps, 31, lambda rng: wreath.WreathElement(
+            *wreath._crp_run(n, group, cum, rng)))
+        assert wreath.crp_element_counts(n, group, ts, reps, seed=31) == want
+
+
+class TestWordLayout:
+    """The mixed-radix words of the counting samplers' step codes: step j
+    has radix m j + c, and each word takes the next steps while the product
+    of their radices stays within 2**63."""
+
+    @pytest.mark.parametrize("n,m,c,words", [
+        (19, 1, 2, 1), (20, 1, 2, 2), (18, 1, 3, 1), (19, 1, 3, 2),
+        (16, 2, 2, 1), (17, 2, 2, 2), (12, 6, 6, 1), (13, 6, 6, 2),
+    ])
+    def test_desk_runs_fit_one_word(self, n, m, c, words):
+        # (n + 1)! <= 2**63 up to n = 19 for the urn with k = 2, and
+        # 6**n n! up to n = 12 for the restaurant in S3
+        assert len(_word_layout(n, m, c)[1]) == words
+
+    @pytest.mark.parametrize("n,m,c", [(1, 1, 1), (7, 1, 1), (21, 1, 2), (300, 1, 2),
+                                       (1000, 6, 6), (64, 2, 2), (70_000, 1, 3)])
+    def test_words_are_greedy_with_exact_place_values(self, n, m, c):
+        radix, starts, stride = _word_layout(n, m, c)
+        assert radix.tolist() == [m * j + c for j in range(n)]
+        bounds = starts.tolist() + [n]
+        assert bounds[0] == 0 and all(a < b for a, b in zip(bounds, bounds[1:]))
+        for a, b in zip(bounds, bounds[1:]):
+            steps = radix[a:b].tolist()
+            assert stride[a:b].tolist() == [math.prod(steps[:i]) for i in range(len(steps))]
+            assert math.prod(steps) <= 2**63
+            if b < n:  # the next step would not fit
+                assert math.prod(steps) * (m * b + c) > 2**63
+
+
+class TestCountingMemory:
+    def test_peak_at_a_million_runs(self):
+        # the bound, fixed before the first run: 4 MB each (0.8 and 1.0 MB
+        # when runs were grouped chunk by chunk)
+        import tracemalloc
+
+        from multiewens import wreath
+
+        calls = [
+            lambda: hoppe_urn_partition_counts(6, (1.0, 2.0), 10**6, 1),
+            lambda: wreath.crp_element_counts(3, wreath.symmetric_group_3(), (1.0, 2.0, 0.5),
+                                              10**6, 1),
+        ]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**20
 
 
 class TestUrnManyColours:

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -197,6 +198,15 @@ class TestTransitionProb:
         for mus in [(F(-1, 2),), (math.inf,), (math.nan,)]:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 transition_prob(3, 2, 4, mus)
+
+    def test_refusal_of_a_probability_past_the_digit_limit(self):
+        # a denominator of 5,001 digits is shown by its bit length, and a
+        # shown rational by its str
+        message = "sum < 1, got (-<1-bit numerator>/<16610-bit denominator>)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            transition_prob(2, 1, 10, (F(-1, 10**5000),))
+        with pytest.raises(ValueError, match=re.escape("sum < 1, got (1/8, 0.95)")):
+            transition_prob(2, 1, 10, (F(1, 8), 0.95))
 
 
 class TestAncestralGenerator:

@@ -14,7 +14,6 @@ from multiewens.wreath import (
     WreathElement,
     WreathParams,
     _crp_assemble,
-    _crp_codes,
     _crp_run,
     _entry_weights,
     crp_element_counts,
@@ -30,7 +29,7 @@ from multiewens.wreath import (
     wreath_multiply,
 )
 
-from multiewens.samplers import _CHUNK_RUNS, _KERNEL_STEPS
+from multiewens.samplers import _CHUNK_RUNS, _KERNEL_STEPS, _codes
 
 from oracles import chi_square_p, refuse_validation, tv_distance, tv_noise
 
@@ -430,7 +429,8 @@ class TestRestaurantEnginesAgainstExactLaw:
 
         for group, ts in ((cyclic_group(2), [4 / 7, 1 / 3]), (symmetric_group_3(), [0.2, 0.5, 3.0])):
             cum = _entry_weights(group, ts)
-            g, s = _crp_assemble(group, _crp_codes(group, cum, np.full((4, 2), 1.0 - 2.0**-53)))
+            top = np.full((4, 2), 1.0 - 2.0**-53)
+            g, s = _crp_assemble(group, _codes(top, cum, group.order).T)
             gv, sv = _crp_run(4, group, cum, TopDraw())
             assert g.tolist() == [gv, gv] and s.tolist() == [sv, sv]
             assert sorted(sv) == [0, 1, 2, 3]
@@ -453,7 +453,7 @@ class TestRestaurantKernel:
         for n in list(range(1, 40)) + [_KERNEL_STEPS, 3000]:
             runs = 3 if n < 40 else 2
             u = np.random.default_rng(100 * n + group.order).random((n, runs))
-            g, s = _crp_assemble(group, _crp_codes(group, cum, u))
+            g, s = _crp_assemble(group, _codes(u, cum, group.order).T)
             assert g.shape == s.shape == (runs, n)
             for gv, sv, col in zip(g.tolist(), s.tolist(), u.T):
                 assert (gv, sv) == _crp_run(n, group, cum, _Replay(col))
@@ -463,7 +463,7 @@ class TestRestaurantKernel:
         group, n = cyclic_group(2), _KERNEL_STEPS
         cum = _entry_weights(group, [1e300, 1e300])
         u = np.random.default_rng(3).random((n, 2))
-        g, s = _crp_assemble(group, _crp_codes(group, cum, u))
+        g, s = _crp_assemble(group, _codes(u, cum, group.order).T)
         assert s.tolist() == [list(range(n))] * 2
         for gv, sv, col in zip(g.tolist(), s.tolist(), u.T):
             assert (gv, sv) == _crp_run(n, group, cum, _Replay(col))
@@ -473,10 +473,10 @@ class TestRestaurantKernel:
     def test_code_sequences_name_every_element_once(self, group, n):
         # step j has (j + 1)|G| codes, so n steps have n! |G|^n sequences
         m = group.order
-        codes = np.array(list(itertools.product(*(range((j + 1) * m) for j in range(n))))).T
+        codes = np.array(list(itertools.product(*(range((j + 1) * m) for j in range(n)))))
         g, s = _crp_assemble(group, codes)
         built = {WreathElement(gv, sv) for gv, sv in zip(g.tolist(), s.tolist())}
-        assert len(built) == codes.shape[1] == math.factorial(n) * m**n
+        assert len(built) == len(codes) == math.factorial(n) * m**n
         assert built == set(enumerate_wreath_elements(n, group))
 
     def test_sampler_uses_the_kernel_above_the_cutoff(self):
@@ -489,7 +489,7 @@ class TestRestaurantKernel:
         assert crp_wreath_sample(n, group, ts, seed) == want
         n = _KERNEL_STEPS
         u = np.random.default_rng(seed).random((n, 1))
-        g, s = _crp_assemble(group, _crp_codes(group, cum, u))
+        g, s = _crp_assemble(group, _codes(u, cum, group.order).T)
         want = WreathElement(g[0].tolist(), s[0].tolist())
         assert WreathElement(*_crp_run(n, group, cum, _Replay(u[:, 0]))) == want
         assert crp_wreath_sample(n, group, ts, seed) == want
