@@ -344,6 +344,12 @@ def joint_k_check(n: int, k: int, theta) -> CheckReport:
     return _sum_report("joint-k", total, d_n)
 
 
+def _check_beta(beta) -> None:
+    """The one rule for a growth exponent beta: at least 0, NaN refused."""
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {_shown(beta)}")
+
+
 @dataclass(frozen=True)
 class RegimeSpec:
     """Mutation masses growing with the sample: theta_l(n) = alpha_l * n^beta."""
@@ -354,8 +360,7 @@ class RegimeSpec:
     def __post_init__(self):
         alphas = tuple(self.alphas)
         object.__setattr__(self, "alphas", alphas)
-        if not self.beta >= 0:  # also rejects NaN
-            raise ValueError(f"beta must be >= 0, got {_shown(self.beta)}")
+        _check_beta(self.beta)
         if not _positive_finite(alphas):
             shown = ", ".join(map(_shown, alphas))
             raise ValueError(f"all alphas must be positive and finite, got ({shown})")
@@ -420,8 +425,7 @@ def clt_scaling(n: int, theta, beta: float) -> ClltScaling:
     params = _params(theta)
     thetas = [float(t) for t in params.thetas]
     w = float(params.w)
-    if not beta >= 0:  # also rejects NaN
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    _check_beta(beta)
     if beta == 0:
         cent = tuple(t * math.log(n) for t in thetas)
         return ClltScaling(cent, cent)
@@ -462,8 +466,8 @@ def bernoulli_k_samples(
     th = float(params.thetas[l - 1])
     w = float(params.w)
     rng = _numpy_rng(seed)
-    # p_j >= 1/16 exactly when j <= 16 theta_l - w
-    head = min(n, max(0, math.floor(16 * th - w) + 1))
+    # p_j >= 1/16 exactly when j <= 16 theta_l - w, capped first as 16 theta_l may be inf
+    head = max(0, math.floor(min(16 * th - w, n - 1)) + 1)
     probs = th / (w + np.arange(head, dtype=float))
     block = max(1, _HEAD_BLOCK // max(reps, 1))
     out = np.zeros(reps, dtype=np.int64)
@@ -473,8 +477,9 @@ def bernoulli_k_samples(
     live = np.arange(reps if head < n else 0)
     pos = np.full(live.size, head, dtype=np.int64)
     while live.size:
-        cand = pos + rng.geometric(th / (w + pos)) - 1
-        inside = cand < n
+        q = th / (w + pos)  # a bound that underflows to 0 ends the replicate's successes
+        cand = pos + rng.geometric(np.where(q > 0, q, 1.0)) - 1
+        inside = (cand < n) & (q > 0)
         live, pos, cand = live[inside], pos[inside], cand[inside]
         out[live] += rng.random(live.size) * (w + cand) < w + pos
         pos = cand + 1

@@ -231,35 +231,21 @@ _CHUNK_CELLS = 1 << 17
 _WORD = 1 << 63
 
 
-def _word_layout(n: int, m: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack runs of n steps, step j with radix m j + c, into int64 words in
-    mixed radix: each word takes the next steps while the product of their
-    radices stays within 2**63.  Returns the radices, the first step of
-    every word and each step's place value within its word.
-
-    The radices grow with j, so the word lengths never grow: words of the
-    length that fits at j fit at every start below the first whose product
-    passes 2**63, found by bisection, and are laid out at once.
-    """
-    radix = m * np.arange(n, dtype=np.int64) + c
-    stride = np.ones(n, dtype=np.int64)
-    runs, j = [], 0
-    while j < n:
-        length, room = 1, _WORD // (m * j + c)
-        while j + length < n and m * (j + length) + c <= room:
-            room //= m * (j + length) + c
-            length += 1
-        full = range(j, n - length + 1)  # the starts of words that end by step n
-        past = bisect.bisect_left(
-            full, True, key=lambda p: math.prod(range(m * p + c, m * (p + length) + c, m)) > _WORD)
-        runs.append(np.arange(j, j + past if past < len(full) else n, length))
-        block = np.ones((len(runs[-1]), length), dtype=np.int64)  # place values, a word per row
-        end = min(j + block.size, n)
-        steps = np.r_[radix[j:end], np.ones(j + block.size - end, np.int64)]
-        np.cumprod(steps.reshape(block.shape)[:, :-1], axis=1, out=block[:, 1:])
-        stride[j:end] = block.ravel()[:end - j]
-        j = end
-    return radix, np.concatenate(runs), stride
+def _word_layout(n: int, m: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lay runs of n steps, step j with radix m j + c, out in int64 words of
+    one length in mixed radix.  Returns the radices and place values, a word
+    per row, the last word padded with radix 1.  The radices grow with j, so
+    no stretch of steps has a larger product than as many last steps: the
+    most last steps whose product stays within 2**63 set the word count,
+    and the steps are shared out as evenly as that count allows."""
+    longest, room = 0, _WORD
+    while longest < n and m * (n - 1 - longest) + c <= room:
+        room //= m * (n - 1 - longest) + c
+        longest += 1
+    words = -(-n // longest)
+    radix = np.ones((words, -(-n // words)), dtype=np.int64)
+    radix.flat[:n] = m * np.arange(n) + c
+    return radix, np.cumprod(np.c_[np.ones(words, np.int64), radix[:, :-1]], axis=1)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -288,36 +274,34 @@ def _batched_counts(n: int, reps: int, seed: int, cum, m: int) -> tuple[np.ndarr
 
     A chunk of r runs draws one uniform per step and run, as an (n, r)
     block, and takes their codes (:func:`_codes` with the weights cum and m
-    slots per step).  Each run is packed into int64 words in mixed radix
-    (:func:`_word_layout`), where step j has radix m j + len(cum); at desk n
-    that is one word.  A chunk's distinct runs are found by ``np.unique``,
-    on the int64 itself when a run fits one word and on the bytes of its
-    words otherwise, and the chunks' (key, count) pairs merge into a running
-    table whenever they outgrow it, so the memory is that of the distinct
-    runs and one chunk.  The distinct keys are decoded back to codes at the
-    end, one divmod per step position within a word.  Chunks hold at most
-    _CHUNK_RUNS runs and _CHUNK_CELLS run-steps.  The caller has checked n.
+    slots per step).  Each run is packed into int64 words of one length in
+    mixed radix (:func:`_word_layout`), where step j has radix m j +
+    len(cum); at desk n that is one word.  A chunk's distinct runs are found
+    by ``np.unique``, on the int64 itself when a run fits one word and on
+    the bytes of its words otherwise, and the chunks' (key, count) pairs
+    merge into a running table whenever they outgrow it, so the memory is
+    that of the distinct runs and one chunk.  The distinct keys are decoded
+    back to codes at the end, every place of every word at once.  Chunks
+    hold at most _CHUNK_RUNS runs and _CHUNK_CELLS run-steps.  The caller
+    has checked n.
     """
     reps = _at_least(reps, 0, "reps")
     rng = _numpy_rng(seed)
     size = max(1, min(_CHUNK_RUNS, _CHUNK_CELLS // n))
-    radix, starts, stride = _word_layout(n, m, len(cum))
-    keys, counts = _row_keys(np.empty((0, len(starts)), np.int64)), np.empty(0, np.int64)
+    radix, place = _word_layout(n, m, len(cum))
+    words, length = radix.shape
+    stride, starts = place.reshape(-1, 1)[:n], np.arange(0, n, length)
+    keys, counts = _row_keys(np.empty((0, words), np.int64)), np.empty(0, np.int64)
     pending: list[tuple[np.ndarray, np.ndarray]] = []
     for start in range(0, reps, size):
         codes = _codes(rng.random((n, min(size, reps - start))), cum, m)
-        pending.append(np.unique(_row_keys(np.add.reduceat(codes * stride[:, None], starts).T),
+        pending.append(np.unique(_row_keys(np.add.reduceat(codes * stride, starts).T),
                                  return_counts=True))
         if sum(len(k) for k, _ in pending) > len(keys) or start + size >= reps:
             keys, counts = _grouped(*map(np.concatenate, zip((keys, counts), *pending)))
             pending = []
-    rest = keys.view(np.int64).reshape(len(keys), len(starts)).copy()
-    lengths = np.diff(starts, append=n)
-    codes = np.empty((len(keys), n), dtype=np.int64)
-    for i in range(lengths[0]):  # the words holding a step at place i are the first ones
-        at = starts[:np.count_nonzero(lengths > i)] + i
-        rest[:, :len(at)], codes[:, at] = np.divmod(rest[:, :len(at)], radix[at])
-    return codes, counts
+    codes = keys.view(np.int64).reshape(len(keys), words, 1) // place % radix
+    return codes.reshape(len(keys), radix.size)[:, :n], counts
 
 
 def _urn_keys(codes: np.ndarray) -> np.ndarray:

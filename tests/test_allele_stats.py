@@ -479,8 +479,10 @@ class TestRegimes:
                 "alphas must be positive and finite, got (-<1-bit numerator>/<16610-bit"
                 " denominator>, 1)")):
             RegimeSpec(0.5, (long, 1))
-        with pytest.raises(ValueError, match=re.escape("beta must be >= 0, got -<1-bit")):
-            RegimeSpec(long, (1, 2))
+        for refuse in (lambda: RegimeSpec(long, (1, 2)), lambda: clt_scaling(5, (1, 2), long)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "beta must be >= 0, got -<1-bit numerator>/<16610-bit denominator>")):
+                refuse()
 
 
 class TestCltScaling:
@@ -613,6 +615,18 @@ class TestBernoulliSimulator:
         exp.append(reps - sum(exp))
         _, pval = chisquare(obs, exp)
         assert pval > 1e-3
+
+    def test_mass_whose_head_bound_overflows(self):
+        # 16 theta_l is inf past about 1.1e307; every p_j is then 1
+        assert bernoulli_k_samples(5, (1e308,), 1, 10, seed=1).tolist() == [5] * 10
+        assert bernoulli_k_samples(5, (1e308, 1.0), 1, 10, seed=1).tolist() == [5] * 10
+
+    def test_tail_bound_that_underflows_to_zero(self):
+        # theta_l / (w + j) = 1e-300 / 1e300 rounds to 0, which no position passes
+        assert bernoulli_k_samples(5, (1e300, 1e-300), 2, 10, seed=1).tolist() == [0] * 10
+        assert bernoulli_k_samples(5, (1e300, 1e-300), 1, 10, seed=1).tolist() == [5] * 10
+        # 5e-324 / (1 + j) is the smallest float at j = 0 and 0 from j = 1 on
+        assert bernoulli_k_samples(50, (5e-324, 1.0), 1, 10, seed=1).tolist() == [0] * 10
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_n_below_one(self, n):

@@ -463,6 +463,17 @@ class TestLargeInputs:
         errors = [l for l in res.stderr.splitlines() if l.startswith("Error:")]
         assert len(errors) == 1 and "an exact law at n=100000 is too large" in errors[0]
 
+    @pytest.mark.parametrize("theta,means", [
+        ("1e308", [5.0]),  # 16 theta_l overflows the head bound
+        ("1e300,1e-300", [5.0, 0.0]),  # theta_2 / (w + j) underflows to 0
+    ])
+    def test_stats_k_monte_carlo_at_extreme_masses(self, runner, theta, means):
+        res = runner.invoke(main, ["stats-k", "--n", "5", "--theta", theta, "--mc-reps", "10",
+                                   "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert [json.loads(line)["mc_mean"] for line in res.stdout.splitlines()] == means
+
+
 class TestFloatLogProb:
     def test_underflowed_partition_keeps_its_log(self, runner):
         # 300 singletons of class 1: P = 300! / (3)_300, about e^-1425.6

@@ -473,8 +473,8 @@ class TestCountingReplaysTheLoops:
 
 class TestWordLayout:
     """The mixed-radix words of the counting samplers' step codes: step j
-    has radix m j + c, and each word takes the next steps while the product
-    of their radices stays within 2**63."""
+    has radix m j + c, and every word holds as many steps, as few words as
+    the last steps allow with their radices' product within 2**63."""
 
     @pytest.mark.parametrize("n,m,c,words", [
         (19, 1, 2, 1), (20, 1, 2, 2), (18, 1, 3, 1), (19, 1, 3, 2),
@@ -487,17 +487,32 @@ class TestWordLayout:
 
     @pytest.mark.parametrize("n,m,c", [(1, 1, 1), (7, 1, 1), (21, 1, 2), (300, 1, 2),
                                        (1000, 6, 6), (64, 2, 2), (70_000, 1, 3)])
-    def test_words_are_greedy_with_exact_place_values(self, n, m, c):
-        radix, starts, stride = _word_layout(n, m, c)
-        assert radix.tolist() == [m * j + c for j in range(n)]
-        bounds = starts.tolist() + [n]
-        assert bounds[0] == 0 and all(a < b for a, b in zip(bounds, bounds[1:]))
-        for a, b in zip(bounds, bounds[1:]):
-            steps = radix[a:b].tolist()
-            assert stride[a:b].tolist() == [math.prod(steps[:i]) for i in range(len(steps))]
-            assert math.prod(steps) <= 2**63
-            if b < n:  # the next step would not fit
-                assert math.prod(steps) * (m * b + c) > 2**63
+    def test_even_words_with_exact_place_values(self, n, m, c):
+        radix, place = _word_layout(n, m, c)
+        steps = [m * j + c for j in range(n)]
+        longest = 0  # the most last steps whose product fits, in Python integers
+        while longest < n and math.prod(steps[n - longest - 1:]) <= 2**63:
+            longest += 1
+        words = -(-n // longest)
+        assert radix.shape == place.shape == (words, -(-n // words))
+        assert radix.ravel().tolist() == steps + [1] * (radix.size - n)
+        for row, places in zip(radix.tolist(), place.tolist()):
+            assert places == [math.prod(row[:i]) for i in range(len(row))]
+            assert math.prod(row) <= 2**63
+
+    @pytest.mark.parametrize("n,m,c", [(19, 1, 2), (20, 1, 2), (21, 1, 2), (300, 1, 2),
+                                       (12, 6, 6), (13, 6, 6)])
+    def test_largest_codes_round_trip(self, n, m, c, monkeypatch):
+        top = m * np.arange(n) + c - 1  # every step at its largest code
+        radix, place = _word_layout(n, m, c)
+        padded = np.zeros(radix.size, dtype=np.int64)
+        padded[:n] = top
+        packed = (padded.reshape(radix.shape) * place).sum(axis=1)
+        assert packed.tolist() == [math.prod(row) - 1 for row in radix.tolist()]
+        assert (packed >= 0).all()
+        monkeypatch.setattr(samplers, "_codes", lambda u, cum, m: np.broadcast_to(top[:, None], u.shape))
+        codes, counts = samplers._batched_counts(n, 3, 1, np.arange(1.0, c + 1), m)
+        assert codes.tolist() == [top.tolist()] and counts.tolist() == [3]
 
 
 class TestCountingMemory:
