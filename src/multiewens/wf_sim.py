@@ -6,19 +6,19 @@ brand-new allele of class l with probability mu_l (infinite-alleles: ids are
 never reused).  With mu_l = theta_l/(4N), sampled compositions approach the
 k-class Ewens law.
 
-The model runs in two engines with the same law.  The gene-level engine
-(:class:`Population`, :func:`wf_step`, :func:`sample_composition`) stores
-all 2N genes and redraws each one every generation; it is the reference
-model.  The count-level engine behind :func:`stationary_samples` stores one
-(class, id, count) entry per living allele, and builds each window of
-generations backward from the genes alive at its end (:func:`_trace_back`):
-their lineages merge when they share a parent and stop at their first
-mutation, which founds a new allele.  Generations in which no lineage does
-either are skipped, so a window costs about as much as its genealogy has
-merges and mutations.  Every window starts from all 2N genes, so a window
-much shorter than N generations costs more than the g multinomial draws
-over the alleles that a forward engine would make.  A sample of n genes is
-one multivariate hypergeometric draw.
+The model runs in two engines with the same law, on one state: a
+:class:`Population` of all 2N genes, sampled by one rule.  The gene-level
+engine (:func:`wf_step`) redraws each gene every generation; it is the
+reference model.  The backward engine behind :func:`stationary_samples`
+builds each window of generations from the genes alive at its end
+(:func:`_trace_back`): their lineages merge when they share a parent and
+stop at their first mutation, which founds a new allele.  Generations in
+which no lineage does either are skipped, so a window costs about as much as
+its genealogy has merges and mutations.  Every window starts from all 2N
+genes, so a window much shorter than N generations costs more than the g
+multinomial draws over the alleles that a forward engine would make.  The
+lineages left at the window's start land on a uniform subset of the old
+genes, and pop is rebuilt from them and the new alleles.
 
 :func:`stationary_partition_counts` needs no population: it traces each
 sample's own lineages back with no window limit, so its samples are
@@ -70,8 +70,9 @@ __all__ = [
 class Population:
     """2N genes, each an (allele id, class label) pair; ids are per-class serials.
 
-    The constructor checks 2N by the population-size rule, k >= 1, and that
-    ids and classes are integer arrays with every class in 0..k-1."""
+    The constructor checks 2N by the population-size rule, k >= 1, that ids
+    and classes are integer arrays with every class in 0..k-1, and that a
+    given next_ids holds k integers, each above every id of its class."""
 
     ids: np.ndarray
     classes: np.ndarray
@@ -95,6 +96,13 @@ class Population:
                 mask = self.classes == l
                 if mask.any():
                     self.next_ids[l] = self.ids[mask].max() + 1
+            return
+        next_ids = np.asarray(self.next_ids)
+        if next_ids.dtype.kind not in "iu" or next_ids.shape != (self.k,) or (
+                ids >= next_ids[classes]).any():
+            raise ValueError(f"next_ids must be one integer per class (k={self.k}),"
+                             " each above every id of its class")
+        self.next_ids = next_ids.astype(np.int64)
 
     @property
     def size(self) -> int:
@@ -136,36 +144,46 @@ def _mutation_probs(mus: Sequence, k: int | None = None) -> tuple:
     return mus
 
 
+def _serials(next_ids: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Ids for new alleles of the given classes, in order: each takes the
+    next serial of its class, and next_ids moves past them."""
+    ids = np.empty_like(classes)
+    for l in range(next_ids.size):
+        mask = classes == l
+        count = np.count_nonzero(mask)
+        ids[mask] = next_ids[l] + np.arange(count)
+        next_ids[l] += count
+    return ids
+
+
 def wf_step(pop: Population, mus: Sequence[float], rng: np.random.Generator) -> Population:
     """Advance one generation in place: uniform parents, then mutation.
 
     mus are the per-class mutation probabilities; their sum must be < 1.
     Fresh alleles get never-before-seen (class, serial) identifiers.
     """
-    mus = np.array([float(m) for m in _mutation_probs(mus, pop.k)])
+    edges = np.cumsum([float(m) for m in _mutation_probs(mus, pop.k)])
     two_n = pop.size
     parents = rng.integers(0, two_n, size=two_n)
     pop.ids = pop.ids[parents]
     pop.classes = pop.classes[parents]
     u = rng.random(two_n)
-    edges = np.concatenate(([0.0], np.cumsum(mus)))
-    for l in range(pop.k):
-        mask = (u >= edges[l]) & (u < edges[l + 1])
-        count = int(mask.sum())
-        if count:
-            pop.ids[mask] = pop.next_ids[l] + np.arange(count)
-            pop.classes[mask] = l
-            pop.next_ids[l] += count
+    mutant = u < edges[-1]
+    pop.classes[mutant] = np.searchsorted(edges, u[mutant], side="right")
+    pop.ids[mutant] = _serials(pop.next_ids, pop.classes[mutant])
     pop.generation += 1
     return pop
 
 
 def sample_composition(pop: Population, n: int, seed: int) -> MultiplePartition:
     """Allelic composition of a uniform sample of n >= 1 genes without replacement."""
-    n = _at_least(n, 1, "n")
-    if n > pop.size:
-        raise ValueError(f"sample size {n} exceeds population size {pop.size}")
-    picks = _numpy_rng(seed).choice(pop.size, size=n, replace=False)
+    n, _ = _check_draws(pop.size, n, 0)
+    return _sample(pop, n, _numpy_rng(seed))
+
+
+def _sample(pop: Population, n: int, rng: np.random.Generator) -> MultiplePartition:
+    """Composition of a uniform sample of n genes of pop without replacement."""
+    picks = rng.choice(pop.size, size=n, replace=False)
     genes = Counter(zip(pop.classes[picks].tolist(), pop.ids[picks].tolist()))
     return _from_alleles(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
@@ -274,62 +292,27 @@ def _check_draws(two_n: int, sample_size, reps) -> tuple[int, int]:
     return sample_size, _at_least(reps, 0, "reps")
 
 
-class _AlleleCounts:
-    """Count-level state of a population: one (class, id) key and one count
-    per living allele, in the order the alleles first appeared."""
-
-    def __init__(self, pop: Population, mus: Sequence[float]):
-        self.k, self.two_n = pop.k, pop.size
-        self.edges, self.cum = _tables(mus, self.two_n, self.k)
-        genes = Counter(zip(pop.classes.tolist(), pop.ids.tolist()))
-        self.keys = list(genes)
-        self.counts = list(genes.values())
-        self.next_ids = pop.next_ids.tolist()
-        self.generation = pop.generation
-
-    def advance(self, gens: int, rng: np.random.Generator) -> None:
-        """Run `gens` generations, built backward from the 2N genes alive at
-        the end: each gene is a lineage of weight 1 (:func:`_trace_back`).
-        The lineages alive at the window's start sit on a uniform subset of
-        its genes and take the old alleles found there.
-        """
-        if gens == 0:
-            return
-        lineages, born = _trace_back(np.ones(self.two_n, dtype=np.int64), gens, self.two_n,
-                                     self.edges, self.cum, rng)
-        self._land(lineages, born, rng)
-        self.generation += gens
-
-    def _land(self, lineages: list, born: list, rng: np.random.Generator) -> None:
-        """Set the state from the lineages alive at the window's start and the
-        new alleles: the lineages land on a uniform subset of the old genes."""
-        counts = [0] * len(self.counts)
-        if len(lineages):
-            hits = rng.multivariate_hypergeometric(self.counts, len(lineages))
-            counts = np.bincount(np.repeat(np.arange(len(counts)), hits),
-                                 rng.permutation(lineages), len(counts)).astype(np.int64).tolist()
-        keys = [key for key, c in zip(self.keys, counts) if c]
-        counts = [c for c in counts if c]
-        for cls, c in reversed(born):
-            keys.append((cls, self.next_ids[cls]))
-            counts.append(c)
-            self.next_ids[cls] += 1
-        self.keys, self.counts = keys, counts
-
-    def sample(self, n: int, rng: np.random.Generator) -> MultiplePartition:
-        """Composition of a uniform sample of n genes without replacement."""
-        picked = rng.multivariate_hypergeometric(self.counts, n).tolist()
-        return _from_alleles(
-            ((cls, c) for (cls, _), c in zip(self.keys, picked) if c), self.k
-        )
-
-    def write_to(self, pop: Population) -> None:
-        """Store the state in pop as 2N genes, grouped by allele."""
-        classes, ids = zip(*self.keys)
-        pop.classes = np.repeat(np.array(classes, dtype=np.int64), self.counts)
-        pop.ids = np.repeat(np.array(ids, dtype=np.int64), self.counts)
-        pop.next_ids = np.array(self.next_ids, dtype=np.int64)
-        pop.generation = self.generation
+def _advance(pop: Population, gens: int, edges: list, cum: list,
+             rng: np.random.Generator) -> None:
+    """Run pop `gens` generations on, built backward from the 2N genes alive
+    at the end: each gene is a lineage of weight 1 (:func:`_trace_back`).
+    The lineages alive at the window's start land on a uniform subset of its
+    genes, in uniform order, and take the old alleles found there; each new
+    allele, oldest first, takes the next serial of its class.  pop then lists
+    its genes by landed lineage, then by new allele.
+    """
+    if gens == 0:
+        return
+    two_n = pop.size
+    lineages, born = _trace_back(np.ones(two_n, dtype=np.int64), gens, two_n, edges, cum, rng)
+    spots = rng.choice(two_n, len(lineages), replace=False)
+    fresh = np.array(born[::-1], dtype=np.int64).reshape(-1, 2)
+    # int64 throughout: unsigned genes beside int64 new alleles would turn float
+    ids = np.concatenate((pop.ids[spots], _serials(pop.next_ids, fresh[:, 0])), dtype=np.int64)
+    classes = np.concatenate((pop.classes[spots], fresh[:, 0]), dtype=np.int64)
+    counts = np.concatenate((np.asarray(lineages, dtype=np.int64), fresh[:, 1]))
+    pop.ids, pop.classes = np.repeat(ids, counts), np.repeat(classes, counts)
+    pop.generation += gens
 
 
 def stationary_samples(
@@ -340,8 +323,8 @@ def stationary_samples(
     mu_l = theta_l/(4N), then yield `reps` sample compositions drawn every
     thin_gens generations (default N), all from numpy's generator for seed.
 
-    Runs the count-level engine; pop holds the current state as 2N genes
-    (grouped by allele) at every yield and at the end.  Every input, the
+    Runs the backward engine (:func:`_advance`) on pop itself, which holds
+    the current state at every yield and at the end.  Every input, the
     seed included, is checked at the call, before the generator is returned.
     """
     sample_size, reps = _check_draws(pop.size, sample_size, reps)
@@ -352,15 +335,13 @@ def stationary_samples(
     params = _params(theta)
     if params.k != pop.k:
         raise ValueError(f"need k={pop.k} mutation masses, got {params.k}")
-    alleles = _AlleleCounts(pop, [float(t) / (2 * pop.size) for t in params.thetas])
+    edges, cum = _tables([float(t) / (2 * pop.size) for t in params.thetas], pop.size, pop.k)
 
     def run():
-        alleles.advance(burn_gens, rng)
+        _advance(pop, burn_gens, edges, cum, rng)
         for _ in range(reps):
-            alleles.advance(thin_gens, rng)
-            alleles.write_to(pop)
-            yield alleles.sample(sample_size, rng)
-        alleles.write_to(pop)
+            _advance(pop, thin_gens, edges, cum, rng)
+            yield _sample(pop, sample_size, rng)
 
     return run()
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from multiewens import allele_stats, measure, wf_sim, wreath
+from multiewens import allele_stats, measure, samplers, wf_sim, wreath
 from multiewens.cli import main
 from multiewens.partitions import (
     count_multipartitions,
@@ -607,6 +607,23 @@ class TestErrorBoundary:
         assert res.exit_code == 1 and res.stdout == ""
         errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
         assert errors == [f"Error: seed must be an integer in [0, 2**64), got {seed}"]
+
+    @pytest.mark.parametrize("exc,shown", [
+        (MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+         "Error: Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+        (MemoryError(), "Error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_failed_allocation_is_one_error_line(self, runner, monkeypatch, exc, shown):
+        # the sampler raises as an allocation it cannot make would; nothing
+        # of that size is allocated here
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(samplers, "hoppe_urn_sample", out_of_memory)
+        res = runner.invoke(main, ["sample-urn", "--n", "1000000000", "--theta", "1.0,2.0"])
+        assert res.exit_code == 1 and res.stdout == ""
+        assert [line for line in res.output.splitlines() if line.startswith("Error:")] == [shown]
+        assert "Traceback" not in res.output
 
     def test_unopenable_dump_state_is_one_error_line(self, runner, tmp_path):
         path = tmp_path / "missing" / "pop.json"

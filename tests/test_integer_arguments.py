@@ -111,7 +111,8 @@ CASES = [
     ("founding-two_n", lambda v: wf_sim.Population.founding(v, 2), "2N", 10, 0),
     ("founding-k", lambda v: wf_sim.Population.founding(10, v), "k", 2, 0),
     ("sample_composition-n",
-     lambda v: wf_sim.sample_composition(wf_sim.Population.founding(10, 2), v, 0), "n", 3, -1),
+     lambda v: wf_sim.sample_composition(wf_sim.Population.founding(10, 2), v, 0),
+     "sample size", 3, -1),
     ("stationary_samples-sample_size", lambda v: _stationary(sample_size=v),
      "sample size", 2, 0),
     ("stationary_samples-reps", lambda v: _stationary(reps=v), "reps", 1, -1),

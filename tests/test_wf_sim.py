@@ -15,7 +15,9 @@ from multiewens.partitions import _from_alleles, multipartition_from_lists
 from multiewens.samplers import coalescent_rates
 from multiewens.wf_sim import (
     Population,
-    _AlleleCounts,
+    _advance,
+    _sample,
+    _tables,
     ancestral_generator,
     sample_composition,
     stationary_partition_counts,
@@ -39,18 +41,26 @@ class TestPopulation:
         with pytest.raises(ValueError):
             Population.founding(99, 1)
 
-    @pytest.mark.parametrize("ids,classes,k,message", [
-        ([0, 0, 0, 0], [0, 0, 0, -1], 2, r"classes must be in 0\.\.1"),
-        ([0, 0, 0, 0], [0, 0, 0, 2], 2, r"classes must be in 0\.\.1"),
-        ([0, 0, 0], [0, 0, 0], 2, "population size 2N must be a positive even integer"),
-        ([0, 0, 0, 0], [0, 0, 0, 0], 0, "k must be >= 1"),
-        ([0.0, 0.0, 0.0, 0.0], [0, 0, 0, 0], 2, "ids and classes must be integer arrays"),
-        ([0, 0, 0, 0], [0.0, 0.0, 0.0, 0.0], 2, "ids and classes must be integer arrays"),
-    ], ids=["class-minus-one", "class-k", "odd-2n", "k-zero", "float-ids", "float-classes"])
-    def test_constructor_checks_its_fields(self, ids, classes, k, message):
+    @pytest.mark.parametrize("ids,classes,k,next_ids,message", [
+        ([0, 0, 0, 0], [0, 0, 0, -1], 2, None, r"classes must be in 0\.\.1"),
+        ([0, 0, 0, 0], [0, 0, 0, 2], 2, None, r"classes must be in 0\.\.1"),
+        ([0, 0, 0], [0, 0, 0], 2, None, "population size 2N must be a positive even integer"),
+        ([0, 0, 0, 0], [0, 0, 0, 0], 0, None, "k must be >= 1"),
+        ([0.0, 0.0, 0.0, 0.0], [0, 0, 0, 0], 2, None, "ids and classes must be integer arrays"),
+        ([0, 0, 0, 0], [0.0, 0.0, 0.0, 0.0], 2, None, "ids and classes must be integer arrays"),
+        # three wf_step calls once left ids [3 1 2 3] with next id 3, so the
+        # next mutant took a live allele's id
+        ([3, 3, 3, 3], [0, 0, 0, 0], 1, [0], "each above every id of its class"),
+        ([0, 0, 0, 0], [0, 0, 1, 1], 2, [1], r"next_ids must be one integer per class \(k=2\)"),
+        ([0, 0, 0, 0], [0, 0, 0, 0], 1, [1.5], r"next_ids must be one integer per class \(k=1\)"),
+    ], ids=["class-minus-one", "class-k", "odd-2n", "k-zero", "float-ids", "float-classes",
+            "next-id-of-a-live-allele", "too-few-next-ids", "float-next-id"])
+    def test_constructor_checks_its_fields(self, ids, classes, k, next_ids, message):
         # a class of -1 was once sampled as the last class
+        if next_ids is not None:
+            next_ids = np.array(next_ids)
         with pytest.raises(ValueError, match=message):
-            Population(ids=np.array(ids), classes=np.array(classes), k=k)
+            Population(ids=np.array(ids), classes=np.array(classes), k=k, next_ids=next_ids)
 
     def test_json_snapshot(self):
         pop = Population.founding(10, 2)
@@ -142,9 +152,9 @@ class TestSampleComposition:
             sample_composition(pop, 11, 0)
 
     def test_empty_sample_rejected(self):
-        # as the count-level engine refuses a sample size of 0
+        # by the one sample-size rule of both engines
         pop = Population.founding(10, 2)
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match=r"sample size 0 must be in 1\.\.10"):
             sample_composition(pop, 0, 0)
         with pytest.raises(ValueError, match="sample size 0"):
             stationary_partition_counts(10, (0.5, 1.0), 0, 1, 0)
@@ -312,19 +322,17 @@ def _one_generation_draws(pop, mus, reps, rng):
         return old, fresh
 
     by_genes = Counter(outcome(wf_step(_copy(pop), mus, rng)) for _ in range(reps))
-    start = _AlleleCounts(pop, mus)
+    edges, cum = _tables(mus, pop.size, pop.k)
     by_counts: Counter = Counter()
     for _ in range(reps):
-        state = copy.deepcopy(start)
-        state.advance(1, rng)
         after = _copy(pop)
-        state.write_to(after)
+        _advance(after, 1, edges, cum, rng)
         by_counts[outcome(after)] += 1
     return by_genes, by_counts
 
 
 class TestCountLevelEngine:
-    """The count-level engine behind stationary_samples against wf_step."""
+    """The backward engine behind stationary_samples against wf_step."""
 
     def test_exact_one_generation_law_at_2n_4(self):
         pop = Population(ids=np.array([0, 0, 0, 0]), classes=np.array([0, 0, 0, 1]), k=2)
@@ -393,6 +401,13 @@ class TestCountLevelEngine:
         assert r == reps and pop.generation == burn + reps * thin
         assert json.loads(json.dumps(pop.to_json_dict()))["generation"] == burn + reps * thin
 
+    def test_unsigned_genes_stay_integers(self):
+        # unsigned ids beside the int64 serials of new alleles would concatenate to floats
+        pop = Population(ids=np.zeros(20, dtype=np.uint64), classes=np.zeros(20, dtype=np.uint32),
+                         k=2)
+        list(stationary_samples(pop, (1.0, 2.0), 4, 3, 1, 30, 5))
+        assert pop.ids.dtype == pop.classes.dtype == np.int64
+
     def test_no_samples_still_burns_in(self):
         pop = Population.founding(20, 1)
         assert list(stationary_samples(pop, (1.0,), 2, 0, 0, 15)) == []
@@ -403,7 +418,7 @@ class TestCountLevelEngine:
         with pytest.raises(ValueError) as by_genes:
             wf_step(Population.founding(10, 2), mus, np.random.default_rng(0))
         with pytest.raises(ValueError) as by_counts:
-            _AlleleCounts(Population.founding(10, 2), mus)
+            _tables(mus, 10, 2)
         assert str(by_counts.value) == str(by_genes.value)
 
     @pytest.mark.parametrize("sample_size,burn,thin", [(0, 5, 5), (11, 5, 5), (2, -1, 5), (2, 5, -1)])
@@ -446,14 +461,16 @@ class TestCountLevelEngine:
         samples = stationary_samples(pop, (1.0, 2.0), 4, 3, 5, 7, 2)
         assert pop.generation == 0  # nothing runs before the first next()
         got = list(samples)
-        alleles = _AlleleCounts(Population.founding(20, 2), [1.0 / 40, 2.0 / 40])
+        replay = Population.founding(20, 2)
+        edges, cum = _tables([1.0 / 40, 2.0 / 40], 20, 2)
         rng = np.random.default_rng(5)
-        alleles.advance(7, rng)
+        _advance(replay, 7, edges, cum, rng)
         want = []
         for _ in range(3):
-            alleles.advance(2, rng)
-            want.append(alleles.sample(4, rng))
+            _advance(replay, 2, edges, cum, rng)
+            want.append(_sample(replay, 4, rng))
         assert got == want and pop.generation == 13
+        assert pop.to_json_dict() == replay.to_json_dict()
 
     @pytest.mark.parametrize("theta", [(0.0, 1.0), (math.nan, 1.0)])
     def test_rejects_bad_masses_before_burn_in(self, theta):
@@ -481,67 +498,81 @@ def _population_of(start) -> Population:
     return Population(ids=np.array(ids), classes=np.array(classes), k=len(start))
 
 
-def _composition(state: _AlleleCounts):
-    return _from_alleles(((cls, c) for (cls, _), c in zip(state.keys, state.counts)), state.k)
+def _composition(pop: Population):
+    genes = Counter(zip(pop.classes.tolist(), pop.ids.tolist()))
+    return _from_alleles(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
 
 _MONO, _POLY = ((4,), ()), ((3, 1), (2,))
+# the genes of _POLY interleaved: (0, 0) (1, 0) (0, 1) (0, 0) (1, 0) (0, 0)
+_INTERLEAVED = [0, 4, 3, 1, 5, 2]
 
 
 class TestBackwardLaw:
-    """advance(g) against the exact forward law of the whole population."""
+    """_advance(pop, g) against the exact forward law of the whole population."""
 
     # seeds fixed before the first run; 20,000 windows per case
-    @pytest.mark.parametrize("start,gens,seed", [
-        (_MONO, 1, 1301), (_MONO, 3, 1302), (_MONO, 20, 1303),
-        (_POLY, 1, 1304), (_POLY, 3, 1305), (_POLY, 20, 1306),
-    ], ids=["mono-g1", "mono-g3", "mono-g20", "poly-g1", "poly-g3", "poly-g20"])
+    @pytest.mark.parametrize("start,order,gens,seed", [
+        (_MONO, None, 1, 1301), (_MONO, None, 3, 1302), (_MONO, None, 20, 1303),
+        (_POLY, None, 1, 1304), (_POLY, None, 3, 1305), (_POLY, None, 20, 1306),
+        (_POLY, _INTERLEAVED, 3, 1307),
+    ], ids=["mono-g1", "mono-g3", "mono-g20", "poly-g1", "poly-g3", "poly-g20",
+            "interleaved-g3"])
     @pytest.mark.parametrize("threshold", [None, 2], ids=["event-driven", "mixed"])
-    def test_population_law(self, monkeypatch, start, gens, seed, threshold):
+    def test_population_law(self, monkeypatch, start, order, gens, seed, threshold):
         # at 2N <= 6 every window is event-driven; with a threshold of 2 the
         # generations with more than two lineages are drawn one by one
         if threshold is not None:
             monkeypatch.setattr(wf_sim, "_EVENT_LINEAGES", threshold)
             seed += 100
-        pop, mus = _population_of(start), [float(m) for m in _LAW_MUS]
+        pop = _population_of(start)
+        if order is not None:
+            pop = Population(ids=pop.ids[order], classes=pop.classes[order], k=pop.k)
+        edges, cum = _tables([float(m) for m in _LAW_MUS], pop.size, pop.k)
         rng, reps = np.random.default_rng(seed), 20_000
         counts: Counter = Counter()
         for _ in range(reps):
-            state = _AlleleCounts(pop, mus)
-            state.advance(gens, rng)
+            state = _copy(pop)
+            _advance(state, gens, edges, cum, rng)
             counts[_composition(state)] += 1
         assert chi_square_p(counts, _population_law(start, gens), reps) > 1e-3
 
     def test_advance_zero_draws_nothing(self):
         rng = np.random.default_rng(7)
-        state = _AlleleCounts(_population_of(_POLY), [0.1, 0.2])
+        pop = _population_of(_POLY)
         before = copy.deepcopy(rng.bit_generator.state)
-        keys, counts = list(state.keys), list(state.counts)
-        state.advance(0, rng)
+        snapshot = pop.to_json_dict()
+        _advance(pop, 0, *_tables([0.1, 0.2], pop.size, pop.k), rng)
         assert rng.bit_generator.state == before
-        assert (state.keys, state.counts, state.generation) == (keys, counts, 0)
+        assert pop.to_json_dict() == snapshot
 
     def test_subnormal_mutation_mass(self):
         # a lone lineage's null run is then longer than any float can count
-        state = _AlleleCounts(Population.founding(10, 2), [1e-311, 1e-311])
-        state.advance(10**6, np.random.default_rng(9))
-        assert state.counts == [10] and state.generation == 10**6
+        pop = Population.founding(10, 2)
+        _advance(pop, 10**6, *_tables([1e-311, 1e-311], 10, 2), np.random.default_rng(9))
+        assert _alleles_of(pop) == [(0, 0)] and pop.size == 10 and pop.generation == 10**6
 
     def test_survivors_first_then_fresh_serials(self):
+        # the genes of lineages that reach the window's start come first and
+        # carry old alleles, each still alive; the new alleles follow, with
+        # consecutive fresh serials per class, so no dead id comes back
         rng = np.random.default_rng(8)
         pop = _population_of(((30, 20, 10), (25, 15)))
-        state = _AlleleCounts(pop, [0.01, 0.02])
+        edges, cum = _tables([0.01, 0.02], pop.size, pop.k)
+        dead: set = set()
         for _ in range(20):
-            old_keys, next_ids = list(state.keys), list(state.next_ids)
-            state.advance(40, rng)
-            survivors = [key for key in state.keys if key in old_keys]
-            assert state.keys[:len(survivors)] == survivors
-            assert survivors == [key for key in old_keys if key in survivors]
-            fresh = state.keys[len(survivors):]
+            alive, next_ids = set(_alleles_of(pop)), pop.next_ids.tolist()
+            _advance(pop, 40, edges, cum, rng)
+            keys = list(zip(pop.classes.tolist(), pop.ids.tolist()))
+            old = [ident < next_ids[cls] for cls, ident in keys]
+            survivors = old.index(False) if False in old else len(old)
+            assert not any(old[survivors:]) and set(keys[:survivors]) <= alive
             for l in range(2):
-                ids = [ident for cls, ident in fresh if cls == l]
-                assert ids == list(range(next_ids[l], state.next_ids[l]))
-            assert sum(state.counts) == 100 and 0 not in state.counts
+                fresh = dict.fromkeys(ident for cls, ident in keys[survivors:] if cls == l)
+                assert list(fresh) == list(range(next_ids[l], pop.next_ids[l]))
+            now = set(keys)
+            assert not now & dead and pop.size == 100
+            dead |= alive - now
 
 
 _SMALL_MUS, _LARGE_MUS = (F(1, 100), F(1, 50)), (F(1, 10), F(1, 5))
