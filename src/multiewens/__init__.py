@@ -26,4 +26,4 @@ __all__ = [
     *allele_stats.__all__, *poisson.__all__, *wf_sim.__all__,
 ]
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

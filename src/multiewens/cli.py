@@ -323,11 +323,13 @@ def cmd_poisson_tv(n, m, theta, fmt):
               help="generations between samples [default: N]")
 @_seed_option
 @click.option("--dump-state", "dump_path", default=None, type=click.Path(),
-              help="write the final population snapshot as JSON")
+              help="write the final population snapshot as JSON; its 2N genes are then"
+                   " traced too, so one seed draws other samples than without it")
 def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
-    """Evolve a Wright-Fisher population and stream sample compositions."""
+    """Evolve a Wright-Fisher population and print sample compositions, all
+    drawn from one genealogy before the first is printed."""
     thetas = _parse_theta(theta)
-    pop = wf_sim.Population.founding(two_n, thetas.k)
+    pop = wf_sim.Population.founding(two_n, thetas.k) if dump_path else two_n
     samples = wf_sim.stationary_samples(pop, thetas, sample_size, reps, seed, gens, thin)
     try:  # before any sample; "a" keeps an old snapshot until the run has ended
         dump = open(dump_path, "a") if dump_path else contextlib.nullcontext()

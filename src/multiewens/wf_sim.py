@@ -6,23 +6,17 @@ brand-new allele of class l with probability mu_l (infinite-alleles: ids are
 never reused).  With mu_l = theta_l/(4N), sampled compositions approach the
 k-class Ewens law.
 
-The model runs in two engines with the same law, on one state: a
-:class:`Population` of all 2N genes, sampled by one rule.  The gene-level
-engine (:func:`wf_step`) redraws each gene every generation; it is the
-reference model.  The backward engine behind :func:`stationary_samples`
-builds each window of generations from the genes alive at its end
-(:func:`_trace_back`): their lineages merge when they share a parent and
-stop at their first mutation, which founds a new allele.  Generations in
-which no lineage does either are skipped, so a window costs about as much as
-its genealogy has merges and mutations.  Every window starts from all 2N
-genes, so a window much shorter than N generations costs more than the g
-multinomial draws over the alleles that a forward engine would make.  The
-lineages left at the window's start land on a uniform subset of the old
-genes, and pop is rebuilt from them and the new alleles.
-
-:func:`stationary_partition_counts` needs no population: it traces each
-sample's own lineages back with no window limit, so its samples are
-independent and exact for the stationary finite-2N chain, with no burn-in.
+The model runs in two engines with the same law.  The gene-level engine
+(:func:`wf_step`) redraws each gene of a :class:`Population` every
+generation; it is the reference model.  Every other output comes from one
+backward engine (:func:`_trace_back`): lineages merge when they share a
+parent and stop at their first mutation, which founds a new allele, and the
+generations in which neither happens are skipped.  :func:`stationary_samples`
+traces all its samples jointly, back from the last sample time to the start,
+so its cost follows the samples, not 2N, unless the caller keeps the 2N genes
+of the end.  :func:`stationary_partition_counts` traces each sample's
+lineages back with no time limit, so its samples are independent and exact
+for the stationary finite-2N chain, with no burn-in.
 
 Masses theta enter as :class:`~multiewens.measure.MutationParams`.  Mutation
 probabilities mu pass one rule, on the raw values before any conversion:
@@ -178,12 +172,7 @@ def wf_step(pop: Population, mus: Sequence[float], rng: np.random.Generator) -> 
 def sample_composition(pop: Population, n: int, seed: int) -> MultiplePartition:
     """Allelic composition of a uniform sample of n >= 1 genes without replacement."""
     n, _ = _check_draws(pop.size, n, 0)
-    return _sample(pop, n, _numpy_rng(seed))
-
-
-def _sample(pop: Population, n: int, rng: np.random.Generator) -> MultiplePartition:
-    """Composition of a uniform sample of n genes of pop without replacement."""
-    picks = rng.choice(pop.size, size=n, replace=False)
+    picks = _numpy_rng(seed).choice(pop.size, size=n, replace=False)
     genes = Counter(zip(pop.classes[picks].tolist(), pop.ids[picks].tolist()))
     return _from_alleles(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
@@ -210,7 +199,7 @@ def _tables(mus: Sequence, two_n: int, k: int | None = None) -> tuple[list, list
 
 
 def _trace_back(weights: np.ndarray, gens, two_n: int, edges: list, cum: list,
-                rng: np.random.Generator) -> tuple[list, list]:
+                rng: np.random.Generator, parent: np.ndarray | None = None) -> tuple[list, list]:
     """Trace lineages of the given weights back `gens` generations, or, when
     gens is math.inf, until at most one is left.
 
@@ -220,7 +209,9 @@ def _trace_back(weights: np.ndarray, gens, two_n: int, edges: list, cum: list,
     merging when they pick the same one.  While many lineages live, every
     generation is drawn; once few do, the generations in which nothing
     happens are skipped by one geometric draw.  Returns the weights of the
-    lineages left, and (class, count) per new allele, newest first.
+    lineages left, and (class, count) per new allele, newest first.  Given
+    parent, the weights are distinct labels, indices into parent, and a
+    merge keeps one of them and points the parent of each other one at it.
     """
     total, left, born = edges[-1], gens, []
     while left and weights.size > _EVENT_LINEAGES:
@@ -230,11 +221,16 @@ def _trace_back(weights: np.ndarray, gens, two_n: int, edges: list, cum: list,
             classes = np.searchsorted(edges, u[mutant], side="right")
             born += zip(classes.tolist(), weights[mutant].tolist())
             weights = weights[~mutant]
+        # the lineages of one parent merge; they stay in the order of their parents
         parents = rng.integers(0, two_n, weights.size)
-        if 8 * weights.size < two_n:  # sorting few parents beats a pass over all 2N
-            _, parents = np.unique(parents, return_inverse=True)
-        weights = np.bincount(parents, weights)
-        weights = weights[weights > 0].astype(np.int64)
+        order = np.argsort(parents)
+        parents, weights, first = parents[order], weights[order], np.ones(weights.size, bool)
+        first[1:] = parents[1:] != parents[:-1]  # the first lineage of each parent
+        if parent is None:
+            weights = np.add.reduceat(weights, np.flatnonzero(first))
+        else:  # the others point at it, and it stays
+            parent[weights] = weights[first][np.cumsum(first) - 1]
+            weights = weights[first]
         left -= 1
     # an unbounded trace leaves the last lineage to its caller: it mutates at
     # some generation, and no geometric draw need say which
@@ -265,8 +261,10 @@ def _trace_back(weights: np.ndarray, gens, two_n: int, edges: list, cum: list,
             x = u[2 * d] * (total + (1.0 - total) * o / two_n)
             if o == 0 or x < total:
                 born.append((min(bisect.bisect_right(edges, x), len(edges) - 1), lineages[m]))
-            else:
+            elif parent is None:
                 merged[min(int((x - total) * two_n / (1.0 - total)), o - 1)] += lineages[m]
+            else:
+                parent[lineages[m]] = merged[min(int((x - total) * two_n / (1.0 - total)), o - 1)]
             m += 1
             if m == j:
                 break
@@ -292,58 +290,76 @@ def _check_draws(two_n: int, sample_size, reps) -> tuple[int, int]:
     return sample_size, _at_least(reps, 0, "reps")
 
 
-def _advance(pop: Population, gens: int, edges: list, cum: list,
-             rng: np.random.Generator) -> None:
-    """Run pop `gens` generations on, built backward from the 2N genes alive
-    at the end: each gene is a lineage of weight 1 (:func:`_trace_back`).
-    The lineages alive at the window's start land on a uniform subset of its
-    genes, in uniform order, and take the old alleles found there; each new
-    allele, oldest first, takes the next serial of its class.  pop then lists
-    its genes by landed lineage, then by new allele.
-    """
-    if gens == 0:
-        return
-    two_n = pop.size
-    lineages, born = _trace_back(np.ones(two_n, dtype=np.int64), gens, two_n, edges, cum, rng)
-    spots = rng.choice(two_n, len(lineages), replace=False)
-    fresh = np.array(born[::-1], dtype=np.int64).reshape(-1, 2)
-    # int64 throughout: unsigned genes beside int64 new alleles would turn float
-    ids = np.concatenate((pop.ids[spots], _serials(pop.next_ids, fresh[:, 0])), dtype=np.int64)
-    classes = np.concatenate((pop.classes[spots], fresh[:, 0]), dtype=np.int64)
-    counts = np.concatenate((np.asarray(lineages, dtype=np.int64), fresh[:, 1]))
-    pop.ids, pop.classes = np.repeat(ids, counts), np.repeat(classes, counts)
-    pop.generation += gens
+def _joint_samples(start, k: int, n: int, reps: int, burn_gens: int, thin_gens: int,
+                   edges: list, cum: list, rng: np.random.Generator) -> Iterator:
+    """Yield `reps` samples of n genes, taken every thin_gens generations
+    after burn_gens, all drawn at the first next() from one genealogy traced
+    back from the last sample time.  start is a Population, run on to that
+    time, or 2N for a monomorphic start that is not kept.  Each gene of the
+    final population (if kept) and of each sample has a label, and the trace
+    points merged labels at the ones kept (:func:`_trace_back`), so time and
+    memory follow the genes traced.  The L live lineages stand on genes
+    0..L-1, so a sample's picks there point at them and the others start new
+    lineages; the last land on a uniform subset of the start's genes, and
+    each new allele, oldest first, takes its serial."""
+    keep = isinstance(start, Population)
+    two_n = start.size if keep else start
+    base = two_n if keep else 0  # labels: the final genes, then each sample's, the last first
+    parent, live, born = np.arange(base + reps * n), np.arange(base), []
+    for i, gens in enumerate([thin_gens] * (reps - 1) + [burn_gens + thin_gens] if reps
+                             else [burn_gens]):
+        if i < reps:
+            picks, genes = rng.choice(two_n, n, replace=False), base + i * n + np.arange(n)
+            joins = picks < live.size
+            parent[genes[joins]] = live[picks[joins]]
+            live = np.concatenate((live, genes[~joins]))
+        lineages, new = _trace_back(live, gens, two_n, edges, cum, rng, parent)
+        live = np.asarray(lineages, dtype=np.int64)
+        born += new
+    root, ahead = parent, parent[parent]  # each label's last lineage, by pointer doubling
+    while not np.array_equal(root, ahead):
+        root, ahead = ahead, ahead[ahead]
+    classes, ids = np.zeros((2, parent.size), np.int64)  # by root label
+    gens = burn_gens + reps * thin_gens
+    if keep:
+        spots = rng.choice(two_n, live.size, replace=False) if gens else live
+        classes[live], ids[live], next_ids = start.classes[spots], start.ids[spots], start.next_ids
+    else:  # every gene of the start carries allele (0, 0)
+        next_ids = np.eye(1, k, dtype=np.int64)[0]
+    fresh, labels = np.array(born[::-1], dtype=np.int64).reshape(-1, 2).T
+    classes[labels], ids[labels] = fresh, _serials(next_ids, fresh)
+    if keep:  # genes by landed lineage, then by new allele, oldest first
+        ends = np.concatenate((live, labels))
+        counts = np.bincount(root[:base], minlength=parent.size)[ends]
+        start.classes, start.ids = np.repeat(classes[ends], counts), np.repeat(ids[ends], counts)
+        start.generation += gens
+    classes, ids = classes[root[base:]], ids[root[base:]]
+    for at in reversed(range(0, reps * n, n)):  # the first sample first
+        genes = Counter(zip(classes[at:at + n].tolist(), ids[at:at + n].tolist()))
+        yield _from_alleles(((cls, c) for (cls, _), c in genes.items()), k)
 
 
 def stationary_samples(
-    pop: Population, theta, sample_size: int, reps: int, seed: int,
+    pop, theta, sample_size: int, reps: int, seed: int,
     burn_gens: int | None = None, thin_gens: int | None = None,
 ) -> Iterator[MultiplePartition]:
-    """Burn pop in for burn_gens generations (default 20N, 2N = pop.size) with
-    mu_l = theta_l/(4N), then yield `reps` sample compositions drawn every
-    thin_gens generations (default N), all from numpy's generator for seed.
-
-    Runs the backward engine (:func:`_advance`) on pop itself, which holds
-    the current state at every yield and at the end.  Every input, the
-    seed included, is checked at the call, before the generator is returned.
-    """
-    sample_size, reps = _check_draws(pop.size, sample_size, reps)
+    """Run 2N genes with mu_l = theta_l/(4N) for burn_gens generations
+    (default 20N), then yield `reps` sample compositions taken every
+    thin_gens generations (default N), all from numpy's generator for seed,
+    by :func:`_joint_samples`.  pop is a :class:`Population`, written once
+    with the final state, or an even integer 2N for a monomorphic start that
+    is not kept, so that only the samples' genes are traced.  Every input,
+    the seed included, is checked at the call."""
+    two_n = pop.size if isinstance(pop, Population) else _check_size(pop)
+    sample_size, reps = _check_draws(two_n, sample_size, reps)
     rng = _numpy_rng(seed)
-    half_n = pop.size // 2
-    burn_gens = 20 * half_n if burn_gens is None else _at_least(burn_gens, 0, "burn-in generations")
-    thin_gens = half_n if thin_gens is None else _at_least(thin_gens, 0, "thinning generations")
+    burn_gens = 10 * two_n if burn_gens is None else _at_least(burn_gens, 0, "burn-in generations")
+    thin_gens = two_n // 2 if thin_gens is None else _at_least(thin_gens, 0, "thinning generations")
     params = _params(theta)
-    if params.k != pop.k:
+    if isinstance(pop, Population) and params.k != pop.k:
         raise ValueError(f"need k={pop.k} mutation masses, got {params.k}")
-    edges, cum = _tables([float(t) / (2 * pop.size) for t in params.thetas], pop.size, pop.k)
-
-    def run():
-        _advance(pop, burn_gens, edges, cum, rng)
-        for _ in range(reps):
-            _advance(pop, thin_gens, edges, cum, rng)
-            yield _sample(pop, sample_size, rng)
-
-    return run()
+    edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n, params.k)
+    return _joint_samples(pop, params.k, sample_size, reps, burn_gens, thin_gens, edges, cum, rng)
 
 
 def stationary_partition_counts(two_n: int, theta, sample_size: int, reps: int,

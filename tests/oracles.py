@@ -137,6 +137,26 @@ def chi_square_p(counts, exact_probs, reps: int) -> float:
     return float(chisquare(obs, exp).pvalue)
 
 
+def two_sample_chi_square_p(a, b) -> float:
+    """Pearson chi-square p-value that the counts a and b (Counters over
+    outcomes) come from one law, with the outcomes seen fewer than 10 times
+    in both together pooled into one cell."""
+    from scipy.stats import chi2_contingency
+
+    cells, pooled = [], [0, 0]
+    for state in set(a) | set(b):
+        pair = [a.get(state, 0), b.get(state, 0)]
+        if sum(pair) < 10:
+            pooled = [pooled[0] + pair[0], pooled[1] + pair[1]]
+        else:
+            cells.append(pair)
+    if sum(pooled):
+        cells.append(pooled)
+    if len(cells) < 2:
+        return 1.0
+    return float(chi2_contingency(list(zip(*cells)), correction=False).pvalue)
+
+
 def _poisson_logpmf(a: int, lam: float) -> float:
     return a * math.log(lam) - lam - math.lgamma(a + 1)
 

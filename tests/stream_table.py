@@ -80,7 +80,7 @@ def _sha(x) -> str:
 def _stationary(seed):
     pop = wf_sim.Population.founding(40, 2)
     samples = list(wf_sim.stationary_samples(pop, (0.5, 1.0), 4, 5, seed, 200, 20))
-    return samples, pop  # the population is written back at the end
+    return samples, pop  # the population is written once, at the first next()
 
 
 def _wf_steps(seed):

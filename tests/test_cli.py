@@ -177,10 +177,32 @@ class TestSampling:
         ])
         assert res.exit_code == 0
         got = [json.loads(l) for l in res.stdout.strip().splitlines()]
-        samples = stationary_samples(
-            Population.founding(40, 2), (0.5, 1.5), 5, 6, 11, burn_gens=120, thin_gens=7,
-        )
+        # with no snapshot asked for, the start is 2N itself
+        samples = stationary_samples(40, (0.5, 1.5), 5, 6, 11, burn_gens=120, thin_gens=7)
         assert got == [multipartition_to_lists(p) for p in samples]
+
+    def test_wf_sim_samples_change_with_a_snapshot(self, runner, tmp_path):
+        # --dump-state traces the 2N genes too, so one seed draws other samples
+        args = ["wf-sim", "--N", "40", "--theta", "1/2,3/2", "--gens", "120",
+                "--sample-size", "5", "--reps", "6", "--thin", "7", "--seed", "11"]
+        plain = runner.invoke(main, args)
+        kept = runner.invoke(main, [*args, "--dump-state", str(tmp_path / "pop.json")])
+        assert plain.exit_code == kept.exit_code == 0
+        samples = stationary_samples(Population.founding(40, 2), (0.5, 1.5), 5, 6, 11, 120, 7)
+        assert [json.loads(l) for l in kept.stdout.splitlines()] == [
+            multipartition_to_lists(p) for p in samples]
+        assert kept.stdout != plain.stdout
+
+    def test_wf_sim_at_2n_1e9_builds_no_population(self, runner, monkeypatch):
+        def no_population(*args, **kwargs):
+            raise AssertionError("Population.founding was called")
+
+        monkeypatch.setattr(Population, "founding", no_population)
+        res = runner.invoke(main, ["wf-sim", "--N", "1000000000", "--theta", "1,2", "--gens", "1",
+                                   "--sample-size", "4", "--reps", "10"])
+        assert res.exit_code == 0, res.output
+        parts = [json.loads(line) for line in res.stdout.strip().splitlines()]
+        assert len(parts) == 10 and all(sum(map(sum, p)) == 4 for p in parts)
 
     def test_wf_dump_state(self, runner, tmp_path):
         path = tmp_path / "pop.json"

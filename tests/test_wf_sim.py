@@ -12,11 +12,10 @@ import pytest
 
 from multiewens import wf_sim
 from multiewens.partitions import _from_alleles, multipartition_from_lists
-from multiewens.samplers import coalescent_rates
+from multiewens.samplers import coalescent_rates, derive_seed
 from multiewens.wf_sim import (
     Population,
-    _advance,
-    _sample,
+    _joint_samples,
     _tables,
     ancestral_generator,
     sample_composition,
@@ -26,7 +25,13 @@ from multiewens.wf_sim import (
     wf_step,
 )
 
-from oracles import chi_square_p, tv_distance, wf_population_law, wf_stationary_sample_law
+from oracles import (
+    chi_square_p,
+    tv_distance,
+    two_sample_chi_square_p,
+    wf_population_law,
+    wf_stationary_sample_law,
+)
 
 F = Fraction
 
@@ -278,6 +283,11 @@ def _copy(pop):
                       generation=pop.generation, next_ids=pop.next_ids.copy())
 
 
+def _run_on(pop, gens, edges, cum, rng):
+    """Run pop `gens` generations on through the joint trace, with no sample."""
+    assert list(_joint_samples(pop, pop.k, 1, 0, gens, 0, edges, cum, rng)) == []
+
+
 def _alleles_of(pop):
     return list(dict.fromkeys(zip(pop.classes.tolist(), pop.ids.tolist())))
 
@@ -326,7 +336,7 @@ def _one_generation_draws(pop, mus, reps, rng):
     by_counts: Counter = Counter()
     for _ in range(reps):
         after = _copy(pop)
-        _advance(after, 1, edges, cum, rng)
+        _run_on(after, 1, edges, cum, rng)
         by_counts[outcome(after)] += 1
     return by_genes, by_counts
 
@@ -383,23 +393,22 @@ class TestCountLevelEngine:
         assert tv_distance(by_counts, exact, reps) < 0.05
 
     def test_population_written_back(self):
+        # once, at the first next(), with the state at the end of the run
         pop = Population.founding(40, 2)
         burn, thin, reps = 50, 7, 30
-        dead: set = set()
-        alive: set = set()
         samples = stationary_samples(
             pop, (1.0, 2.0), 5, reps, 33, burn_gens=burn, thin_gens=thin
         )
-        for r, part in enumerate(samples, start=1):
+        assert pop.generation == 0
+        snapshots = []
+        for part in samples:
             assert part.n == 5 and part.k == 2
-            assert pop.size == 40 and pop.generation == burn + r * thin
-            now = set(zip(pop.classes.tolist(), pop.ids.tolist()))
-            assert not now & dead
-            assert all(ident < pop.next_ids[cls] for cls, ident in now)
-            dead |= alive - now
-            alive = now
-        assert r == reps and pop.generation == burn + reps * thin
-        assert json.loads(json.dumps(pop.to_json_dict()))["generation"] == burn + reps * thin
+            assert pop.size == 40 and pop.generation == burn + reps * thin
+            genes = set(zip(pop.classes.tolist(), pop.ids.tolist()))
+            assert all(ident < pop.next_ids[cls] for cls, ident in genes)
+            snapshots.append(json.dumps(pop.to_json_dict()))
+        assert len(snapshots) == reps and len(set(snapshots)) == 1
+        assert json.loads(snapshots[0])["generation"] == burn + reps * thin
 
     def test_unsigned_genes_stay_integers(self):
         # unsigned ids beside the int64 serials of new alleles would concatenate to floats
@@ -460,17 +469,24 @@ class TestCountLevelEngine:
         pop = Population.founding(20, 2)
         samples = stationary_samples(pop, (1.0, 2.0), 4, 3, 5, 7, 2)
         assert pop.generation == 0  # nothing runs before the first next()
-        got = list(samples)
+        first = next(samples)
+        assert pop.generation == 13  # every sample is drawn, and pop written, at once
+        got = [first, *samples]
         replay = Population.founding(20, 2)
         edges, cum = _tables([1.0 / 40, 2.0 / 40], 20, 2)
-        rng = np.random.default_rng(5)
-        _advance(replay, 7, edges, cum, rng)
-        want = []
-        for _ in range(3):
-            _advance(replay, 2, edges, cum, rng)
-            want.append(_sample(replay, 4, rng))
-        assert got == want and pop.generation == 13
+        want = list(_joint_samples(replay, 2, 4, 3, 7, 2, edges, cum, np.random.default_rng(5)))
+        assert got == want
         assert pop.to_json_dict() == replay.to_json_dict()
+
+    def test_integer_start_builds_no_population(self, monkeypatch):
+        # 2N as an integer runs the same trace without the final genes
+        def no_population(*args, **kwargs):
+            raise AssertionError("no population is built")
+
+        monkeypatch.setattr(Population, "founding", no_population)
+        edges, cum = _tables([1.0 / 40, 2.0 / 40], 20, 2)
+        got = list(stationary_samples(20, (1.0, 2.0), 4, 3, 5, 7, 2))
+        assert got == list(_joint_samples(20, 2, 4, 3, 7, 2, edges, cum, np.random.default_rng(5)))
 
     @pytest.mark.parametrize("theta", [(0.0, 1.0), (math.nan, 1.0)])
     def test_rejects_bad_masses_before_burn_in(self, theta):
@@ -509,7 +525,8 @@ _INTERLEAVED = [0, 4, 3, 1, 5, 2]
 
 
 class TestBackwardLaw:
-    """_advance(pop, g) against the exact forward law of the whole population."""
+    """The joint trace with no sample, run g generations on from pop, against
+    the exact forward law of the whole population."""
 
     # seeds fixed before the first run; 20,000 windows per case
     @pytest.mark.parametrize("start,order,gens,seed", [
@@ -533,7 +550,7 @@ class TestBackwardLaw:
         counts: Counter = Counter()
         for _ in range(reps):
             state = _copy(pop)
-            _advance(state, gens, edges, cum, rng)
+            _run_on(state, gens, edges, cum, rng)
             counts[_composition(state)] += 1
         assert chi_square_p(counts, _population_law(start, gens), reps) > 1e-3
 
@@ -542,14 +559,14 @@ class TestBackwardLaw:
         pop = _population_of(_POLY)
         before = copy.deepcopy(rng.bit_generator.state)
         snapshot = pop.to_json_dict()
-        _advance(pop, 0, *_tables([0.1, 0.2], pop.size, pop.k), rng)
+        _run_on(pop, 0, *_tables([0.1, 0.2], pop.size, pop.k), rng)
         assert rng.bit_generator.state == before
         assert pop.to_json_dict() == snapshot
 
     def test_subnormal_mutation_mass(self):
         # a lone lineage's null run is then longer than any float can count
         pop = Population.founding(10, 2)
-        _advance(pop, 10**6, *_tables([1e-311, 1e-311], 10, 2), np.random.default_rng(9))
+        _run_on(pop, 10**6, *_tables([1e-311, 1e-311], 10, 2), np.random.default_rng(9))
         assert _alleles_of(pop) == [(0, 0)] and pop.size == 10 and pop.generation == 10**6
 
     def test_survivors_first_then_fresh_serials(self):
@@ -562,7 +579,7 @@ class TestBackwardLaw:
         dead: set = set()
         for _ in range(20):
             alive, next_ids = set(_alleles_of(pop)), pop.next_ids.tolist()
-            _advance(pop, 40, edges, cum, rng)
+            _run_on(pop, 40, edges, cum, rng)
             keys = list(zip(pop.classes.tolist(), pop.ids.tolist()))
             old = [ident < next_ids[cls] for cls, ident in keys]
             survivors = old.index(False) if False in old else len(old)
@@ -573,6 +590,64 @@ class TestBackwardLaw:
             now = set(keys)
             assert not now & dead and pop.size == 100
             dead |= alive - now
+
+
+class TestJointSamples:
+    """The samples of stationary_samples, traced jointly, against the
+    gene-level chain: wf_step each generation and sample_composition at
+    each sample time."""
+
+    # seeds and the threshold fixed before the first run; 20,000 runs a side
+    @pytest.mark.parametrize("start,n,burn,thin,seeds", [
+        (_MONO, 2, 2, 1, (3101, 3102)),
+        (_POLY, 3, 1, 2, (3103, 3104)),
+        (_POLY, 3, 2, 0, (3105, 3106)),  # both samples of one generation
+        (4, 3, 3, 1, (3107, 3108)),  # 2N as an integer: a start that is not kept
+    ], ids=["mono-4", "poly-6", "same-generation-6", "integer-4"])
+    def test_two_samples_against_the_chain(self, start, n, burn, thin, seeds):
+        reps = 20_000
+        pop = Population.founding(start, 2) if isinstance(start, int) else _population_of(start)
+        theta = tuple(2 * pop.size * m for m in _LAW_MUS)  # mu_l = theta_l/(4N)
+        rng = np.random.default_rng(seeds[0])
+        by_chain: Counter = Counter()
+        for _ in range(reps):
+            state, pair = _copy(pop), []
+            for gens in (burn + thin, thin):
+                for _ in range(gens):
+                    wf_step(state, [float(m) for m in _LAW_MUS], rng)
+                pair.append(sample_composition(state, n, int(rng.integers(2**63))))
+            by_chain[tuple(pair)] += 1
+        by_trace = Counter(
+            tuple(stationary_samples(start if isinstance(start, int) else _copy(pop), theta, n,
+                                     2, derive_seed(seeds[1], r), burn, thin))
+            for r in range(reps)
+        )
+        assert two_sample_chi_square_p(by_chain, by_trace) > 1e-3
+
+    @staticmethod
+    def _within(part, pop):
+        """Whether the composition part can be drawn from pop's genes: class
+        by class, its ranked allele counts are at most pop's."""
+        alleles = Counter(zip(pop.classes.tolist(), pop.ids.tolist()))
+        for l, comp in enumerate(part.components):
+            have = sorted((c for (cls, _), c in alleles.items() if cls == l), reverse=True)
+            if len(comp.rows) > len(have) or any(r > h for r, h in zip(comp.rows, have)):
+                return False
+        return True
+
+    @pytest.mark.parametrize("two_n,n,reps,thin,seed", [
+        (40, 4, 10, 3, 3111), (40, 4, 10, 0, 3112),
+        (200, 6, 20, 5, 3113), (200, 6, 20, 0, 3114),
+    ], ids=["small", "small-same-generation", "large", "large-same-generation"])
+    def test_last_sample_lives_in_the_kept_population(self, two_n, n, reps, thin, seed):
+        for r in range(20):
+            pop = Population.founding(two_n, 2)
+            samples = list(stationary_samples(pop, (1.0, 2.0), n, reps, derive_seed(seed, r),
+                                              50, thin))
+            assert [p.n for p in samples] == [n] * reps
+            assert pop.size == two_n and pop.generation == 50 + reps * thin
+            # with thin = 0 every sample is of the final generation
+            assert all(self._within(p, pop) for p in (samples if thin == 0 else samples[-1:]))
 
 
 _SMALL_MUS, _LARGE_MUS = (F(1, 100), F(1, 50)), (F(1, 10), F(1, 5))
@@ -607,6 +682,23 @@ class TestStationaryGenealogy:
         reps = 20_000
         counts = stationary_partition_counts(6, tuple(12 * m for m in mus), 3, reps, seed)
         assert chi_square_p(counts, wf_stationary_sample_law(6, mus, 3), reps) > 1e-3
+
+    def test_numpy_phase_at_80_genes(self, monkeypatch):
+        # seeds and the threshold fixed before the first run: a sample of 80
+        # genes starts in the numpy phase, whose merges sort and sum the
+        # weights; with the threshold past 80 the same law is drawn event by
+        # event.  Compared on the allele count of each class.
+        reps, counts = 4_000, []
+        for threshold, seed in ((None, 3201), (80, 3202)):
+            if threshold is not None:
+                monkeypatch.setattr(wf_sim, "_EVENT_LINEAGES", threshold)
+            drawn = stationary_partition_counts(1000, (0.5, 1.0), 80, reps, seed)
+            assert all(part.n == 80 for part in drawn)  # merges sum the genes
+            per_class: Counter = Counter()
+            for part, c in drawn.items():
+                per_class[tuple(len(comp.rows) for comp in part.components)] += c
+            counts.append(per_class)
+        assert two_sample_chi_square_p(*counts) > 1e-3
 
     @pytest.mark.parametrize("theta,seed", [((1e-310, 1e-310), 1721), ((5e-324, 5e-324), 1722)],
                              ids=["subnormal-mu", "mu-underflows"])
