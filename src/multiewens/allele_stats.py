@@ -316,7 +316,7 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     if len(ps) != params.k:
         raise ValueError(f"need k={params.k} counts")
     _stirling_guard(f"the joint law at n={n}", n)
-    q, scaled, d_n = _common(params.thetas, n)
+    q, scaled, d_n = _common(theta, n)
     return Fraction(_joint_k_numerator(n, ps, q, scaled), d_n)
 
 

@@ -19,16 +19,21 @@ denominators, D_n = prod_{i<n} (Qw + iQ) = Q^n (w)_n and P(p) = N(p) / D_n for
     N(p) = n! / prod_{l,j} j^{a_j^(l)} a_j^(l)!  *  prod_l (Q theta_l)^{K_l}  *  Q^{n-K},
 
 with K_l rows in component l and K = sum K_l.  The first factor counts the
-permutations with these class-coloured cycles, so N(p) is an integer.  Q,
-the Q theta_l and D_n are cached per n and the masses' (numerator,
-denominator) pairs, which hash far faster than Fractions; the exact sweep
-checks compare integer sums of numerators.  Every sweep starts with
-:func:`_exact_common`, which refuses more than 200,000 states before any work.
+permutations with these class-coloured cycles, so N(p) is an integer.  Q
+and the Q theta_l come from :func:`_context`, D_n from :func:`_rising`; the
+exact sweep checks compare integer sums of numerators.  Every sweep starts
+with :func:`_exact_common`, which refuses more than 200,000 states first.
+
+Masses are checked and scaled once per object: one slot memoises the last
+params or plain tuple of exactly int, Fraction or float, matched by identity;
+others, such as a list, are checked on every call.  The row terms of N(p)
+come from two tables keyed by a diagram's rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -149,14 +154,39 @@ def _finite_total(values) -> None:
         raise ValueError(f"the masses must have a finite sum, got {total}")
 
 
+# (masses, kind, params, scale), replaced whole so that no thread reads a torn entry
+_last: tuple = (None, None, None, None)
+_PLAIN = (int, Fraction, float)
+
+
+def _context(theta, kind=MutationParams):
+    """(params, scale): theta as the checked kind, and (L, the integers L v)
+    for the values v of its one field, L the lcm of their denominators, when
+    all are exact, else None.  A kind or a plain tuple of exactly int,
+    Fraction or float is memoised in ``_last``, which holds it so its id stays unique."""
+    global _last
+    last = _last
+    if last[0] is theta and last[1] is kind:
+        return last[2], last[3]
+    params = theta if isinstance(theta, kind) else kind(tuple(theta))
+    (values,) = vars(params).values()
+    scale = None
+    if _is_exact(values):
+        lcm = math.lcm(*[v.denominator for v in values])
+        scale = lcm, tuple([v.numerator * (lcm // v.denominator) for v in values])
+    if (params is theta or type(theta) is tuple) and all(type(v) in _PLAIN for v in values):
+        _last = (theta, kind, params, scale)
+    return params, scale
+
+
 def _params(theta) -> MutationParams:
     """The masses theta as a checked :class:`MutationParams`."""
-    return theta if isinstance(theta, MutationParams) else MutationParams(tuple(theta))
+    return _context(theta)[0]
 
 
 def _exact_params(theta, what: str) -> MutationParams:
-    params = _params(theta)
-    if not params.is_exact:
+    params, scale = _context(theta)
+    if scale is None:
         raise ValueError(f"{what} needs rational theta")
     return params
 
@@ -200,28 +230,9 @@ def _product_tree(p: int, q: int, m: int) -> int:
     return _product_tree(p, q, h) * _product_tree(p + h * q, q, m - h)
 
 
-def _ratios(values) -> tuple:
-    """Exact values as (numerator, denominator) pairs, the cache key of the
-    exact laws: ints hash far faster than Fractions, and a float, which has
-    no numerator, cannot share a key with an int (1 and 1.0 hash alike)."""
-    return tuple([(v.numerator, v.denominator) for v in values])
-
-
-def _scale(ratios) -> tuple[int, tuple[int, ...]]:
-    """(L, the integers L v) for the values v of ratios, L the lcm of their denominators."""
-    lcm = math.lcm(*(d for _, d in ratios))
-    return lcm, tuple(a * (lcm // d) for a, d in ratios)
-
-
-def _common(thetas, n: int) -> tuple[int, tuple[int, ...], int]:
-    """(Q, the scaled masses Q theta_l, D_n) for exact masses; see the module
-    docstring.  Cached per n and the masses' :func:`_ratios`."""
-    return _common_of_ratios(_ratios(thetas), n)
-
-
-@lru_cache(maxsize=256)
-def _common_of_ratios(ratios: tuple, n: int) -> tuple[int, tuple[int, ...], int]:
-    q, scaled = _scale(ratios)
+def _common(theta, n: int) -> tuple[int, tuple[int, ...], int]:
+    """(Q, the scaled masses Q theta_l, D_n) for exact masses theta."""
+    q, scaled = _context(theta)[1]
     return q, scaled, _rising(sum(scaled), q, n)
 
 
@@ -237,9 +248,8 @@ def _exact_common(theta, k: int, n: int, what: str, states=count_multipartitions
     if count > _STATE_CAP:
         raise ValueError(f"n={n}, k={k} enumerates {count} states, over the cap of"
                          f" {_STATE_CAP}; choose a smaller n or k")
-    params = _exact_params(theta, what)
-    _check_k(k, params)
-    return (n, k, *_common(params.thetas, n))
+    _check_k(k, _exact_params(theta, what))
+    return (n, k, *_common(theta, n))
 
 
 def _log_rising(x, m: int) -> float:
@@ -278,23 +288,29 @@ def _log_esf(components, thetas, w) -> float:
     return _log_law(total + lgamma(n + 1), w, n)
 
 
+@lru_cache(maxsize=1 << 14)
+def _row_terms(rows: tuple) -> tuple[int, int, int]:
+    """(size, row count, prod_j j^{a_j} a_j!) of a diagram's rows; the a_j!
+    are built run by run: the i-th repeat of a row length multiplies by i."""
+    den = math.prod(rows)
+    run = 1
+    for prev, r in zip(rows, rows[1:]):
+        run = run + 1 if r == prev else 1
+        den *= run
+    return sum(rows), len(rows), den
+
+
 def _esf_numerator(components, q: int, scaled) -> int:
     """N(p) of the module docstring for the components of p, given Q and the
-    scaled masses.  The product of a_j! over the rows of a component is built
-    run by run: the i-th repeat of a row length multiplies by i."""
+    scaled masses, from the row terms of each component."""
     n = n_rows = 0
     weight = den = 1
     for s, comp in zip(scaled, components):
-        rows = comp.rows
-        if rows:
-            n += sum(rows)
-            n_rows += len(rows)
-            weight *= s ** len(rows)
-            den *= math.prod(rows)
-            run = 1
-            for prev, r in zip(rows, rows[1:]):
-                run = run + 1 if r == prev else 1
-                den *= run
+        size, count, terms = _row_terms(comp.rows)
+        n += size
+        n_rows += count
+        weight *= s**count
+        den *= terms
     return math.factorial(n) // den * weight * q ** (n - n_rows)
 
 
@@ -304,12 +320,14 @@ def refined_esf_pmf(p: MultiplePartition, theta) -> Numeric:
     Exact Fraction N(p) / D_n for rational theta, float (from log space)
     otherwise.
     """
-    params = _params(theta)
-    _check_k(p.k, params)
-    if not params.is_exact:
-        return math.exp(_log_esf(p.components, params.thetas, params.w))
-    q, scaled, d_n = _common(params.thetas, p.n)
-    return Fraction(_esf_numerator(p.components, q, scaled), d_n)
+    params, scale = _context(theta)
+    comps = p.components
+    _check_k(len(comps), params)
+    if scale is None:
+        return math.exp(_log_esf(comps, params.thetas, params.w))
+    q, scaled = scale
+    n = sum([sum(comp.rows) for comp in comps])
+    return Fraction(_esf_numerator(comps, q, scaled), _rising(sum(scaled), q, n))
 
 
 def refined_esf_log_pmf(p: MultiplePartition, theta) -> float:
@@ -337,29 +355,34 @@ def refined_esf_pmf_factorized(p: MultiplePartition, theta) -> Numeric:
     :func:`refined_esf_pmf`.  Float masses take that law's log-sum, in which
     the factors (theta_l)_{n_l}/n_l! of the factorization cancel.
     """
-    params = _params(theta)
+    params, scale = _context(theta)
     comps = p.components
     _check_k(len(comps), params)
-    if not params.is_exact:
+    if scale is None:
         return math.exp(_log_esf(comps, params.thetas, params.w))
+    q, scaled = scale
     sizes = [sum(comp.rows) for comp in comps]
     n = sum(sizes)
-    q, scaled, d_n = _common(params.thetas, n)
     risings = math.prod(map(_rising, scaled, (q,) * len(sizes), sizes))
     size_law = math.factorial(n) // math.prod(map(math.factorial, sizes)) * risings
     singles = math.prod(map(_single_class_numerator, comps, (q,) * len(sizes), scaled, sizes))
-    return Fraction(size_law * singles, d_n * risings)
+    return Fraction(size_law * singles, _rising(sum(scaled), q, n) * risings)
 
 
 def _single_class_numerator(comp: YoungDiagram, q: int, s: int, m: int) -> int:
     """N_l = m! / prod_j j^{a_j} a_j! * s^{K_l} * Q^{m-K_l} for one component
     of size m and scaled mass s, so that the single-class law at size m is
-    N_l / R_l.  Read from the row multiplicities a_j, not from the runs of
-    :func:`_esf_numerator`, so the factorized route checks a second kernel."""
-    den = 1
-    for j, a in comp.multiplicities().items():
-        den *= j**a * math.factorial(a)
-    return math.factorial(m) // den * s**comp.n_rows * q ** (m - comp.n_rows)
+    N_l / R_l, with terms from :func:`_class_terms`, not :func:`_row_terms`,
+    so that the factorized route checks a second kernel."""
+    count, den = _class_terms(comp.rows)
+    return math.factorial(m) // den * s**count * q ** (m - count)
+
+
+@lru_cache(maxsize=1 << 14)
+def _class_terms(rows: tuple) -> tuple[int, int]:
+    """(row count, prod_j j^{a_j} a_j!) of the diagram with these rows, read
+    from its row multiplicities a_j."""
+    return len(rows), math.prod(j**a * math.factorial(a) for j, a in Counter(rows).items())
 
 
 def downward_transition(p: MultiplePartition) -> dict[MultiplePartition, Fraction]:
@@ -414,10 +437,9 @@ def factorization_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that :func:`refined_esf_pmf` equals the factorized route on
     every multiple partition of n into k components."""
     n, k, *_ = _exact_common(theta, k, n, "factorization check")
-    params = _params(theta)
     failures = []
     for p in enumerate_multipartitions(n, k):
-        direct, factorized = refined_esf_pmf(p, params), refined_esf_pmf_factorized(p, params)
+        direct, factorized = refined_esf_pmf(p, theta), refined_esf_pmf_factorized(p, theta)
         if direct != factorized:
             failures.append(
                 f"p={multipartition_to_lists(p)}: pmf {direct} != factorized {factorized}"
@@ -491,21 +513,30 @@ def labeled_set_partition_pmf(s: LabeledSetPartition, theta) -> Numeric:
     as N(s) / D_n.  Depends on the blocks only through sizes and labels
     (exchangeable).
     """
-    params = _params(theta)
+    params, scale = _context(theta)
     if any(label > params.k for label, _ in s.blocks):
         raise ValueError(f"block label out of range 1..{params.k}")
-    if params.is_exact:
-        q, scaled, d_n = _common(params.thetas, s.n)
-        return Fraction(_set_partition_numerator(s, q, scaled), d_n)
+    if scale is not None:
+        q, scaled, b = *scale, len(s.blocks)
+        factors = _block_factors(scaled, {len(e) for _, e in s.blocks})
+        num = _set_partition_numerator(s, factors, {b: q ** (s.n - b)})
+        return Fraction(num, _rising(sum(scaled), q, s.n))
     logs = [math.log(params.thetas[label - 1]) + math.lgamma(len(e)) for label, e in s.blocks]
     return math.exp(_log_law(sum(logs), params.w, s.n))
 
 
-def _set_partition_numerator(s: LabeledSetPartition, q: int, scaled) -> int:
-    """N(s) = prod over blocks of (Q theta_label)(|B|-1)!, times Q^{n-#blocks}."""
-    num = q ** (s.n - len(s.blocks))
+def _block_factors(scaled, sizes) -> list:
+    """The per-call table factors[l][j] = (Q theta_l)(j-1)! of the block sizes j."""
+    facts = {j: math.factorial(j - 1) for j in sizes}
+    return [None, *({j: s * f for j, f in facts.items()} for s in scaled)]
+
+
+def _set_partition_numerator(s: LabeledSetPartition, factors, q_pows) -> int:
+    """N(s) = prod over blocks of (Q theta_label)(|B|-1)!, times Q^{n-#blocks},
+    from the per-call tables of :func:`_block_factors` and q_pows[#blocks]."""
+    num = q_pows[len(s.blocks)]
     for label, elems in s.blocks:
-        num *= scaled[label - 1] * math.factorial(len(elems) - 1)
+        num *= factors[label][len(elems)]
     return num
 
 
@@ -513,6 +544,8 @@ def set_partition_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that the labelled set-partition law of {1..n} with labels
     1..k sums to one: sum_s N(s) == D_n."""
     n, k, q, scaled, d_n = _exact_common(theta, k, n, "set-partition check", _labelled_count)
-    total = sum(_set_partition_numerator(s, q, scaled) for s in labeled_set_partitions(n, k))
+    factors = _block_factors(scaled, range(1, n + 1))
+    q_pows = [q ** (n - b) for b in range(n + 1)]
+    total = sum(_set_partition_numerator(s, factors, q_pows) for s in labeled_set_partitions(n, k))
     return _sum_report("set-partition", total, d_n)
 

@@ -156,15 +156,16 @@ def wf_step(pop: Population, mus: Sequence[float], rng: np.random.Generator) -> 
     mus are the per-class mutation probabilities; their sum must be < 1.
     Fresh alleles get never-before-seen (class, serial) identifiers.
     """
-    edges = np.cumsum([float(m) for m in _mutation_probs(mus, pop.k)])
+    edges = list(itertools.accumulate(float(m) for m in _mutation_probs(mus, pop.k)))
     two_n = pop.size
     parents = rng.integers(0, two_n, size=two_n)
     pop.ids = pop.ids[parents]
     pop.classes = pop.classes[parents]
     u = rng.random(two_n)
     mutant = u < edges[-1]
-    pop.classes[mutant] = np.searchsorted(edges, u[mutant], side="right")
-    pop.ids[mutant] = _serials(pop.next_ids, pop.classes[mutant])
+    if mutant.any():  # most generations of a small population have no mutant
+        pop.classes[mutant] = np.searchsorted(edges, u[mutant], side="right")
+        pop.ids[mutant] = _serials(pop.next_ids, pop.classes[mutant])
     pop.generation += 1
     return pop
 

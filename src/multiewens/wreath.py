@@ -6,9 +6,9 @@ labels the cycle.  Counting cycles of each class projects an element to a
 multiple partition, and the product measure with per-class weights t_l
 projects exactly onto the k-class Ewens measure with theta_l = t_l |c_l|/|G|.
 
-Weights cross one boundary: each entry point coerces t once to a
-:class:`WreathParams`, the only place each weight is checked; the projected
-masses and the exact-or-float choice come from :meth:`WreathParams.thetas`.
+Weights cross one boundary: each entry point coerces t to a
+:class:`WreathParams` through ``measure._context``, which checks a reused
+weight tuple once and picks exact or float arithmetic from its scale.
 Group tables and elements from outside are checked by their constructors,
 whose integer fields pass ``partitions._plain_ints`` and are never rounded;
 the elements the restaurant process, the enumerator and the group
@@ -38,8 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .measure import (_common_of_ratios, _finite_total, _is_exact, _log_law, _positive_finite,
-                      _shown)
+from .measure import _context, _finite_total, _log_law, _positive_finite, _rising, _shown
 from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _trusted
 from .samplers import (
     _KERNEL_STEPS, _batched_counts, _codes, _numpy_rng, _python_rng, _roots,
@@ -219,7 +218,7 @@ class WreathParams:
 
 def _wreath_params(t) -> WreathParams:
     """The class weights t as a checked :class:`WreathParams`."""
-    return t if isinstance(t, WreathParams) else WreathParams(t)
+    return _context(t, WreathParams)[0]
 
 
 def cycle_type(x: WreathElement, group: GroupTable) -> MultiplePartition:
@@ -269,25 +268,22 @@ def pewens_pmf(x: WreathElement, group: GroupTable, t):
 
     t_1^{[x]_{c_1}} ... t_k^{[x]_{c_k}} / (|G|^n (t_1/zeta_1+..+t_k/zeta_k)_n)
     with zeta_l = |G|/|c_l|.  Rational t gives a Fraction over the shared
-    exact denominator D_n of the masses theta_l = t_l/zeta_l
-    (``measure._common_of_ratios``), each given as t_l |c_l| over |G| times
-    the denominator of t_l.  Their lcm is B|G|, with B that of the t_l, so
-    the scaled masses are B t_l |c_l|, D_n = (B|G|)^n (sum theta)_n and the
-    law is prod_l (B t_l)^{[x]_{c_l}} * B^{n-C} / D_n, with C the number of
+    exact denominator D_n of the masses theta_l = t_l/zeta_l, each taken as
+    t_l |c_l| over |G| times the denominator of t_l.  Their lcm is B|G|,
+    with B that of the t_l (the scale of :func:`measure._context`), so the
+    scaled masses are B t_l |c_l|, D_n = (B|G|)^n (sum theta)_n and the law
+    is prod_l (B t_l)^{[x]_{c_l}} * B^{n-C} / D_n, with C the number of
     cycles.  Other t give the exp of :func:`pewens_log_pmf`.
     """
-    params = _wreath_params(t)
-    ts = params._per_class(group)
+    params, scale = _context(t, WreathParams)
+    params._per_class(group)
     counts = _class_counts(x, group)
-    if not _is_exact(ts):
+    if scale is None:
         return math.exp(_log_pewens(x.n, group, params, counts))
-    m, sizes = group.order, group.class_sizes()
-    ratios = tuple([(v.numerator * size, v.denominator * m) for v, size in zip(ts, sizes)])
-    q, scaled, d_n = _common_of_ratios(ratios, x.n)
-    num = (q // m) ** (x.n - sum(counts))
-    for s, size, c in zip(scaled, sizes, counts):
-        num *= (s // size) ** c
-    return Fraction(num, d_n)
+    b, scaled = scale
+    qw = sum([s * size for s, size in zip(scaled, group.class_sizes())])
+    num = b ** (x.n - sum(counts)) * math.prod(map(pow, scaled, counts))
+    return Fraction(num, _rising(qw, b * group.order, x.n))
 
 
 def pewens_log_pmf(x: WreathElement, group: GroupTable, t) -> float:

@@ -119,7 +119,7 @@ class TestMutationParams:
         # could hand one backend's values to the other
         import multiewens.measure as measure
 
-        measure._common_of_ratios.cache_clear()
+        measure._rising.cache_clear()
         p = mp([2, 1], [1])
         s = LabeledSetPartition(((1, frozenset({1, 2})), (2, frozenset({3}))), n=3)
         x = WreathElement((0, 1, 1), (1, 0, 2))
@@ -133,6 +133,82 @@ class TestMutationParams:
         for masses, kind in order if first == "exact" else order[::-1]:
             for law in laws:
                 assert type(law(masses)) is kind
+
+
+class TestMassesMemo:
+    """The one-slot memo of checked and scaled masses: a hit must give the law
+    of the masses as they are now, and only immutable masses may hit."""
+
+    P = mp([2, 1], [1])
+
+    def test_list_changed_in_place_gives_the_new_law(self):
+        masses = [F(1), F(2)]
+        first = refined_esf_pmf(self.P, masses)
+        masses[1] = F(5, 3)
+        assert refined_esf_pmf(self.P, masses) == refined_esf_direct([[2, 1], [1]], (F(1), F(5, 3)))
+        assert refined_esf_pmf(self.P, masses) != first
+        masses[1] = 2.0
+        assert type(refined_esf_pmf(self.P, masses)) is float
+
+    @pytest.mark.parametrize("bad", [(F(-1, 2), F(1)), (1e308, 1e308), (True, 0)])
+    def test_refused_masses_raise_on_every_call(self, bad):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                refined_esf_pmf(self.P, bad)
+            assert measure._last[0] is not bad
+
+    def test_numpy_zero_d_entry_is_never_memoised(self):
+        np = pytest.importorskip("numpy")
+        masses = (np.array(1.5), 2.0)
+        first = refined_esf_pmf(self.P, masses)
+        assert measure._last[0] is not masses
+        masses[0][...] = 3.0
+        assert refined_esf_pmf(self.P, masses) == refined_esf_pmf(self.P, (3.0, 2.0)) != first
+
+    def test_alternating_masses_agree_with_fresh_tuples(self):
+        states = list(enumerate_multipartitions(4, 2))
+        blocks = list(labeled_set_partitions(4, 2))
+        laws = [
+            lambda m: [refined_esf_pmf(p, m) for p in states],
+            lambda m: [refined_esf_pmf_factorized(p, m) for p in states],
+            lambda m: [labeled_set_partition_pmf(s, m) for s in blocks],
+            lambda m: [joint_k_pmf(4, m, ps) for ps in itertools.product(range(5), repeat=2)],
+        ]
+        a, b, params = (F(1), F(2)), (F(3, 7), 5), MutationParams((F(2, 3), F(4)))
+        for masses in [a, b, params, a, params, b] * 2:
+            values = masses.thetas if masses is params else masses
+            for law in laws:
+                got = law(masses)  # the first call fills the slot, the rest hit it
+                fresh = law(tuple(list(values)))  # a new object on every call: never a hit
+                assert got == fresh and all(type(v) is Fraction for v in got)
+
+    def test_threads_alternating_masses_agree_with_one_thread(self):
+        import sys
+        import threading
+
+        states = list(enumerate_multipartitions(5, 2))
+        masses = [(F(1), F(2)), (F(3, 7), F(5, 2)), (2, F(1, 3)), (1.5, 0.25)]
+        want = {m: [refined_esf_pmf(p, list(m)) for p in states] for m in masses}
+        wrong = []
+
+        def work(order):
+            for _ in range(20):
+                for m in order:
+                    if [refined_esf_pmf(p, m) for p in states] != want[m]:
+                        wrong.append(m)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between nearly every law call
+        try:  # more threads than cores, each with its own order of the masses
+            threads = [threading.Thread(target=work, args=(masses[i:] + masses[:i],))
+                       for i in range(len(masses))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
 
 
 class TestRefinedPmf:

@@ -208,6 +208,15 @@ class TestWreathMeasure:
         total = sum(pewens_pmf(x, g, ts) for x in enumerate_wreath_elements(3, g))
         assert total == 1
 
+    def test_reused_and_fresh_weights_agree(self):
+        g = symmetric_group_3()
+        elements = list(enumerate_wreath_elements(3, g))
+        for t in [(1, 2, F(3, 7)), (F(1, 2), 2, 5), (1.0, 2.0, 0.5)]:
+            reused = [pewens_pmf(x, g, t) for x in elements]
+            fresh = [pewens_pmf(x, g, tuple(list(t))) for x in elements]
+            assert reused == fresh
+            assert sum(reused) == 1 if type(t[0]) is not float else math.isclose(sum(reused), 1)
+
     def test_normalizes_z3(self):
         g = cyclic_group(3)
         ts = (F(1), F(1, 2), F(3))
