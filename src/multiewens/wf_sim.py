@@ -10,8 +10,9 @@ The model runs in two engines with the same law.  The gene-level engine
 (:func:`wf_step`) redraws each gene of a :class:`Population` every
 generation; it is the reference model.  Every other output comes from one
 backward engine (:func:`_trace_back`): lineages merge when they share a
-parent and stop at their first mutation, which founds a new allele, and the
-generations in which neither happens are skipped.  :func:`stationary_samples`
+parent and stop at their first mutation, which founds a new allele.  A
+generation that expects more than 64 such events is drawn whole; below
+that, the trace skips to the next event.  :func:`stationary_samples`
 traces all its samples jointly, back from the last sample time to the start,
 so its cost follows the samples, not 2N, unless the caller keeps the 2N genes
 of the end.  :func:`stationary_partition_counts` traces each sample's
@@ -45,8 +46,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .measure import _params, _shown
-from .partitions import MultiplePartition, _at_least, _from_alleles, _plain_ints, _stirling_second
-from .samplers import _numpy_rng
+from .partitions import (
+    MultiplePartition, _at_least, _exact_work_guard, _from_alleles, _plain_ints, _stirling_second,
+)
+from .samplers import _numpy_rng, _roots
 
 __all__ = [
     "Population",
@@ -178,24 +181,24 @@ def sample_composition(pop: Population, n: int, seed: int) -> MultiplePartition:
     return _from_alleles(((cls, c) for (cls, _), c in genes.items()), pop.k)
 
 
-# lineages alive at or below which a trace stops drawing every generation
-# and skips straight to the next one in which a lineage mutates or merges
-_EVENT_LINEAGES = 64
+# -log of a generation's null probability past which a trace draws it whole
+_WHOLE_EVENTS = 64
 
 
-def _tables(mus: Sequence, two_n: int, k: int | None = None) -> tuple[list, list]:
-    """The per-mu tables of a trace (:func:`_trace_back`), after the one check
-    on mus.  Class l takes the mutation draws in [edges[l-1], edges[l]), and
-    the last edge is the total mutation probability M.  A lineage is "fine"
-    when it neither mutates nor meets the parent of an earlier lineage; with
-    o parents taken that has probability (1 - M)(1 - o/2N), and cum[i] = -log
-    of i lineages in a row being fine from none taken, so a generation of j
-    lineages is null with probability exp(-cum[j])."""
+def _tables(mus: Sequence, two_n: int, lineages: int, k: int | None = None) -> tuple[list, list]:
+    """The per-mu tables of a trace (:func:`_trace_back`) of at most
+    `lineages` lineages, after the one check on mus.  Class l takes the
+    mutation draws in [edges[l-1], edges[l]), and the last edge is the total
+    mutation probability M.  A lineage is "fine" when it neither mutates nor
+    meets the parent of an earlier lineage; with o parents taken that has
+    probability (1 - M)(1 - o/2N), and cum[i] = -log of i lineages in a row
+    being fine from none taken, so a generation of j lineages is null with
+    probability exp(-cum[j]).  cum covers min(lineages, 2N) lineages, or
+    fewer: only the j with cum[j] <= _WHOLE_EVENTS."""
     edges = list(itertools.accumulate(float(m) for m in _mutation_probs(mus, k)))
     log_stay = math.log1p(-edges[-1])
-    cum = [0.0, *itertools.accumulate(
-        -log_stay - math.log1p(-o / two_n) for o in range(min(_EVENT_LINEAGES, two_n))
-    )]
+    cum = [0.0, *itertools.takewhile(lambda c: c <= _WHOLE_EVENTS, itertools.accumulate(
+        -log_stay - math.log1p(-o / two_n) for o in range(min(lineages, two_n))))]
     return edges, cum
 
 
@@ -207,15 +210,15 @@ def _trace_back(weights: np.ndarray, gens, two_n: int, edges: list, cum: list,
     Going back one generation, a lineage mutates with probability
     M = sum mu (a new class-l allele, chosen with odds mu_l, whose count is
     the lineage's weight), and the others pick uniform parents among 2N,
-    merging when they pick the same one.  While many lineages live, every
-    generation is drawn; once few do, the generations in which nothing
-    happens are skipped by one geometric draw.  Returns the weights of the
+    merging when they pick the same one.  A generation of more lineages than
+    cum covers is drawn whole; once cum covers them, the null generations
+    are skipped by one geometric draw.  Returns the weights of the
     lineages left, and (class, count) per new allele, newest first.  Given
     parent, the weights are distinct labels, indices into parent, and a
     merge keeps one of them and points the parent of each other one at it.
     """
     total, left, born = edges[-1], gens, []
-    while left and weights.size > _EVENT_LINEAGES:
+    while left and weights.size >= len(cum):
         u = rng.random(weights.size)
         mutant = u < total
         if mutant.any():
@@ -317,9 +320,7 @@ def _joint_samples(start, k: int, n: int, reps: int, burn_gens: int, thin_gens: 
         lineages, new = _trace_back(live, gens, two_n, edges, cum, rng, parent)
         live = np.asarray(lineages, dtype=np.int64)
         born += new
-    root, ahead = parent, parent[parent]  # each label's last lineage, by pointer doubling
-    while not np.array_equal(root, ahead):
-        root, ahead = ahead, ahead[ahead]
+    root = _roots(parent)  # each label's last lineage
     classes, ids = np.zeros((2, parent.size), np.int64)  # by root label
     gens = burn_gens + reps * thin_gens
     if keep:
@@ -359,7 +360,8 @@ def stationary_samples(
     params = _params(theta)
     if isinstance(pop, Population) and params.k != pop.k:
         raise ValueError(f"need k={pop.k} mutation masses, got {params.k}")
-    edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n, params.k)
+    genes = reps * sample_size + (two_n if isinstance(pop, Population) else 0)  # traced
+    edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n, genes, params.k)
     return _joint_samples(pop, params.k, sample_size, reps, burn_gens, thin_gens, edges, cum, rng)
 
 
@@ -377,7 +379,7 @@ def stationary_partition_counts(two_n: int, theta, sample_size: int, reps: int,
     two_n = _check_size(two_n)
     rng = _numpy_rng(seed)
     sample_size, reps = _check_draws(two_n, sample_size, reps)
-    edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n)
+    edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n, sample_size)
     thetas = [Fraction(t) for t in params.thetas]
     bounds = [float(c / sum(thetas)) for c in itertools.accumulate(thetas[:-1])]
     ones, keys = np.ones(sample_size, dtype=np.int64), Counter()
@@ -395,13 +397,24 @@ def transition_prob(p: int, m: int, two_n: int, mus: Sequence) -> Fraction:
     Mixes the no-mutation ancestry count over the binomial number of
     mutants: sum_j C(p,j) (1-M)^{p-j} M^j P0(p-j, m) with M = sum(mus) and
     P0(q, m) = S(q, m) (2N)(2N-1)...(2N-m+1) / (2N)^q, P0(q, 0) = [q == 0].
-    Rational mus give an exact Fraction.
+    Rational mus give an exact Fraction.  Sizes whose sums would not finish
+    are refused, before any work, by the exact work guard.
     """
     two_n = _check_size(two_n)
     p, m = _plain_ints((p, m), "p and m")
     if not 0 <= m <= p <= two_n:
         raise ValueError("need 0 <= m <= p <= 2N")
     total_mu = sum(Fraction(v) for v in _mutation_probs(mus))
+    # before any work: (p - m + 1)(m + 1) powers of up to p log2(m) bits for
+    # the Stirling numbers, each about 2 sqrt(limbs) products (Karatsuba, fit
+    # by timing), and p - m + 1 Fraction sums of up to p log2(2N den M) bits,
+    # each gcd about one step per limb
+    what, remedy = f"the transition probability at p={p}, m={m}", "choose a smaller p"
+    bits = p * m.bit_length()
+    _exact_work_guard(what, (p - m + 1) * (m + 1) * 2 * math.isqrt(bits // 64 + 1), bits, remedy)
+    bits = p * (two_n.bit_length() + total_mu.denominator.bit_length())
+    _exact_work_guard(what, (p - m + 1) * (bits // 64 + 1), bits,
+                      remedy + ", or mutation probabilities with shorter denominators")
     total = Fraction(0)
     for j in range(p - m + 1):  # S(0, 0) = 1 and S(q, 0) = 0 give P0(q, 0)
         p0 = Fraction(_stirling_second(p - j, m) * math.perm(two_n, m), two_n ** (p - j))

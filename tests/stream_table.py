@@ -126,6 +126,10 @@ SAMPLERS = {
     "stationary_samples": (_stationary, True),
     "stationary_partition_counts": (
         lambda s: wf_sim.stationary_partition_counts(40, (0.5, 1.0), 4, 50, s), True),
+    # more than 64 genes at large 2N, where no generation is busy enough to
+    # be drawn whole
+    "stationary_partition_counts_large": (
+        lambda s: wf_sim.stationary_partition_counts(10**6, (0.5, 1.0), 100, 5, s), True),
     "wf_step": (_wf_steps, True),
     "sample_composition": (_composition, True),
 }

@@ -200,6 +200,36 @@ class TestTransitionProb:
         got = transition_prob(600, 2, 1000, [F(0)])
         assert got == F((2**599 - 1) * 1000 * 999, 1000**600)
 
+    def test_guard_boundary_of_the_fraction_sums(self, monkeypatch):
+        # at m = 2, 2N = 2000 and M = 0 the p - 1 Fraction sums weigh about
+        # 4.95e7 units of work at p = 1109, under the cap of 5e7, and 5.006e7
+        # at p = 1110, which is refused before any Stirling number is made
+        got = transition_prob(1109, 2, 2000, [F(0)])
+        assert got == F((2**1108 - 1) * 2000 * 1999, 2000**1109)
+        monkeypatch.setattr(wf_sim, "_stirling_second", lambda p, m: pytest.fail("computed"))
+        message = ("the transition probability at p=1110, m=2 is too large to compute exactly"
+                   ".*choose a smaller p, or mutation probabilities with shorter denominators")
+        with pytest.raises(ValueError, match=message):
+            transition_prob(1110, 2, 2000, [F(0)])
+
+    def test_guard_boundary_of_the_stirling_sums(self, monkeypatch):
+        # at m = p the p + 1 powers of p log2(p) bits weigh 49,999,992 units
+        # at p = 2500 and 50,019,984 at p = 2501; the Stirling number is
+        # stubbed, so neither size does its work
+        calls = []
+        monkeypatch.setattr(wf_sim, "_stirling_second", lambda p, m: calls.append((p, m)) or 1)
+        transition_prob(2500, 2500, 10**6, [F(0)])
+        assert calls == [(2500, 2500)]
+        with pytest.raises(ValueError, match=r"p=2501, m=2501 is too large.*choose a smaller p$"):
+            transition_prob(2501, 2501, 10**6, [F(0)])
+        assert calls == [(2500, 2500)]
+
+    def test_refuses_thousands_of_genes_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(wf_sim, "_stirling_second", lambda p, m: pytest.fail("computed"))
+        for p, m, mus in [(2000, 1000, [F(1, 4 * 10**6)]), (5000, 2, [F(0)]), (100, 50, [1e-300])]:
+            with pytest.raises(ValueError, match=f"p={p}, m={m} is too large"):
+                transition_prob(p, m, 10**6, mus)
+
     @pytest.mark.parametrize("p,m,two_n", [(0, 0, 0), (2, 1, 3), (1, 1, -2)])
     def test_population_size_is_checked(self, p, m, two_n):
         with pytest.raises(ValueError, match="2N must be a positive even integer"):
@@ -332,7 +362,7 @@ def _one_generation_draws(pop, mus, reps, rng):
         return old, fresh
 
     by_genes = Counter(outcome(wf_step(_copy(pop), mus, rng)) for _ in range(reps))
-    edges, cum = _tables(mus, pop.size, pop.k)
+    edges, cum = _tables(mus, pop.size, pop.size, pop.k)
     by_counts: Counter = Counter()
     for _ in range(reps):
         after = _copy(pop)
@@ -427,7 +457,7 @@ class TestCountLevelEngine:
         with pytest.raises(ValueError) as by_genes:
             wf_step(Population.founding(10, 2), mus, np.random.default_rng(0))
         with pytest.raises(ValueError) as by_counts:
-            _tables(mus, 10, 2)
+            _tables(mus, 10, 10, 2)
         assert str(by_counts.value) == str(by_genes.value)
 
     @pytest.mark.parametrize("sample_size,burn,thin", [(0, 5, 5), (11, 5, 5), (2, -1, 5), (2, 5, -1)])
@@ -473,7 +503,7 @@ class TestCountLevelEngine:
         assert pop.generation == 13  # every sample is drawn, and pop written, at once
         got = [first, *samples]
         replay = Population.founding(20, 2)
-        edges, cum = _tables([1.0 / 40, 2.0 / 40], 20, 2)
+        edges, cum = _tables([1.0 / 40, 2.0 / 40], 20, 20 + 3 * 4, 2)
         want = list(_joint_samples(replay, 2, 4, 3, 7, 2, edges, cum, np.random.default_rng(5)))
         assert got == want
         assert pop.to_json_dict() == replay.to_json_dict()
@@ -484,7 +514,7 @@ class TestCountLevelEngine:
             raise AssertionError("no population is built")
 
         monkeypatch.setattr(Population, "founding", no_population)
-        edges, cum = _tables([1.0 / 40, 2.0 / 40], 20, 2)
+        edges, cum = _tables([1.0 / 40, 2.0 / 40], 20, 3 * 4, 2)
         got = list(stationary_samples(20, (1.0, 2.0), 4, 3, 5, 7, 2))
         assert got == list(_joint_samples(20, 2, 4, 3, 7, 2, edges, cum, np.random.default_rng(5)))
 
@@ -535,17 +565,17 @@ class TestBackwardLaw:
         (_POLY, _INTERLEAVED, 3, 1307),
     ], ids=["mono-g1", "mono-g3", "mono-g20", "poly-g1", "poly-g3", "poly-g20",
             "interleaved-g3"])
-    @pytest.mark.parametrize("threshold", [None, 2], ids=["event-driven", "mixed"])
-    def test_population_law(self, monkeypatch, start, order, gens, seed, threshold):
-        # at 2N <= 6 every window is event-driven; with a threshold of 2 the
-        # generations with more than two lineages are drawn one by one
-        if threshold is not None:
-            monkeypatch.setattr(wf_sim, "_EVENT_LINEAGES", threshold)
+    @pytest.mark.parametrize("lineages", [None, 2], ids=["event-driven", "mixed"])
+    def test_population_law(self, start, order, gens, seed, lineages):
+        # at 2N <= 6 the table covers every lineage, so every window is
+        # event-driven; with a table of two lineages the generations with
+        # more than two are drawn whole
+        if lineages is not None:
             seed += 100
         pop = _population_of(start)
         if order is not None:
             pop = Population(ids=pop.ids[order], classes=pop.classes[order], k=pop.k)
-        edges, cum = _tables([float(m) for m in _LAW_MUS], pop.size, pop.k)
+        edges, cum = _tables([float(m) for m in _LAW_MUS], pop.size, lineages or pop.size, pop.k)
         rng, reps = np.random.default_rng(seed), 20_000
         counts: Counter = Counter()
         for _ in range(reps):
@@ -559,14 +589,14 @@ class TestBackwardLaw:
         pop = _population_of(_POLY)
         before = copy.deepcopy(rng.bit_generator.state)
         snapshot = pop.to_json_dict()
-        _run_on(pop, 0, *_tables([0.1, 0.2], pop.size, pop.k), rng)
+        _run_on(pop, 0, *_tables([0.1, 0.2], pop.size, pop.size, pop.k), rng)
         assert rng.bit_generator.state == before
         assert pop.to_json_dict() == snapshot
 
     def test_subnormal_mutation_mass(self):
         # a lone lineage's null run is then longer than any float can count
         pop = Population.founding(10, 2)
-        _run_on(pop, 10**6, *_tables([1e-311, 1e-311], 10, 2), np.random.default_rng(9))
+        _run_on(pop, 10**6, *_tables([1e-311, 1e-311], 10, 10, 2), np.random.default_rng(9))
         assert _alleles_of(pop) == [(0, 0)] and pop.size == 10 and pop.generation == 10**6
 
     def test_survivors_first_then_fresh_serials(self):
@@ -575,7 +605,7 @@ class TestBackwardLaw:
         # consecutive fresh serials per class, so no dead id comes back
         rng = np.random.default_rng(8)
         pop = _population_of(((30, 20, 10), (25, 15)))
-        edges, cum = _tables([0.01, 0.02], pop.size, pop.k)
+        edges, cum = _tables([0.01, 0.02], pop.size, pop.size, pop.k)
         dead: set = set()
         for _ in range(20):
             alive, next_ids = set(_alleles_of(pop)), pop.next_ids.tolist()
@@ -673,27 +703,37 @@ class TestStationaryGenealogy:
         counts = stationary_partition_counts(two_n, thetas, n, reps, seed)
         assert chi_square_p(counts, wf_stationary_sample_law(two_n, mus, n), reps) > 1e-3
 
-    @pytest.mark.parametrize("mus,seed", [(_SMALL_MUS, 1711), (_LARGE_MUS, 1712)],
+    @pytest.mark.parametrize("mus,events,seed", [(_SMALL_MUS, 0.5, 1711), (_LARGE_MUS, 1.0, 1712)],
                              ids=["small", "large"])
-    def test_generations_drawn_one_by_one(self, monkeypatch, mus, seed):
-        # with a threshold of 2, the generations with three lineages run in
-        # the numpy phase, as a sample of more than 64 genes does
-        monkeypatch.setattr(wf_sim, "_EVENT_LINEAGES", 2)
+    def test_generations_drawn_one_by_one(self, monkeypatch, mus, events, seed):
+        # -log of the null probability of a generation of two lineages is
+        # 0.24 (small) or 0.90 (large), and of three 0.68 or 1.66, so with
+        # these caps the generations with three lineages are drawn whole, as
+        # a busy generation at large n is
+        monkeypatch.setattr(wf_sim, "_WHOLE_EVENTS", events)
+        assert len(_tables([float(m) for m in mus], 6, 3)[1]) == 3
         reps = 20_000
         counts = stationary_partition_counts(6, tuple(12 * m for m in mus), 3, reps, seed)
         assert chi_square_p(counts, wf_stationary_sample_law(6, mus, 3), reps) > 1e-3
 
-    def test_numpy_phase_at_80_genes(self, monkeypatch):
-        # seeds and the threshold fixed before the first run: a sample of 80
-        # genes starts in the numpy phase, whose merges sort and sum the
-        # weights; with the threshold past 80 the same law is drawn event by
-        # event.  Compared on the allele count of each class.
-        reps, counts = 4_000, []
-        for threshold, seed in ((None, 3201), (80, 3202)):
-            if threshold is not None:
-                monkeypatch.setattr(wf_sim, "_EVENT_LINEAGES", threshold)
-            drawn = stationary_partition_counts(1000, (0.5, 1.0), 80, reps, seed)
-            assert all(part.n == 80 for part in drawn)  # merges sum the genes
+    @pytest.mark.parametrize("two_n,n,seeds", [
+        (1000, 80, (3201, 3202)), (2000, 200, (3203, 3204)),
+    ], ids=["80-of-1000", "200-of-2000"])
+    def test_against_a_table_of_64_lineages(self, monkeypatch, two_n, n, seeds):
+        # seeds fixed before the first run: with its table cut at 64
+        # lineages, a sample of n genes starts in the numpy phase, whose
+        # merges sort and sum the weights; its own table covers all n, so
+        # the same law is drawn event by event.  Compared on the allele
+        # count of each class.
+        tables, mus, reps, counts = _tables, [0.5 / (2 * two_n), 1.0 / (2 * two_n)], 4_000, []
+        assert len(tables(mus, two_n, n)[1]) == n + 1
+        for cap, seed in zip((64, None), seeds):
+            with monkeypatch.context() as patch:
+                if cap:
+                    patch.setattr(wf_sim, "_tables", lambda mus, two_n, lineages, k=None:
+                                  tables(mus, two_n, min(lineages, cap), k))
+                drawn = stationary_partition_counts(two_n, (0.5, 1.0), n, reps, seed)
+            assert all(part.n == n for part in drawn)  # merges sum the genes
             per_class: Counter = Counter()
             for part, c in drawn.items():
                 per_class[tuple(len(comp.rows) for comp in part.components)] += c
