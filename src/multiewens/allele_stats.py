@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import (CheckReport, _common, _exact_common, _exact_params, _params,
-                      _positive_finite, _shown, _sum_report)
+from .measure import (CheckReport, _context, _exact_common, _is_exact, _params,
+                      _positive_finite, _rising, _shown, _sum_report)
 from .partitions import _at_least, _exact_work_guard, compositions_of
-from .samplers import _numpy_rng
+from .samplers import _CHUNK_CELLS, _numpy_rng
 
 __all__ = [
     "harmonic_h",
@@ -49,8 +49,6 @@ class UnsupportedRegimeError(ValueError):
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 # terms per leaf of _lcm_sums, few enough that math.lcm over them is cheap
 _LCM_LEAF = 32
-# uniforms per head block of bernoulli_k_samples (4 MB, cache-sized)
-_HEAD_BLOCK = 1 << 19
 
 
 def harmonic_h(n: int, p: int, x):
@@ -74,7 +72,7 @@ def harmonic_h(n: int, p: int, x):
     n, p = _at_least(n, 1, "n"), _at_least(p, 1, "p")
     if not 0 < x < math.inf:  # also rejects NaN
         raise ValueError(f"x must be positive and finite, got {_shown(x)}")
-    if isinstance(x, (int, Fraction)):
+    if _is_exact((x,)):
         x = Fraction(x)
         lcm, (s,) = _harmonic_sums(n, x, (p,))
         return Fraction(x.denominator**p * s, lcm**p)
@@ -310,14 +308,16 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     rational theta; returns a Fraction, N(ps) / D_n over the shared
     denominator of :mod:`multiewens.measure`.
     """
-    params = _exact_params(theta, "joint law")
+    params, scale = _context(theta)
+    if scale is None:
+        raise ValueError("joint law needs rational theta")
     n = _at_least(n, 0, "n")
     ps = tuple([_at_least(p, 0, "counts") for p in ps])
     if len(ps) != params.k:
         raise ValueError(f"need k={params.k} counts")
     _stirling_guard(f"the joint law at n={n}", n)
-    q, scaled, d_n = _common(theta, n)
-    return Fraction(_joint_k_numerator(n, ps, q, scaled), d_n)
+    q, scaled = scale
+    return Fraction(_joint_k_numerator(n, ps, q, scaled), _rising(sum(scaled), q, n))
 
 
 def _joint_k_numerator(n: int, ps: tuple[int, ...], q: int, scaled) -> int:
@@ -454,7 +454,7 @@ def bernoulli_k_samples(
     Each replicate sums n independent Bernoulli(p_j) draws with
     p_j = theta_l/(w+j), j = 0..n-1, and p_j decreases in j.  The head,
     where p_j >= 1/16, compares one uniform per replicate and position, in
-    blocks of positions holding about 2**19 uniforms each.
+    blocks of positions holding about _CHUNK_CELLS = 2**17 uniforms each.
     The tail is sampled exactly by thinning, in O(successes) per replicate:
     from position j with bound q = p_j >= p_c for every c >= j, jump a
     Geometric(q) number of positions to a candidate c, count it with
@@ -469,7 +469,7 @@ def bernoulli_k_samples(
     # p_j >= 1/16 exactly when j <= 16 theta_l - w, capped first as 16 theta_l may be inf
     head = max(0, math.floor(min(16 * th - w, n - 1)) + 1)
     probs = th / (w + np.arange(head, dtype=float))
-    block = max(1, _HEAD_BLOCK // max(reps, 1))
+    block = max(1, _CHUNK_CELLS // max(reps, 1))
     out = np.zeros(reps, dtype=np.int64)
     for start in range(0, head, block):
         p = probs[start : start + block, None]

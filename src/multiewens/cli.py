@@ -126,13 +126,13 @@ _seed_option = click.option("--seed", default=0, type=int, show_default=True,
 
 
 class _ErrorBoundary(click.Group):
-    """Reports a library ValueError, or an allocation that failed, as one
-    ``Error: ...`` line, exit 1."""
+    """Reports a library ValueError, an allocation that failed, or a size
+    too large for a float or a C integer as one ``Error: ...`` line, exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # "int too large to convert to float"
             raise click.ClickException(str(exc)) from exc
         except MemoryError as exc:  # numpy's message gives the size it could not allocate
             raise click.ClickException(str(exc) or "out of memory") from exc

@@ -184,13 +184,6 @@ def _params(theta) -> MutationParams:
     return _context(theta)[0]
 
 
-def _exact_params(theta, what: str) -> MutationParams:
-    params, scale = _context(theta)
-    if scale is None:
-        raise ValueError(f"{what} needs rational theta")
-    return params
-
-
 def pochhammer(x: Numeric, n: int):
     """Rising factorial x(x+1)...(x+n-1); equals 1 when n = 0.
 
@@ -230,26 +223,25 @@ def _product_tree(p: int, q: int, m: int) -> int:
     return _product_tree(p, q, h) * _product_tree(p + h * q, q, m - h)
 
 
-def _common(theta, n: int) -> tuple[int, tuple[int, ...], int]:
-    """(Q, the scaled masses Q theta_l, D_n) for exact masses theta."""
-    q, scaled = _context(theta)[1]
-    return q, scaled, _rising(sum(scaled), q, n)
-
-
 _STATE_CAP = 200_000  # states an exact sweep may enumerate; past it, one takes minutes
 
 
 def _exact_common(theta, k: int, n: int, what: str, states=count_multipartitions):
-    """(n, k) as checked ints, then :func:`_common`, for a sweep over states(n, k)
-    states of size n with k components; more than _STATE_CAP are refused
-    first.  states=None leaves the size to the sweep's own guard."""
+    """(n, k) as checked ints, then (Q, the scaled masses Q theta_l, D_n) for
+    exact masses theta, for a sweep over states(n, k) states of size n with
+    k components; more than _STATE_CAP are refused first.  states=None
+    leaves the size to the sweep's own guard."""
     n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
     count = 0 if states is None else states(n, k)
     if count > _STATE_CAP:
         raise ValueError(f"n={n}, k={k} enumerates {count} states, over the cap of"
                          f" {_STATE_CAP}; choose a smaller n or k")
-    _check_k(k, _exact_params(theta, what))
-    return (n, k, *_common(theta, n))
+    params, scale = _context(theta)
+    if scale is None:
+        raise ValueError(f"{what} needs rational theta")
+    _check_k(k, params)
+    q, scaled = scale
+    return n, k, q, scaled, _rising(sum(scaled), q, n)
 
 
 def _log_rising(x, m: int) -> float:

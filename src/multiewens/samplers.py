@@ -223,8 +223,8 @@ def hoppe_urn_sample(
     return part, _trusted(LabeledSetPartition, blocks=labelled, n=n)
 
 
-# runs per chunk of the counting samplers, and run-steps per chunk at large n:
-# 2,048 runs of a desk-size n run as fast as 4,096 with half the memory
+# runs per chunk of the counting samplers, and uniforms per block (a run-step or a head cell)
+# at large n: 2,048 runs of a desk-size n run as fast as 4,096 with half the memory
 _CHUNK_RUNS = 2048
 _CHUNK_CELLS = 1 << 17
 # the largest product of radices that one int64 key word holds

@@ -20,10 +20,12 @@ lineages back with no time limit, so its samples are independent and exact
 for the stationary finite-2N chain, with no burn-in.
 
 Masses theta enter as :class:`~multiewens.measure.MutationParams`.  Mutation
-probabilities mu pass one rule, on the raw values before any conversion:
-each finite and nonnegative, with sum below 1.  Both engines and
-:func:`transition_prob` apply it, with one message.  All three take 2N only
-as a positive even integer, and both engines a sample of at least one gene.
+probabilities mu pass one rule, on the raw values before any conversion: each
+finite and nonnegative, with sum below 1.  Both engines and
+:func:`transition_prob` apply it, with one message.  All three take 2N only as
+a positive even integer, and both engines a sample of at least one gene.  A
+stationary 2N must give a float mu = theta/(4N), and :func:`stationary_samples`
+int64 genes: 2N < 2**63.
 
 Every sampler here takes a seed under the package's one seed rule and reads
 numpy's generator for it, but :func:`wf_step`, one step of a chain that its
@@ -353,6 +355,8 @@ def stationary_samples(
     is not kept, so that only the samples' genes are traced.  Every input,
     the seed included, is checked at the call."""
     two_n = pop.size if isinstance(pop, Population) else _check_size(pop)
+    if two_n >= 1 << 63:  # numpy draws genes as int64, and 4N is then a float
+        raise ValueError(f"population size 2N={_shown(two_n)} must be below 2**63")
     sample_size, reps = _check_draws(two_n, sample_size, reps)
     rng = _numpy_rng(seed)
     burn_gens = 10 * two_n if burn_gens is None else _at_least(burn_gens, 0, "burn-in generations")
@@ -379,7 +383,11 @@ def stationary_partition_counts(two_n: int, theta, sample_size: int, reps: int,
     two_n = _check_size(two_n)
     rng = _numpy_rng(seed)
     sample_size, reps = _check_draws(two_n, sample_size, reps)
-    edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n, sample_size)
+    try:
+        mus = [float(t) / (2 * two_n) for t in params.thetas]
+    except OverflowError:  # 4N past the float range
+        raise ValueError(f"mu = theta/(4N) cannot be a float at 2N={_shown(two_n)}") from None
+    edges, cum = _tables(mus, two_n, sample_size)
     thetas = [Fraction(t) for t in params.thetas]
     bounds = [float(c / sum(thetas)) for c in itertools.accumulate(thetas[:-1])]
     ones, keys = np.ones(sample_size, dtype=np.int64), Counter()
@@ -394,32 +402,31 @@ def transition_prob(p: int, m: int, two_n: int, mus: Sequence) -> Fraction:
     """Exact probability that p sampled genes have m distinct parental
     lineages one generation back, counting only non-mutant children.
 
-    Mixes the no-mutation ancestry count over the binomial number of
-    mutants: sum_j C(p,j) (1-M)^{p-j} M^j P0(p-j, m) with M = sum(mus) and
-    P0(q, m) = S(q, m) (2N)(2N-1)...(2N-m+1) / (2N)^q, P0(q, 0) = [q == 0].
-    Rational mus give an exact Fraction.  Sizes whose sums would not finish
-    are refused, before any work, by the exact work guard.
+    Mixes the no-mutation ancestry count over the binomial number of mutants:
+    sum_j C(p,j) (1-M)^{p-j} M^j P0(p-j, m), M = sum(mus) = a/b exactly (a float
+    by its binary value), P0(q, m) = S(q, m) (2N)_m / (2N)^q, P0(q, 0) = [q == 0].
+    That is one Fraction: the integer sum_j C(p,j) (b-a)^{p-j} a^j (2N)^j S(p-j, m)
+    times (2N)_m, over (b 2N)^p.  Sizes that would not finish are refused first.
     """
     two_n = _check_size(two_n)
     p, m = _plain_ints((p, m), "p and m")
     if not 0 <= m <= p <= two_n:
         raise ValueError("need 0 <= m <= p <= 2N")
-    total_mu = sum(Fraction(v) for v in _mutation_probs(mus))
-    # before any work: (p - m + 1)(m + 1) powers of up to p log2(m) bits for
-    # the Stirling numbers, each about 2 sqrt(limbs) products (Karatsuba, fit
-    # by timing), and p - m + 1 Fraction sums of up to p log2(2N den M) bits,
-    # each gcd about one step per limb
+    a, b = sum(Fraction(v) for v in _mutation_probs(mus)).as_integer_ratio()
+    # before any work: (p - m + 1)(m + 1) powers of up to p log2(m) bits for the Stirling
+    # numbers, each about 2 sqrt(limbs) products (Karatsuba, fit by timing), and p - m + 1
+    # integer terms C(p,j) (b-a)^{p-j} S(p-j, m) of up to p log2(2N b) bits, one step per limb
     what, remedy = f"the transition probability at p={p}, m={m}", "choose a smaller p"
     bits = p * m.bit_length()
     _exact_work_guard(what, (p - m + 1) * (m + 1) * 2 * math.isqrt(bits // 64 + 1), bits, remedy)
-    bits = p * (two_n.bit_length() + total_mu.denominator.bit_length())
+    bits = p * (two_n.bit_length() + b.bit_length())
     _exact_work_guard(what, (p - m + 1) * (bits // 64 + 1), bits,
                       remedy + ", or mutation probabilities with shorter denominators")
-    total = Fraction(0)
-    for j in range(p - m + 1):  # S(0, 0) = 1 and S(q, 0) = 0 give P0(q, 0)
-        p0 = Fraction(_stirling_second(p - j, m) * math.perm(two_n, m), two_n ** (p - j))
-        total += math.comb(p, j) * (1 - total_mu) ** (p - j) * total_mu**j * p0
-    return total
+    num, stay, mutant = 0, (b - a) ** m, a * two_n
+    for j in range(p - m, -1, -1):  # Horner in a 2N; S(q, 0) = [q == 0] gives P0(q, 0)
+        num = num * mutant + math.comb(p, j) * stay * _stirling_second(p - j, m)
+        stay *= b - a
+    return Fraction(num * math.perm(two_n, m), (b * two_n) ** p)
 
 
 @dataclass(frozen=True)

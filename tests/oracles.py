@@ -376,6 +376,24 @@ def wf_stationary_sample_law(two_n: int, mus, n: int) -> dict:
     return law
 
 
+def transition_prob_fraction_sum(p: int, m: int, two_n: int, mus) -> Fraction:
+    """P(p genes have m non-mutant parental lineages one generation back) as
+    a sum of p - m + 1 Fractions: sum_j C(p,j) (1-M)^{p-j} M^j P0(p-j, m),
+    M = sum(mus), P0(q, m) = S(q, m) (2N)_m / (2N)^q, with the Stirling
+    numbers of the second kind from their triangle recurrence."""
+    column = [1] + [0] * m  # S(q, 0..m), from q = 0
+    stirling = [column[m]]
+    for _ in range(p):
+        column = [0] + [column[i - 1] + i * column[i] for i in range(1, m + 1)]
+        stirling.append(column[m])
+    total_mu = sum(Fraction(v) for v in mus)
+    total = Fraction(0)
+    for j in range(p - m + 1):
+        p0 = Fraction(stirling[p - j] * math.perm(two_n, m), two_n ** (p - j))
+        total += math.comb(p, j) * (1 - total_mu) ** (p - j) * total_mu**j * p0
+    return total
+
+
 def refuse_validation(monkeypatch, cls):
     """Make every validated construction of the frozen dataclass cls fail,
     so a builder that still succeeds built its instances without checks."""

@@ -373,12 +373,15 @@ class TestJointLaw:
 
     def test_size_guard_refuses_before_any_work(self, monkeypatch):
         import multiewens.allele_stats as allele_stats
+        import multiewens.measure as measure
 
         def fail(*args):
             pytest.fail("worked")
 
+        # the Stirling row and the denominator D_n are the work the guard protects
         monkeypatch.setattr(allele_stats, "_stirling_row", fail)
-        monkeypatch.setattr(allele_stats, "_common", fail)
+        monkeypatch.setattr(allele_stats, "_rising", fail)
+        monkeypatch.setattr(measure, "_rising", fail)
         with pytest.raises(ValueError, match="joint law at n=100000 is too large"):
             joint_k_pmf(100_000, (1, 2), (1, 1))
         with pytest.raises(ValueError, match="joint law check at n=600, k=2 is too large"):

@@ -485,6 +485,25 @@ class TestLargeInputs:
         errors = [l for l in res.stderr.splitlines() if l.startswith("Error:")]
         assert len(errors) == 1 and "an exact law at n=100000 is too large" in errors[0]
 
+    @pytest.mark.parametrize("args", [
+        ["wf-sim", "--N", str(10**20), "--theta", "1,2", "--gens", "1", "--sample-size", "4"],
+        ["wf-sim", "--N", str(10**400), "--theta", "1,2", "--gens", "1", "--sample-size", "4"],
+        ["stats-k", "--n", str(10**400), "--theta", "1.0,2.0"],
+        ["pmf", "--theta", "1,2", "--joint-k", "1,1", "--n", str(10**400)],
+        ["enumerate", "--n", str(10**400), "--k", "2", "--count"],
+    ], ids=["wf-sim-2n-1e20", "wf-sim-2n-1e400", "stats-k", "joint-k", "enumerate"])
+    def test_huge_size_is_one_error_line(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        errors = [l for l in res.stderr.splitlines() if l.startswith("Error:")]
+        assert len(errors) == 1 and "Traceback" not in res.output, res.output
+
+    def test_wf_sim_at_the_largest_2n(self, runner):
+        res = runner.invoke(main, ["wf-sim", "--N", str(2**63 - 2), "--theta", "1,2",
+                                   "--gens", "1", "--sample-size", "4"])
+        assert res.exit_code == 0, res.output
+        assert len(res.stdout.splitlines()) == 1
+
     @pytest.mark.parametrize("theta,means", [
         ("1e308", [5.0]),  # 16 theta_l overflows the head bound
         ("1e300,1e-300", [5.0, 0.0]),  # theta_2 / (w + j) underflows to 0

@@ -182,6 +182,24 @@ class TestMassesMemo:
                 fresh = law(tuple(list(values)))  # a new object on every call: never a hit
                 assert got == fresh and all(type(v) is Fraction for v in got)
 
+    def test_exact_entry_points_read_a_list_once(self, monkeypatch):
+        # a list is never memoised, so each read of it would check and scale it anew
+        import multiewens.allele_stats as allele_stats
+
+        calls, context = [], measure._context
+
+        def counted(*args):
+            calls.append(args)
+            return context(*args)
+
+        monkeypatch.setattr(measure, "_context", counted)
+        monkeypatch.setattr(allele_stats, "_context", counted)
+        for entry in (lambda m: measure.normalization_check(4, 2, m),
+                      lambda m: joint_k_pmf(5, m, (1, 2))):
+            calls.clear()
+            entry([F(1, 2), F(3)])
+            assert len(calls) == 1
+
     def test_threads_alternating_masses_agree_with_one_thread(self):
         import sys
         import threading

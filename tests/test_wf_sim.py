@@ -27,6 +27,7 @@ from multiewens.wf_sim import (
 
 from oracles import (
     chi_square_p,
+    transition_prob_fraction_sum,
     tv_distance,
     two_sample_chi_square_p,
     wf_population_law,
@@ -200,8 +201,19 @@ class TestTransitionProb:
         got = transition_prob(600, 2, 1000, [F(0)])
         assert got == F((2**599 - 1) * 1000 * 999, 1000**600)
 
-    def test_guard_boundary_of_the_fraction_sums(self, monkeypatch):
-        # at m = 2, 2N = 2000 and M = 0 the p - 1 Fraction sums weigh about
+    @pytest.mark.parametrize("two_n", [2, 10, 1000, 10**6])
+    @pytest.mark.parametrize("mus", [(F(0),), (0,), (F(1, 7), F(2, 9)), (0.013, 1e-5),
+                                     (F(1, 3), 0.25), (1e-300,)])
+    def test_equals_the_fraction_sum(self, two_n, mus):
+        # every p <= 7 and m <= p, so p = 0, m = 0 and m = p, and p = 40 beside them
+        for p in [*range(min(two_n, 7) + 1), *([40] if two_n >= 40 else [])]:
+            for m in range(p + 1):
+                got = transition_prob(p, m, two_n, mus)
+                assert type(got) is F
+                assert got == transition_prob_fraction_sum(p, m, two_n, mus), (p, m)
+
+    def test_guard_boundary_of_the_integer_terms(self, monkeypatch):
+        # at m = 2, 2N = 2000 and M = 0 the p - 1 integer terms weigh about
         # 4.95e7 units of work at p = 1109, under the cap of 5e7, and 5.006e7
         # at p = 1110, which is refused before any Stirling number is made
         got = transition_prob(1109, 2, 2000, [F(0)])
@@ -478,6 +490,14 @@ class TestCountLevelEngine:
         with pytest.raises(ValueError, match=message):
             stationary_samples(pop, theta, 2, 1, 0)
         assert pop.generation == 0
+
+    def test_refuses_2n_past_int64_at_the_call(self):
+        # numpy draws its genes as int64, so 2N = 2**63 - 2 is the largest that runs
+        (part,) = stationary_samples(2**63 - 2, (1, 2), 4, 1, 0, 1)
+        assert part.n == 4
+        for two_n in (2**63, 10**400):
+            with pytest.raises(ValueError, match=f"2N={two_n} must be below 2\\*\\*63"):
+                stationary_samples(two_n, (1, 2), 4, 1, 0, 1)
 
     def test_rejects_negative_reps_at_the_call(self):
         pop = Population.founding(10, 2)
@@ -756,6 +776,11 @@ class TestStationaryGenealogy:
         ones = multipartition_from_lists([[1], []])
         assert abs(counts[ones] - 1_000) < 4 * math.sqrt(3_000 * 2 / 9)
 
+    def test_2n_past_int64_runs(self):
+        # events at 2N = 10**20 need no int64 draw; 10**400 is refused below
+        counts = stationary_partition_counts(10**20, (1, 2), 10, 2, 1)
+        assert sum(counts.values()) == 2 and all(p.n == 10 for p in counts)
+
     @pytest.mark.parametrize("two_n,sample_size,reps,seed,message", [
         (7, 2, 1, 0, "positive even integer"),
         (0, 1, 1, 0, "positive even integer"),
@@ -763,7 +788,9 @@ class TestStationaryGenealogy:
         (10, 11, 1, 0, "must be in 1..10"),
         (10, 2, -1, 0, "reps must be >= 0"),
         (10, 2, 1, -1, r"integer in \[0, 2\*\*64\)"),
-    ], ids=["odd", "empty", "no-genes", "too-many-genes", "negative-reps", "bad-seed"])
+        (10**400, 4, 1, 1, r"mu = theta/\(4N\) cannot be a float at 2N=10{400}"),
+    ], ids=["odd", "empty", "no-genes", "too-many-genes", "negative-reps", "bad-seed",
+            "2n-past-the-float-range"])
     def test_refusals(self, two_n, sample_size, reps, seed, message):
         with pytest.raises(ValueError, match=message):
             stationary_partition_counts(two_n, (1.0, 2.0), sample_size, reps, seed)
