@@ -287,7 +287,11 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 def _stirling_guard(what: str, n: int, terms: int = 0):
     """The size guard for the Stirling row of n, n^2/2 steps on integers of up
     to log2 n! bits, and `terms` numerators of about 50 steps each on top."""
-    _exact_work_guard(what, n * n // 2 + 50 * terms, math.lgamma(n + 1) / math.log(2))
+    try:
+        bits = math.lgamma(n + 1) / math.log(2)
+    except OverflowError:  # n past the float range, far past any exact row
+        raise ValueError(f"{what} is too large to compute exactly; choose a smaller n") from None
+    _exact_work_guard(what, n * n // 2 + 50 * terms, bits)
 
 
 def stirling_first(n: int, m: int) -> int:
@@ -295,7 +299,7 @@ def stirling_first(n: int, m: int) -> int:
     n, m = _at_least(n, 0, "n"), _at_least(m, 0, "m")
     if m > n:
         return 0
-    _stirling_guard(f"the Stirling row at n={n}", n)
+    _stirling_guard(f"the Stirling row at n={_shown(n)}", n)
     return _stirling_row(n)[m]
 
 
@@ -315,7 +319,7 @@ def joint_k_pmf(n: int, theta, ps: Sequence[int]):
     ps = tuple([_at_least(p, 0, "counts") for p in ps])
     if len(ps) != params.k:
         raise ValueError(f"need k={params.k} counts")
-    _stirling_guard(f"the joint law at n={n}", n)
+    _stirling_guard(f"the joint law at n={_shown(n)}", n)
     q, scaled = scale
     return Fraction(_joint_k_numerator(n, ps, q, scaled), _rising(sum(scaled), q, n))
 
@@ -334,7 +338,7 @@ def joint_k_check(n: int, k: int, theta) -> CheckReport:
     """Exact check that the joint law of (K_n^(1)..K_n^(k)) sums to one over
     its support sum_l p_l <= n: the numerators sum to D_n."""
     n, k = _at_least(n, 0, "n"), _at_least(k, 1, "k")
-    _stirling_guard(f"the joint law check at n={n}, k={k}", n, math.comb(n + k, k))
+    _stirling_guard(f"the joint law check at n={_shown(n)}, k={k}", n, math.comb(n + k, k))
     _, _, q, scaled, d_n = _exact_common(theta, k, n, "joint law check", None)
     total = sum(
         _joint_k_numerator(n, ps, q, scaled)

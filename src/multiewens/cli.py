@@ -223,9 +223,7 @@ def cmd_sample_urn(n, theta, reps, seed, with_blocks):
     """Stream generalized Hoppe urn draws as JSON lines."""
     thetas = _parse_theta(theta)
     for r in range(reps):
-        part, blocks = samplers.hoppe_urn_sample(
-            n, thetas, samplers.derive_seed(seed, r), blocks=with_blocks
-        )
+        part, blocks = samplers.hoppe_urn_sample(n, thetas, samplers.derive_seed(seed, r))
         if with_blocks:
             rec = {
                 "partition": multipartition_to_lists(part),
@@ -340,7 +338,8 @@ def cmd_wf_sim(two_n, theta, gens, sample_size, reps, thin, seed, dump_path):
             click.echo(json.dumps(multipartition_to_lists(part)))
         if dump_path:
             fh.truncate(0)
-            json.dump(pop.to_json_dict(), fh)
+            # one json.dumps: json.dump streams through the pure-Python encoder
+            fh.write(json.dumps(pop.to_json_dict()))
 
 
 @main.command("verify")

@@ -208,6 +208,24 @@ class LabeledSetPartition:
         if seen != set(range(1, self.n + 1)):
             raise ValueError(f"blocks must cover {{1..{self.n}}} exactly")
 
+    def __getattr__(self, name):
+        """blocks of a drawn partition, built on first read from the
+        module-level (builder, args) pair a sampler left under ``_pending``.
+        Python calls this only for a name the instance dict lacks.  blocks is
+        stored before the pair is dropped, so a thread that finds no pair
+        finds blocks, and threads that build at once all get the first
+        blocks stored."""
+        if name == "blocks":
+            state = self.__dict__
+            pending = state.get("_pending")
+            if pending is not None:
+                builder, args = pending
+                state.setdefault("blocks", builder(*args))
+                state.pop("_pending", None)
+            if "blocks" in state:
+                return state["blocks"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
 
 def _trusted(cls, **fields):
     """Instance of a frozen dataclass of this package from field values that

@@ -20,7 +20,10 @@ into int64 words (:func:`_batched_counts`) and build only the distinct runs,
 the urn's through :func:`_urn_founders`.
 The urn's set partition and the Poisson-Dirichlet frequencies are valid by
 construction and skip their constructors' checks through
-``partitions._trusted``, with the field types of a validated instance.
+``partitions._trusted``, with the field types of a validated instance.  The
+set partition holds its run and builds its blocks the first time they are
+read (:func:`_urn_blocks`), so a draw whose blocks its caller drops costs
+what its multiple partition costs.
 
 Seeding contract: every sampler but ``wf_sim.wf_step`` (one step of a chain
 its caller drives) takes a seed in [0, 2**64) and is bit deterministic for a
@@ -192,9 +195,18 @@ def _urn_kernel(thetas: Sequence[float], u: np.ndarray):
     return classes[new].tolist(), np.bincount(founder).tolist(), founder.tolist()
 
 
-def hoppe_urn_sample(
-    n: int, theta, seed: int, blocks: bool = True
-) -> tuple[MultiplePartition, LabeledSetPartition | None]:
+def _urn_blocks(classes: list[int], founder: list[int]) -> tuple[tuple[int, frozenset[int]], ...]:
+    """The labelled blocks of an urn draw from its run (:func:`_urn_run`):
+    each color with its 1-based class label and the draws that joined it.
+    Colors are founded in draw order, so the blocks come out ordered by
+    their smallest element."""
+    members: list[list[int]] = [[] for _ in classes]
+    for j, idx in enumerate(founder, start=1):
+        members[idx].append(j)
+    return tuple((cls + 1, frozenset(m)) for cls, m in zip(classes, members))
+
+
+def hoppe_urn_sample(n: int, theta, seed: int) -> tuple[MultiplePartition, LabeledSetPartition]:
     """One draw of the generalized Hoppe urn after n steps.
 
     At step j an object is chosen with probability proportional to mass:
@@ -202,9 +214,9 @@ def hoppe_urn_sample(
     an existing color (mass = its count) gains one object of its color.
     Returns both the color-count multiple partition and the labelled set
     partition of the draw indices 1..n, whose blocks are the colors with
-    their 1-based class labels.  Colors are founded in draw order, so the
-    blocks come out ordered by their smallest element.  With blocks=False
-    the set partition is not built, and None stands in its place.
+    their 1-based class labels, ordered by their smallest element.  The
+    blocks are built when first read (:func:`_urn_blocks`), so a caller that
+    reads only the multiple partition does not pay for them.
     """
     n = _at_least(n, 1, "n")
     params = _params(theta)
@@ -214,13 +226,7 @@ def hoppe_urn_sample(
     else:
         classes, counts, founder = _urn_kernel(thetas, _numpy_rng(seed).random(n))
     part = _from_alleles(zip(classes, counts), params.k)
-    if not blocks:
-        return part, None
-    members: list[list[int]] = [[] for _ in counts]
-    for j, idx in enumerate(founder, start=1):
-        members[idx].append(j)
-    labelled = tuple((cls + 1, frozenset(m)) for cls, m in zip(classes, members))
-    return part, _trusted(LabeledSetPartition, blocks=labelled, n=n)
+    return part, _trusted(LabeledSetPartition, _pending=(_urn_blocks, (classes, founder)), n=n)
 
 
 # runs per chunk of the counting samplers, and uniforms per block (a run-step or a head cell)

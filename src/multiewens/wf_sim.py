@@ -25,7 +25,8 @@ finite and nonnegative, with sum below 1.  Both engines and
 :func:`transition_prob` apply it, with one message.  All three take 2N only as
 a positive even integer, and both engines a sample of at least one gene.  A
 stationary 2N must give a float mu = theta/(4N), and :func:`stationary_samples`
-int64 genes: 2N < 2**63.
+int64 genes: 2N < 2**63.  :func:`stationary_partition_counts` needs 2N < 2**63
+only where its sample has a generation drawn whole, which draws int64 parents.
 
 Every sampler here takes a seed under the package's one seed rule and reads
 numpy's generator for it, but :func:`wf_step`, one step of a chain that its
@@ -280,6 +281,21 @@ def _trace_back(weights: np.ndarray, gens, two_n: int, edges: list, cum: list,
     return lineages, born
 
 
+def _stationary_mus(thetas: Sequence, two_n: int) -> list:
+    """mu_l = theta_l/(4N) for a stationary chain, as floats.  A 2N past the
+    float range is refused.  A mass past it gives a mu far above 1, so the
+    mus are then kept exact, for the mu rule (:func:`_mutation_probs`) to
+    refuse with their values."""
+    try:
+        four_n = float(2 * two_n)
+    except OverflowError:
+        raise ValueError(f"mu = theta/(4N) cannot be a float at 2N={_shown(two_n)}") from None
+    try:
+        return [float(t) / four_n for t in thetas]
+    except OverflowError:
+        return [Fraction(t) / (2 * two_n) for t in thetas]
+
+
 def _check_size(two_n) -> int:
     """2N as an int, checked to be a positive even integer."""
     (two_n,) = _plain_ints((two_n,), "population size 2N")
@@ -365,7 +381,7 @@ def stationary_samples(
     if isinstance(pop, Population) and params.k != pop.k:
         raise ValueError(f"need k={pop.k} mutation masses, got {params.k}")
     genes = reps * sample_size + (two_n if isinstance(pop, Population) else 0)  # traced
-    edges, cum = _tables([float(t) / (2 * two_n) for t in params.thetas], two_n, genes, params.k)
+    edges, cum = _tables(_stationary_mus(params.thetas, two_n), two_n, genes, params.k)
     return _joint_samples(pop, params.k, sample_size, reps, burn_gens, thin_gens, edges, cum, rng)
 
 
@@ -383,11 +399,10 @@ def stationary_partition_counts(two_n: int, theta, sample_size: int, reps: int,
     two_n = _check_size(two_n)
     rng = _numpy_rng(seed)
     sample_size, reps = _check_draws(two_n, sample_size, reps)
-    try:
-        mus = [float(t) / (2 * two_n) for t in params.thetas]
-    except OverflowError:  # 4N past the float range
-        raise ValueError(f"mu = theta/(4N) cannot be a float at 2N={_shown(two_n)}") from None
-    edges, cum = _tables(mus, two_n, sample_size)
+    edges, cum = _tables(_stationary_mus(params.thetas, two_n), two_n, sample_size)
+    if two_n >= 1 << 63 and len(cum) <= sample_size:  # a generation drawn whole
+        raise ValueError(f"population size 2N={_shown(two_n)} must be below 2**63 at these"
+                         " masses, whose sample has generations drawn whole with int64 parents")
     thetas = [Fraction(t) for t in params.thetas]
     bounds = [float(c / sum(thetas)) for c in itertools.accumulate(thetas[:-1])]
     ones, keys = np.ones(sample_size, dtype=np.int64), Counter()

@@ -389,6 +389,18 @@ class TestJointLaw:
         with pytest.raises(ValueError, match="Stirling row at n=5000 is too large"):
             stirling_first(5000, 3)
 
+    def test_size_past_the_float_range_refused(self):
+        # log2 n! is not a float at n = 10**400, and no exact row is that small
+        with pytest.raises(ValueError, match="joint law at n=10{400} is too large"):
+            joint_k_pmf(10**400, (1, 2), (1, 1))
+        with pytest.raises(ValueError, match="joint law check at n=10{400}, k=2 is too large"):
+            joint_k_check(10**400, 2, (1, 2))
+        with pytest.raises(ValueError, match="Stirling row at n=10{400} is too large"):
+            stirling_first(10**400, 3)
+        # past Python's int-to-string digit limit the message gives n's bit length
+        with pytest.raises(ValueError, match="joint law at n=<16610-bit integer> is too large"):
+            joint_k_pmf(10**5000, (1, 2), (1, 1))
+
     def test_k1_classical_form(self):
         th = (F(3, 2),)
         n = 6

@@ -132,7 +132,7 @@ class TestSampling:
 
         args = ["sample-urn", "--n", "5", "--theta", "1,2", "--reps", "3"]
         plain = runner.invoke(main, args).stdout
-        monkeypatch.setattr(samplers, "_trusted", refuse)
+        monkeypatch.setattr(samplers, "_urn_blocks", refuse)
         assert runner.invoke(main, args).stdout == plain
         assert runner.invoke(main, [*args, "--set-partitions"]).exit_code != 0
 
@@ -204,18 +204,24 @@ class TestSampling:
         parts = [json.loads(line) for line in res.stdout.strip().splitlines()]
         assert len(parts) == 10 and all(sum(map(sum, p)) == 4 for p in parts)
 
-    def test_wf_dump_state(self, runner, tmp_path):
+    @pytest.mark.parametrize("two_n,theta,masses", [
+        (50, "1.0", (1.0,)), (200, "0.5,1.0", (0.5, 1.0))])
+    def test_wf_dump_state(self, runner, tmp_path, monkeypatch, two_n, theta, masses):
+        def streamed(*args, **kwargs):
+            raise AssertionError("json.dump streams through the pure-Python encoder")
+
+        monkeypatch.setattr(json, "dump", streamed)
         path = tmp_path / "pop.json"
         res = runner.invoke(main, [
-            "wf-sim", "--N", "50", "--theta", "1.0", "--gens", "5",
+            "wf-sim", "--N", str(two_n), "--theta", theta, "--gens", "5",
             "--sample-size", "2", "--dump-state", str(path),
         ])
-        assert res.exit_code == 0
+        assert res.exit_code == 0, res.output
         snap = json.loads(path.read_text())
-        assert len(snap["ids"]) == 50
+        assert len(snap["ids"]) == two_n
         # the library's snapshot of the same run, byte for byte
-        pop = Population.founding(50, 1)
-        list(stationary_samples(pop, (1.0,), 2, 1, 0, 5, None))
+        pop = Population.founding(two_n, len(masses))
+        list(stationary_samples(pop, masses, 2, 1, 0, 5, None))
         assert path.read_text() == json.dumps(pop.to_json_dict())
 
     def test_wf_dump_state_replaced_only_when_the_run_ends(self, runner, tmp_path, monkeypatch):

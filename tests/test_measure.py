@@ -536,7 +536,7 @@ class TestFloatAtLargeN:
     ])
     def test_refined_log_pmf(self, n, th):
         for seed in range(5):
-            p = hoppe_urn_sample(n, th, seed, blocks=False)[0]
+            p = hoppe_urn_sample(n, th, seed)[0]
             exact = _exact_log(refined_esf_pmf(p, th))
             assert abs(refined_esf_log_pmf(p, tuple(map(float, th))) - exact) <= 1e-10
 

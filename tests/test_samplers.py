@@ -1,6 +1,9 @@
 import math
+import pickle
 import random
 import re
+import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -155,11 +158,12 @@ class TestHoppeUrn:
         b = hoppe_urn_sample(8, (0.7, 1.3), seed=5)
         assert a == b
 
-    def test_partition_without_blocks(self):
-        # the same draw, without building the set partition
+    def test_partition_unchanged_by_reading_the_blocks(self):
+        # the same draw whether or not its set partition is ever built
         for seed in (0, 1, 7, 2**40 + 3):
-            part, _ = hoppe_urn_sample(200, (0.7, 1.3), seed=seed)
-            assert hoppe_urn_sample(200, (0.7, 1.3), seed, blocks=False) == (part, None)
+            part, blocks = hoppe_urn_sample(200, (0.7, 1.3), seed=seed)
+            unread, _ = hoppe_urn_sample(200, (0.7, 1.3), seed)
+            assert set_partition_to_multipartition(blocks, 2) == part == unread
 
     def test_returns_consistent_pair(self):
         for seed in range(30):
@@ -219,6 +223,82 @@ class TestHoppeUrn:
         exp = [float(p) * reps for p in exact.values()]
         _, pval = chisquare(obs, exp)
         assert pval > 0.01
+
+
+class TestLazyBlocks:
+    """hoppe_urn_sample builds its set partition's blocks when they are first
+    read: an unread partition is equal, hash-equal and pickle-equal to the
+    validated one of the same blocks, on loop draws and on kernel draws."""
+
+    TS = [0.7, 1.3]
+
+    def _fresh(self, n, seed):
+        """An unread draw and the validated partition of its run's blocks."""
+        if n < _KERNEL_STEPS:
+            run = _urn_run(n, self.TS, random.Random(seed))
+        else:
+            run = _urn_kernel(self.TS, np.random.default_rng(seed).random(n))
+        part, blocks = hoppe_urn_sample(n, self.TS, seed)
+        assert "blocks" not in vars(blocks)
+        return part, blocks, TestUrnKernel._draw(n, run, 2)
+
+    @pytest.mark.parametrize("n", [6, 200, 300, 20_000])
+    def test_unread_equals_validated(self, n):
+        for seed in (0, 5):
+            part, unread, want = self._fresh(n, seed)
+            assert (part, unread) == want and "_pending" not in vars(unread)
+            _, unread, _ = self._fresh(n, seed)
+            assert hash(unread) == hash(want[1])
+            _, unread, _ = self._fresh(n, seed)
+            assert set_partition_to_multipartition(unread, 2) == part
+
+    @pytest.mark.parametrize("n", [6, 200, 300, 20_000])
+    def test_pickle_round_trip(self, n):
+        _, blocks, (_, want) = self._fresh(n, 3)
+        unread = pickle.loads(pickle.dumps(blocks))
+        assert "blocks" not in vars(unread) and unread == want
+        blocks.blocks
+        read = pickle.loads(pickle.dumps(blocks))
+        assert "_pending" not in vars(read) and read == want and hash(read) == hash(want)
+
+    @pytest.mark.parametrize("n", [6, 200, 300, 20_000])
+    def test_threads_reading_one_unread_draw(self, n):
+        # more readers than cores, switching often, all released at once:
+        # each gets the blocks, the same object, and none an AttributeError
+        readers = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                _, blocks, (_, want) = self._fresh(n, seed)
+                start, got = threading.Barrier(readers), []
+
+                def read():
+                    start.wait(timeout=10)
+                    try:
+                        got.append(blocks.blocks)
+                    except AttributeError as exc:
+                        got.append(exc)
+
+                threads = [threading.Thread(target=read) for _ in range(readers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == readers and all(g is got[0] for g in got)
+                assert got[0] == want.blocks
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_other_names_stay_missing(self):
+        # only a pending blocks field is built; any other missing name, or
+        # blocks with nothing pending, raises as it would without the hook
+        _, blocks = hoppe_urn_sample(6, self.TS, 1)
+        with pytest.raises(AttributeError, match="'LabeledSetPartition' object has no attribute 'k'"):
+            blocks.k
+        with pytest.raises(AttributeError):
+            LabeledSetPartition.__new__(LabeledSetPartition).blocks
 
 
 class TestUrnTopDraw:

@@ -781,6 +781,24 @@ class TestStationaryGenealogy:
         counts = stationary_partition_counts(10**20, (1, 2), 10, 2, 1)
         assert sum(counts.values()) == 2 and all(p.n == 10 for p in counts)
 
+    def test_2n_past_int64_refused_where_a_generation_is_drawn_whole(self):
+        # mu = 0.2 per class: the table covers about 125 lineages, so a sample
+        # of 100 skips from event to event and one of 200 draws int64 parents
+        counts = stationary_partition_counts(10**20, (4e19, 4e19), 100, 1, 1)
+        assert [p.n for p in counts] == [100]
+        with pytest.raises(ValueError, match=r"2N=10{20} must be below 2\*\*63"):
+            stationary_partition_counts(10**20, (4e19, 4e19), 200, 1, 1)
+        counts = stationary_partition_counts(2**63 - 2, (4e18, 4e18), 200, 1, 1)
+        assert [p.n for p in counts] == [200]
+
+    def test_mass_past_the_float_range_refused_by_the_mu_rule(self):
+        # mu = 10**400/20 far above 1: the mu rule refuses it, with its values
+        rule = r"mutation probabilities must be finite and nonnegative with sum < 1, got \(50{398}, 1/20\)"
+        with pytest.raises(ValueError, match=rule):
+            list(stationary_samples(10, (10**400, 1), 2, 1, 1))
+        with pytest.raises(ValueError, match=rule):
+            stationary_partition_counts(10, (10**400, 1), 2, 1, 1)
+
     @pytest.mark.parametrize("two_n,sample_size,reps,seed,message", [
         (7, 2, 1, 0, "positive even integer"),
         (0, 1, 1, 0, "positive even integer"),
